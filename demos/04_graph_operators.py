@@ -16,20 +16,31 @@ print(f"  probe lower bound {est.omega_hat:.5f}, edge-argument upper bound "
       f"{est.omega_upper:.5f} (atan 0.3 = {math.atan(0.3):.5f})")
 print(f"  working sector half-angle: {est.mu_sector:.4f} rad")
 
+
+
+def spread(values):
+    return max(values) / min(values)
+
+
+def sup_slope(sweep):
+    return ml.fit_loglog([(abs(r.lam), r.sup_ratio) for r in sweep.rows]).slope
+
+
 print("\nresolvent decay along the positive ray (rescaled 64 x 64 box):")
 for name, op in (("symmetric", sym), ("perturbed", pert)):
     sweep = ml.resolvent_bound_sweep(op, [1, 10, 100, 1000], eta=0.5, seed=0)
     rows = "  ".join(f"R_inf({abs(r.lam):.0f}) = {r.R_inf:.3f}" for r in sweep.rows)
     print(f"  {name}: {rows}")
-    print(f"    sup-norm slope {sweep.fit_sup.slope:+.3f} (the theory says -1/2), "
-          f"R_inf spread {sweep.r_inf_maxmin:.2f}, "
-          f"Holder spread {sweep.r_eta_maxmin:.2f}")
+    print(f"    sup-norm slope {sup_slope(sweep):+.3f} (the theory says -1/2), "
+          f"R_inf spread {spread([r.R_inf for r in sweep.rows]):.2f}, "
+          f"Holder spread {spread([r.R_eta for r in sweep.rows]):.2f}")
 
 print("\nsame sweep along the ray at argument 3 pi / 5:")
 phase = np.exp(1j * 3 * math.pi / 5)
 sweep = ml.resolvent_bound_sweep(pert, [l * phase for l in (1, 10, 100, 1000)],
                                  eta=0.5, seed=0)
-print(f"  slope {sweep.fit_sup.slope:+.3f}, R_inf spread {sweep.r_inf_maxmin:.2f}")
+print(f"  slope {sup_slope(sweep):+.3f}, "
+      f"R_inf spread {spread([r.R_inf for r in sweep.rows]):.2f}")
 
 print("\nrescaling identity (solves on the graph vs the rescaled graph):")
 box = ml.lattice_box(24, 24)

@@ -10,7 +10,7 @@ from .spaces import (DualNormResult, EdgeFunction, EmbeddingReport, NormReport,
                      SpaceError, VertexFunction, df_grad_bracket, differential,
                      dual_norm, edge_lp_norm, embedding_report, gradient_length,
                      holder_norm, holder_seminorm, lp_norm, maximal_function,
-                     norm, norm_report, w1p_norm)
+                     norm_report, w1p_norm)
 from .fem import (CoefficientField, FemError, MeyersProblem, P1Field, P1System,
                   SolveResult, apply_Lh, assemble, checkerboard_field,
                   coefficient_field, constant_field, f_h, identity_field, load,
@@ -18,7 +18,7 @@ from .fem import (CoefficientField, FemError, MeyersProblem, P1Field, P1System,
                   w12_inverse_bound)
 from .operators import (AccretivityEstimate, EdgeCoefficients, GraphOperator,
                         KernelBoundFit, KernelColumn, OperatorError,
-                        ResolventResult, SectorPoint, SweepResult,
+                        ResolventResult, SweepResult,
                         accretivity_angle, build_operator, contour_nodes,
                         expm_oracle, kernel_bound_check, kernel_column,
                         kernel_holder_fit, perturbed_coefficients,

@@ -9,27 +9,22 @@ import sys
 
 from . import experiments, mesh
 
-_EPILOG = """\
-experiments and row-CSV schemas
-  meyers_sweep        experiment,p,level,h,n_vertices,w1p,f_l2,ratio,lhuh_rel
-  counterexample      experiment,p,p_c,level,h,w1p,lhuh_rel
-  holder_convergence  experiment,p,eta,level,h,holder_norm,cauchy_diff,lhuh_rel
-  rate_theta          experiment,level,h,p,w1p_error,center_value,center_ref,
-                      center_level,theta,p_probe,p_hi,lhuh_rel
-  resolvent_sweep     experiment,variant,ray,lam_re,lam_im,abs_lam,sup_ratio,
-                      holder_ratio,R_inf,R_eta,eta
-  kernel_bounds       meta rows: experiment,t,y,oracle_dev,mass,neighbor_d,
-                      max_neighbor_increment,C,beta,pass_rate_b,pass_rate_a,
-                      C_holder,eta_increment,pass_rate_holder,c_prime
-                      kernel table: t,y,x,d,h_star,regime,K_re,K_im,bound_value
-  embeddings          experiment,level,h,n_vertices,p_sobolev,p_star,
-                      sobolev_ratio_max,p_holder,eta,holder_ratio_max
-  geometry            experiment,level,h,r0,C_D,c_L,C_P,D,balls
 
-config files are flat `key = value` lines; `#` starts a comment. Every
-experiment ships defaults matching the acceptance setups; summaries are
-recomputable from the row CSVs via `meyers-lab report`.
-"""
+def _epilog() -> str:
+    """Experiments, defaults and row-file headers, from the experiment records."""
+    lines = ["experiments, their defaults and row files (name: CSV header)"]
+    for exp in experiments.REGISTRY.values():
+        lines.append(f"  {exp.name}")
+        lines.append("    defaults: " + "; ".join(f"{k} = {v}" for k, v in exp.defaults.items()))
+        lines += [f"    {name}: {header}" for name, header in exp.files]
+    lines += [
+        f"every run also writes <experiment>_summary.csv: {experiments.SUMMARY_HEADER}",
+        "",
+        "config files are flat `key = value` lines; `#` starts a comment. Every",
+        "experiment ships defaults matching the acceptance setups; summaries are",
+        "recomputable from the row CSVs via `meyers-lab report`.",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def _print_verdicts(verdicts) -> bool:
@@ -95,7 +90,7 @@ def main(argv=None) -> int:
         prog="meyers-lab",
         description="Uniform W^{1,p} bounds of P1 Galerkin schemes and "
                     "elliptic operators on weighted graphs: experiment harness.",
-        epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
+        epilog=_epilog(), formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment config")

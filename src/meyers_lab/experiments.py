@@ -5,23 +5,26 @@ deterministic given the seed, CSV cells are written with round-trip float
 repr, and each summary verdict is recomputable from the emitted row files
 alone (the ``report`` command does exactly that).
 
+Each experiment is one ``Experiment`` record in ``REGISTRY``: its config
+defaults, validation, runner, verdict recomputation and the row files it
+writes with their headers.
+
 Mesh families are red-refinement families: the coarsest level comes from
 ``triangulate`` and each further level halves h exactly, so consecutive
 P1 spaces are nested and Cauchy differences are themselves P1 fields.
 """
 from __future__ import annotations
 
+import csv
 import math
 import os
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 
 from . import fem, graph, mesh, operators, reference, spaces
 from .fitting import fit_loglog
-
-EXPERIMENTS = ("meyers_sweep", "counterexample", "holder_convergence", "rate_theta",
-               "resolvent_sweep", "kernel_bounds", "embeddings", "geometry")
 
 # fixed acceptance thresholds, keyed by (experiment, check)
 THRESHOLDS = {
@@ -41,6 +44,8 @@ THRESHOLDS = {
     ("geometry", "factor_max"): 2.0,
 }
 
+SUMMARY_HEADER = "check,value,threshold,verdict"
+
 
 class ConfigError(ValueError):
     pass
@@ -55,27 +60,6 @@ class ExperimentConfig:
 
     def get(self, key, default=None):
         return self.params.get(key, default)
-
-
-_DEFAULTS = {
-    "meyers_sweep": dict(domain="unit_square", coefficient="checkerboard:1:4",
-                         f="one", levels="3,4,5,6", p_list="2.2"),
-    "counterexample": dict(domain="square2", coefficient="meyers:0.5", f="auto",
-                           levels="3,4,5,6", p_list="2.5,6"),
-    "holder_convergence": dict(domain="unit_square", coefficient="checkerboard:1:4",
-                               f="one", levels="3,4,5,6", p_list="2.2"),
-    "rate_theta": dict(domain="unit_square", coefficient="constant:1", f="minus_one",
-                       levels="3,4,5,6", p_probe="2.2", eps_probe="0.5",
-                       center_level="5"),
-    "resolvent_sweep": dict(box="64", lambda_list="1,10,100,1000",
-                            rays="real,sector", eta_p="4", perturbation="0.3"),
-    "kernel_bounds": dict(box="48", t_grid="0.5,1,2,4,8", c_prime="1",
-                          c_prime_scan="0.5,1,2"),
-    "embeddings": dict(domain="unit_square", levels="2,3,4,5", p_sobolev="1.5",
-                       p_holder="4", trials="20"),
-    "geometry": dict(domain="unit_square", levels="3,4,5,6", r0="auto",
-                     sample_count="all"),
-}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -94,19 +78,29 @@ def parse_config(text: str) -> ExperimentConfig:
     if "experiment" not in raw:
         raise ConfigError("missing 'experiment' key")
     exp = raw.pop("experiment")
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
-    seed = int(raw.pop("seed", "0"))
+    if exp not in REGISTRY:
+        raise ConfigError(f"unknown experiment {exp!r}; choose from {tuple(REGISTRY)}")
+    seed = _parse("seed", raw.pop("seed", "0"), int)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     out = raw.pop("out", "results")
-    params = dict(_DEFAULTS[exp])
+    params = dict(REGISTRY[exp].defaults)
     params.update(raw)
     cfg = ExperimentConfig(exp, params, seed, out)
-    _validate(cfg)
+    REGISTRY[exp].validate(cfg)
     return cfg
 
 
-def _floats(s: str) -> list[float]:
-    return [_parse_float(tok) for tok in str(s).split(",") if tok.strip()]
+def _parse(key: str, text: str, parse):
+    """``parse(text)``, with malformed text reported as a ConfigError."""
+    try:
+        return parse(text)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{key} = {text!r}: {exc}") from None
+
+
+def _read(cfg: ExperimentConfig, key: str, parse):
+    return _parse(key, str(cfg.get(key)), parse)
 
 
 def _parse_float(tok: str) -> float:
@@ -118,24 +112,12 @@ def _parse_float(tok: str) -> float:
     return float(tok)
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.experiment in ("meyers_sweep", "holder_convergence"):
-        for p in _floats(cfg.get("p_list")):
-            if not p > 2:
-                raise ConfigError(f"{cfg.experiment} needs p > 2, got {p}")
-    if cfg.experiment == "counterexample":
-        for p in _floats(cfg.get("p_list")):
-            if not p > 1:
-                raise ConfigError("counterexample needs p > 1")
-    if cfg.experiment == "embeddings":
-        ps, ph = float(cfg.get("p_sobolev")), float(cfg.get("p_holder"))
-        if not 1 <= ps < 2:
-            raise ConfigError("embeddings needs 1 <= p_sobolev < 2")
-        if not ph > 2:
-            raise ConfigError("embeddings needs p_holder > 2")
-    if cfg.experiment == "rate_theta":
-        if not float(cfg.get("p_probe")) > 2:
-            raise ConfigError("rate_theta needs p_probe > 2")
+def _floats(text: str) -> list[float]:
+    return [_parse_float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
 
 
 def _domain(name: str) -> mesh.Polygon:
@@ -149,20 +131,8 @@ def _domain(name: str) -> mesh.Polygon:
     raise ConfigError(f"unknown domain {name!r}")
 
 
-def _coefficient(spec: str) -> fem.CoefficientField:
-    parts = str(spec).split(":")
-    kind = parts[0]
-    if kind == "checkerboard":
-        a1, a2 = float(parts[1]), float(parts[2])
-        return fem.checkerboard_field(a1, a2)
-    if kind == "meyers":
-        return fem.meyers_field(float(parts[1]))
-    if kind in ("constant", "identity"):
-        scale = float(parts[1]) if len(parts) > 1 else 1.0
-        return fem.constant_field(scale * np.eye(2))
-    if kind == "smooth":
-        return fem.smooth_field()
-    raise ConfigError(f"unknown coefficient {spec!r}")
+def _coefficient(cfg: ExperimentConfig) -> fem.CoefficientField:
+    return _read(cfg, "coefficient", fem.coefficient_field)
 
 
 def _load_spec(name: str, problem=None):
@@ -177,31 +147,30 @@ def _load_spec(name: str, problem=None):
     raise ConfigError(f"unknown load {name!r}")
 
 
-def _mesh_family(poly: mesh.Polygon, levels: list[int]) -> list[mesh.Triangulation]:
-    """Red-refinement family; level k targets grid spacing 2^-k."""
+def _family(cfg: ExperimentConfig) -> list[tuple[int, mesh.Triangulation]]:
+    """(level, mesh) over the red-refinement family of the config's domain;
+    level k targets grid spacing 2^-k."""
+    levels = _read(cfg, "levels", _ints)
     if levels != sorted(levels) or len(set(levels)) != len(levels):
         raise ConfigError("levels must be strictly increasing")
-    tris = [mesh.triangulate(poly, 2.0 ** -levels[0])]
+    tris = [mesh.triangulate(_read(cfg, "domain", _domain), 2.0 ** -levels[0])]
     for prev, cur in zip(levels, levels[1:]):
         if cur != prev + 1:
             raise ConfigError("levels must be consecutive for the nested family")
         tris.append(mesh.refine_red(tris[-1]))
-    return tris
+    return list(zip(levels, tris))
 
 
 def _solve_cell(tri, coeff, f):
+    """Solution, its P1 field, and the max deviation of apply_Lh(u) from -f_h
+    relative to max |f_h|."""
     system = fem.assemble(tri, coeff)
     fem.load(system, f)
     res = fem.solve(system)
     lh = fem.apply_Lh(system, res.u).values
     target = -fem.f_h(system).values
     scale = float(np.abs(target).max()) or 1.0
-    lhuh_rel = float(np.abs(lh - target).max() / scale)
-    return system, res, fem.reconstruct(tri, res.u), lhuh_rel
-
-
-def _r(x) -> str:
-    return repr(float(x))
+    return res, fem.reconstruct(tri, res.u), float(np.abs(lh - target).max() / scale)
 
 
 def _verdict(name, value, ok, threshold) -> dict:
@@ -210,18 +179,47 @@ def _verdict(name, value, ok, threshold) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# validation
+
+def _validate_p_above_2(cfg: ExperimentConfig) -> None:
+    for p in _read(cfg, "p_list", _floats):
+        if not p > 2:
+            raise ConfigError(f"{cfg.experiment} needs p > 2, got {p}")
+    _coefficient(cfg)
+
+
+def _validate_counterexample(cfg: ExperimentConfig) -> None:
+    for p in _read(cfg, "p_list", _floats):
+        if not p > 1:
+            raise ConfigError("counterexample needs p > 1")
+    if _coefficient(cfg).eps is None:
+        raise ConfigError("counterexample needs a meyers:<eps> coefficient")
+
+
+def _validate_rate_theta(cfg: ExperimentConfig) -> None:
+    if not _read(cfg, "p_probe", float) > 2:
+        raise ConfigError("rate_theta needs p_probe > 2")
+    _coefficient(cfg)
+
+
+def _validate_embeddings(cfg: ExperimentConfig) -> None:
+    if not 1 <= _read(cfg, "p_sobolev", float) < 2:
+        raise ConfigError("embeddings needs 1 <= p_sobolev < 2")
+    if not _read(cfg, "p_holder", float) > 2:
+        raise ConfigError("embeddings needs p_holder > 2")
+
+
+# ---------------------------------------------------------------------------
 # experiments
 
 def run_meyers_sweep(cfg: ExperimentConfig):
-    poly = _domain(cfg.get("domain"))
-    coeff = _coefficient(cfg.get("coefficient"))
+    coeff = _coefficient(cfg)
     fload = _load_spec(cfg.get("f"))
-    levels = [int(v) for v in str(cfg.get("levels")).split(",")]
-    f_l2 = math.sqrt(poly.area)  # |f| = 1 on the domain
+    f_l2 = math.sqrt(_read(cfg, "domain", _domain).area)  # |f| = 1 on the domain
     rows = []
-    for p in _floats(cfg.get("p_list")):
-        for lvl, tri in zip(levels, _mesh_family(poly, levels)):
-            _, res, fld, lhuh = _solve_cell(tri, coeff, fload)
+    for p in _read(cfg, "p_list", _floats):
+        for lvl, tri in _family(cfg):
+            res, fld, lhuh = _solve_cell(tri, coeff, fload)
             w = fld.w1p_norm(p)
             rows.append({"experiment": "meyers_sweep", "p": p, "level": lvl,
                          "h": tri.h, "n_vertices": tri.n_vertices, "w1p": w,
@@ -246,16 +244,12 @@ def verdicts_meyers_sweep(rows):
 
 
 def run_counterexample(cfg: ExperimentConfig):
-    poly = _domain(cfg.get("domain"))
-    spec = str(cfg.get("coefficient"))
-    eps = float(spec.split(":")[1]) if spec.startswith("meyers") else 0.5
-    problem = fem.meyers_problem(eps)
+    problem = fem.meyers_problem(_coefficient(cfg).eps)
     fload = _load_spec(cfg.get("f"), problem)
-    levels = [int(v) for v in str(cfg.get("levels")).split(",")]
     rows = []
-    for p in _floats(cfg.get("p_list")):
-        for lvl, tri in zip(levels, _mesh_family(poly, levels)):
-            _, res, fld, lhuh = _solve_cell(tri, problem.field, fload)
+    for p in _read(cfg, "p_list", _floats):
+        for lvl, tri in _family(cfg):
+            res, fld, lhuh = _solve_cell(tri, problem.field, fload)
             rows.append({"experiment": "counterexample", "p": p, "p_c": problem.p_c,
                          "level": lvl, "h": tri.h, "w1p": fld.w1p_norm(p),
                          "lhuh_rel": lhuh})
@@ -282,16 +276,14 @@ def verdicts_counterexample(rows):
 
 
 def run_holder_convergence(cfg: ExperimentConfig):
-    poly = _domain(cfg.get("domain"))
-    coeff = _coefficient(cfg.get("coefficient"))
+    coeff = _coefficient(cfg)
     fload = _load_spec(cfg.get("f"))
-    levels = [int(v) for v in str(cfg.get("levels")).split(",")]
     rows = []
-    for p in _floats(cfg.get("p_list")):
+    for p in _read(cfg, "p_list", _floats):
         eta = 1.0 - 2.0 / p
         prev = None
-        for lvl, tri in zip(levels, _mesh_family(poly, levels)):
-            _, res, fld, lhuh = _solve_cell(tri, coeff, fload)
+        for lvl, tri in _family(cfg):
+            res, fld, lhuh = _solve_cell(tri, coeff, fload)
             hn = fld.holder_seminorm(eta, include_midpoints=False) \
                 + float(np.abs(fld.values).max())
             diff = ""
@@ -325,19 +317,17 @@ def verdicts_holder(rows):
 
 
 def run_rate_theta(cfg: ExperimentConfig):
-    poly = _domain(cfg.get("domain"))
-    coeff = _coefficient(cfg.get("coefficient"))
+    coeff = _coefficient(cfg)
     fload = _load_spec(cfg.get("f"))
-    levels = [int(v) for v in str(cfg.get("levels")).split(",")]
-    p_probe = float(cfg.get("p_probe"))
-    eps = float(cfg.get("eps_probe"))
-    center_level = int(cfg.get("center_level"))
+    p_probe = _read(cfg, "p_probe", float)
+    eps = _read(cfg, "eps_probe", float)
+    center_level = _read(cfg, "center_level", int)
     p_hi = 2.0 + eps
     theta = (1.0 / p_probe - 1.0 / p_hi) / (0.5 - 1.0 / p_hi)
     center_ref = reference.torsion_center_value()
     rows = []
-    for lvl, tri in zip(levels, _mesh_family(poly, levels)):
-        _, res, fld, lhuh = _solve_cell(tri, coeff, fload)
+    for lvl, tri in _family(cfg):
+        res, fld, lhuh = _solve_cell(tri, coeff, fload)
         # cache the series oracle at the quadrature points of this mesh
         qpts = fld._quad_points().reshape(-1, 2)
         vals = reference.torsion_value(qpts)
@@ -379,11 +369,11 @@ def verdicts_rate_theta(rows):
 
 
 def run_resolvent_sweep(cfg: ExperimentConfig):
-    box = int(cfg.get("box"))
-    lams = _floats(cfg.get("lambda_list"))
-    eta_p = float(cfg.get("eta_p"))
+    box = _read(cfg, "box", int)
+    lams = _read(cfg, "lambda_list", _floats)
+    eta_p = _read(cfg, "eta_p", float)
     eta = 1.0 - 2.0 / eta_p
-    amp = float(cfg.get("perturbation"))
+    amp = _read(cfg, "perturbation", float)
     g = graph.rescale(graph.lattice_box(box, box), 1.0 / box)
     rays = [s.strip() for s in str(cfg.get("rays")).split(",")]
     variants = [("symmetric", operators.uniform_coefficients(g)),
@@ -427,9 +417,9 @@ def verdicts_resolvent(rows):
 
 
 def run_kernel_bounds(cfg: ExperimentConfig):
-    box = int(cfg.get("box"))
-    ts = _floats(cfg.get("t_grid"))
-    c_prime = float(cfg.get("c_prime"))
+    box = _read(cfg, "box", int)
+    ts = _read(cfg, "t_grid", _floats)
+    c_prime = _read(cfg, "c_prime", float)
     g = graph.lattice_box(box, box)
     op = operators.build_operator(g, operators.uniform_coefficients(g))
     y = (box // 2) * box + box // 2
@@ -457,23 +447,20 @@ def run_kernel_bounds(cfg: ExperimentConfig):
 
     meta_rows = []
     for col in cols:
-        inw = np.zeros(g.n, dtype=bool)
-        inw[col.window] = True
-        emask = inw[g.edge_u] & inw[g.edge_v]
-        inc = np.abs(col.values[g.edge_v[emask]] - col.values[g.edge_u[emask]])
+        inc, lengths = operators.window_increments(g, col)
         meta_rows.append({"experiment": "kernel_bounds", "t": col.t, "y": col.y,
                           "oracle_dev": col.oracle_dev, "mass": col.mass,
-                          "neighbor_d": float(g.edge_h[emask].max()),
+                          "neighbor_d": float(lengths.max()),
                           "max_neighbor_increment": float(inc.max()),
                           "C": fitb.C, "beta": fitb.beta,
                           "pass_rate_b": fitb.pass_rate_b,
                           "pass_rate_a": fitb.pass_rate_a,
                           "C_holder": cpp, "eta_increment": eta_inc,
                           "pass_rate_holder": rate_inc, "c_prime": c_prime})
-    return (meta_rows, table_rows), verdicts_kernel(meta_rows, table_rows)
+    return (meta_rows, table_rows), verdicts_kernel(meta_rows)
 
 
-def verdicts_kernel(meta_rows, table_rows):
+def verdicts_kernel(meta_rows):
     out = []
     dev = max(float(r["oracle_dev"]) for r in meta_rows)
     t_d = THRESHOLDS[("kernel_bounds", "oracle_dev_max")]
@@ -490,12 +477,10 @@ def verdicts_kernel(meta_rows, table_rows):
 
 
 def run_embeddings(cfg: ExperimentConfig):
-    poly = _domain(cfg.get("domain"))
-    levels = [int(v) for v in str(cfg.get("levels")).split(",")]
-    trials = int(cfg.get("trials"))
-    ps, ph = float(cfg.get("p_sobolev")), float(cfg.get("p_holder"))
+    trials = _read(cfg, "trials", int)
+    ps, ph = _read(cfg, "p_sobolev", float), _read(cfg, "p_holder", float)
     rows = []
-    for lvl, tri in zip(levels, _mesh_family(poly, levels)):
+    for lvl, tri in _family(cfg):
         g = graph.from_triangulation(tri)
         r_s = spaces.embedding_report(g, ps, trials=trials, seed=cfg.seed)
         r_h = spaces.embedding_report(g, ph, trials=trials, seed=cfg.seed)
@@ -507,28 +492,31 @@ def run_embeddings(cfg: ExperimentConfig):
     return rows, verdicts_embeddings(rows)
 
 
-def verdicts_embeddings(rows):
+def _stability_verdicts(rows, experiment: str, keys) -> list[dict]:
+    """max/min of each column across the family, below factor_max."""
     out = []
-    t = THRESHOLDS[("embeddings", "factor_max")]
-    for key in ("sobolev_ratio_max", "holder_ratio_max"):
+    t = THRESHOLDS[(experiment, "factor_max")]
+    for key in keys:
         vals = [float(r[key]) for r in rows]
         factor = max(vals) / min(vals)
         out.append(_verdict(f"{key}_stability", factor, factor < t, f"< {t}"))
     return out
 
 
+def verdicts_embeddings(rows):
+    return _stability_verdicts(rows, "embeddings", ("sobolev_ratio_max", "holder_ratio_max"))
+
+
 def run_geometry(cfg: ExperimentConfig):
-    poly = _domain(cfg.get("domain"))
-    levels = [int(v) for v in str(cfg.get("levels")).split(",")]
     r0_key = str(cfg.get("r0"))
     count_key = str(cfg.get("sample_count"))
-    count = None if count_key == "all" else int(count_key)
+    count = None if count_key == "all" else _parse("sample_count", count_key, int)
     rows = []
-    for lvl, tri in zip(levels, _mesh_family(poly, levels)):
+    for lvl, tri in _family(cfg):
         g = graph.from_triangulation(tri)
         # lattice-relative radius cap keeps the probed ball patterns
         # self-similar across the refinement family
-        r0 = 2.5 * tri.h if r0_key == "auto" else float(r0_key)
+        r0 = 2.5 * tri.h if r0_key == "auto" else _parse("r0", r0_key, float)
         rep = graph.geometry_report(g, r0, sample_count=count, seed=cfg.seed)
         rows.append({"experiment": "geometry", "level": lvl, "h": tri.h,
                      "r0": rep.r0, "C_D": rep.C_D, "c_L": rep.c_L, "C_P": rep.C_P,
@@ -537,32 +525,99 @@ def run_geometry(cfg: ExperimentConfig):
 
 
 def verdicts_geometry(rows):
-    out = []
-    t = THRESHOLDS[("geometry", "factor_max")]
-    for key in ("C_D", "c_L", "C_P"):
-        vals = [float(r[key]) for r in rows]
-        factor = max(vals) / min(vals)
-        out.append(_verdict(f"{key}_stability", factor, factor < t, f"< {t}"))
-    return out
+    return _stability_verdicts(rows, "geometry", ("C_D", "c_L", "C_P"))
+
+
+# ---------------------------------------------------------------------------
+# registry
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: config defaults, validation, runner, verdicts and the
+    row files it writes as (file name, comma-joined header) pairs.
+
+    ``run(cfg)`` returns ``(rows, verdicts)``, with ``rows`` a tuple of one
+    row list per file when the experiment writes several files.
+    ``verdicts(rows)`` recomputes the verdicts from the rows of the first
+    file alone.
+    """
+
+    name: str
+    defaults: dict
+    run: Callable
+    verdicts: Callable
+    files: tuple
+    validate: Callable = lambda cfg: None
+
+
+REGISTRY = {exp.name: exp for exp in (
+    Experiment(
+        "meyers_sweep",
+        dict(domain="unit_square", coefficient="checkerboard:1:4", f="one",
+             levels="3,4,5,6", p_list="2.2"),
+        run_meyers_sweep, verdicts_meyers_sweep,
+        (("meyers_sweep_rows.csv",
+          "experiment,p,level,h,n_vertices,w1p,f_l2,ratio,lhuh_rel"),),
+        _validate_p_above_2),
+    Experiment(
+        "counterexample",
+        dict(domain="square2", coefficient="meyers:0.5", f="auto",
+             levels="3,4,5,6", p_list="2.5,6"),
+        run_counterexample, verdicts_counterexample,
+        (("counterexample_rows.csv", "experiment,p,p_c,level,h,w1p,lhuh_rel"),),
+        _validate_counterexample),
+    Experiment(
+        "holder_convergence",
+        dict(domain="unit_square", coefficient="checkerboard:1:4", f="one",
+             levels="3,4,5,6", p_list="2.2"),
+        run_holder_convergence, verdicts_holder,
+        (("holder_convergence_rows.csv",
+          "experiment,p,eta,level,h,holder_norm,cauchy_diff,lhuh_rel"),),
+        _validate_p_above_2),
+    Experiment(
+        "rate_theta",
+        dict(domain="unit_square", coefficient="constant:1", f="minus_one",
+             levels="3,4,5,6", p_probe="2.2", eps_probe="0.5", center_level="5"),
+        run_rate_theta, verdicts_rate_theta,
+        (("rate_theta_rows.csv",
+          "experiment,level,h,p,w1p_error,center_value,center_ref,center_level,"
+          "theta,p_probe,p_hi,lhuh_rel"),),
+        _validate_rate_theta),
+    Experiment(
+        "resolvent_sweep",
+        dict(box="64", lambda_list="1,10,100,1000", rays="real,sector", eta_p="4",
+             perturbation="0.3"),
+        run_resolvent_sweep, verdicts_resolvent,
+        (("resolvent_sweep_rows.csv",
+          "experiment,variant,ray,lam_re,lam_im,abs_lam,sup_ratio,holder_ratio,"
+          "R_inf,R_eta,eta"),)),
+    Experiment(
+        "kernel_bounds",
+        dict(box="48", t_grid="0.5,1,2,4,8", c_prime="1"),
+        run_kernel_bounds, verdicts_kernel,
+        (("kernel_bounds_rows.csv",
+          "experiment,t,y,oracle_dev,mass,neighbor_d,max_neighbor_increment,C,beta,"
+          "pass_rate_b,pass_rate_a,C_holder,eta_increment,pass_rate_holder,c_prime"),
+         ("kernel_table.csv", "t,y,x,d,h_star,regime,K_re,K_im,bound_value"))),
+    Experiment(
+        "embeddings",
+        dict(domain="unit_square", levels="2,3,4,5", p_sobolev="1.5", p_holder="4",
+             trials="20"),
+        run_embeddings, verdicts_embeddings,
+        (("embeddings_rows.csv",
+          "experiment,level,h,n_vertices,p_sobolev,p_star,sobolev_ratio_max,"
+          "p_holder,eta,holder_ratio_max"),),
+        _validate_embeddings),
+    Experiment(
+        "geometry",
+        dict(domain="unit_square", levels="3,4,5,6", r0="auto", sample_count="all"),
+        run_geometry, verdicts_geometry,
+        (("geometry_rows.csv", "experiment,level,h,r0,C_D,c_L,C_P,D,balls"),)),
+)}
 
 
 # ---------------------------------------------------------------------------
 # orchestration
-
-_RUNNERS = {
-    "meyers_sweep": run_meyers_sweep,
-    "counterexample": run_counterexample,
-    "holder_convergence": run_holder_convergence,
-    "rate_theta": run_rate_theta,
-    "resolvent_sweep": run_resolvent_sweep,
-    "kernel_bounds": run_kernel_bounds,
-    "embeddings": run_embeddings,
-    "geometry": run_geometry,
-}
-
-KERNEL_TABLE_HEADER = ["t", "y", "x", "d", "h_star", "regime", "K_re", "K_im",
-                       "bound_value"]
-
 
 def _format_cell(v) -> str:
     if isinstance(v, str):
@@ -573,11 +628,11 @@ def _format_cell(v) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(col, "")) for col in header))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_format_cell(row.get(col, "")) for col in header]
+                         for row in rows)
 
 
 @dataclass
@@ -590,35 +645,25 @@ class RunSummary:
 
 def run(cfg: ExperimentConfig) -> RunSummary:
     """Execute one experiment, write its CSVs, and return the verdicts."""
+    exp = REGISTRY[cfg.experiment]
     os.makedirs(cfg.out, exist_ok=True)
-    result, verdicts = _RUNNERS[cfg.experiment](cfg)
+    result, verdicts = exp.run(cfg)
+    tables = result if len(exp.files) > 1 else (result,)
     paths = []
-    if cfg.experiment == "kernel_bounds":
-        meta_rows, table_rows = result
-        p1 = os.path.join(cfg.out, "kernel_bounds_rows.csv")
-        write_csv(p1, list(meta_rows[0].keys()), meta_rows)
-        p2 = os.path.join(cfg.out, "kernel_table.csv")
-        write_csv(p2, KERNEL_TABLE_HEADER, table_rows)
-        paths = [p1, p2]
-    else:
-        rows = result
-        p1 = os.path.join(cfg.out, f"{cfg.experiment}_rows.csv")
-        write_csv(p1, list(rows[0].keys()), rows)
-        paths = [p1]
-    spath = os.path.join(cfg.out, f"{cfg.experiment}_summary.csv")
-    write_csv(spath, ["check", "value", "threshold", "verdict"], verdicts)
-    paths.append(spath)
+    for (name, header), rows in zip(exp.files, tables):
+        paths.append(os.path.join(cfg.out, name))
+        write_csv(paths[-1], header.split(","), rows)
+    paths.append(os.path.join(cfg.out, f"{cfg.experiment}_summary.csv"))
+    write_csv(paths[-1], SUMMARY_HEADER.split(","), verdicts)
     return RunSummary(cfg.experiment, verdicts, paths,
                       all(v["verdict"] == "pass" for v in verdicts))
 
 
 def _parse_csv(path: str) -> tuple[list[str], list[dict]]:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *lines = [cells for cells in csv.reader(fh) if cells]
     rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
+    for cells in lines:
         row = {}
         for key, cell in zip(header, cells):
             try:
@@ -631,32 +676,18 @@ def _parse_csv(path: str) -> tuple[list[str], list[dict]]:
 
 def recompute_verdicts(paths: list[str]) -> list[dict]:
     """Re-derive summary verdicts from emitted row CSVs alone."""
-    by_exp: dict[str, list[dict]] = {}
-    kernel_table = []
+    by_header = {header: (exp, i) for exp in REGISTRY.values()
+                 for i, (_, header) in enumerate(exp.files)}
+    first_files: dict[str, list[dict]] = {}
     for path in paths:
         header, rows = _parse_csv(path)
-        if header == KERNEL_TABLE_HEADER:
-            kernel_table.extend(rows)
-            continue
-        if header == ["check", "value", "threshold", "verdict"]:
+        key = ",".join(header)
+        if key == SUMMARY_HEADER:
             continue  # summaries are outputs, not inputs
-        if "experiment" not in header:
+        if key not in by_header:
             raise ConfigError(f"{path}: not a recognized rows file")
-        for row in rows:
-            by_exp.setdefault(str(row["experiment"]), []).append(row)
-    out = []
-    recomputers = {
-        "meyers_sweep": verdicts_meyers_sweep,
-        "counterexample": verdicts_counterexample,
-        "holder_convergence": verdicts_holder,
-        "rate_theta": verdicts_rate_theta,
-        "resolvent_sweep": verdicts_resolvent,
-        "embeddings": verdicts_embeddings,
-        "geometry": verdicts_geometry,
-    }
-    for exp, rows in sorted(by_exp.items()):
-        if exp == "kernel_bounds":
-            out.extend(verdicts_kernel(rows, kernel_table))
-        else:
-            out.extend(recomputers[exp](rows))
-    return out
+        exp, i = by_header[key]
+        if i == 0:  # verdicts read the first file; the others are tables
+            first_files.setdefault(exp.name, []).extend(rows)
+    return [v for name, rows in sorted(first_files.items())
+            for v in REGISTRY[name].verdicts(rows)]

@@ -23,8 +23,8 @@ import scipy.sparse.linalg as spla
 
 from . import reference
 from .graph import WeightedGraph, from_triangulation
-from .mesh import Triangulation
-from .spaces import VertexFunction, _edge_laplacian
+from .mesh import Triangulation, locate
+from .spaces import VertexFunction, _holder_sup, _w12_gram
 
 
 class FemError(ValueError):
@@ -48,6 +48,9 @@ _Q4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 
 _MID_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
+# the Euclidean Holder sup adds edge midpoints only up to this many points
+_HOLDER_POINT_CAP = 8000
+
 
 @dataclass
 class CoefficientField:
@@ -57,6 +60,7 @@ class CoefficientField:
     ellipticity: float
     bound: float
     kind: str
+    eps: float | None = None  # tangential scale of the meyers family
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.matrix(np.atleast_2d(np.asarray(points, dtype=float)))
@@ -76,8 +80,6 @@ class CoefficientField:
 
 def constant_field(matrix) -> CoefficientField:
     m = np.asarray(matrix, dtype=float)
-    if m.shape == ():
-        m = float(m) * np.eye(2)
     sym = 0.5 * (m + m.T)
     c = float(np.linalg.eigvalsh(sym).min())
     if c <= 0:
@@ -92,14 +94,14 @@ def identity_field() -> CoefficientField:
     return constant_field(np.eye(2))
 
 
-def checkerboard_field(a1: float, a2: float, center=(0.5, 0.5)) -> CoefficientField:
-    """Scalar coefficient jumping between a1 and a2 across quadrants."""
+def checkerboard_field(a1: float, a2: float) -> CoefficientField:
+    """Scalar coefficient jumping between a1 and a2 across the quadrants
+    around (1/2, 1/2)."""
     if min(a1, a2) <= 0:
         raise FemError("checkerboard values must be positive")
-    cx, cy = center
 
     def matrix(pts):
-        s = (pts[:, 0] - cx) * (pts[:, 1] - cy) >= 0
+        s = (pts[:, 0] - 0.5) * (pts[:, 1] - 0.5) >= 0
         vals = np.where(s, a1, a2)
         return vals[:, None, None] * np.eye(2)
 
@@ -114,7 +116,7 @@ def meyers_field(eps: float) -> CoefficientField:
         raise FemError("eps must lie in (0, 1)")
     return CoefficientField(
         lambda pts: reference.radial_tangential_matrix(pts, eps),
-        ellipticity=eps * eps, bound=1.0, kind=f"meyers({eps})",
+        ellipticity=eps * eps, bound=1.0, kind=f"meyers({eps})", eps=eps,
     )
 
 
@@ -126,18 +128,24 @@ def smooth_field() -> CoefficientField:
     return CoefficientField(matrix, ellipticity=0.5, bound=1.5, kind="smooth")
 
 
-def coefficient_field(kind: str, **params) -> CoefficientField:
-    """Builder dispatch: constant(M) | checkerboard(a1, a2) | meyers(eps) | smooth."""
-    if kind == "constant":
-        return constant_field(params.get("matrix", np.eye(2)))
-    if kind == "checkerboard":
-        return checkerboard_field(params["a1"], params["a2"],
-                                  params.get("center", (0.5, 0.5)))
-    if kind == "meyers":
-        return meyers_field(params["eps"])
-    if kind == "smooth":
+def coefficient_field(spec: str) -> CoefficientField:
+    """Field from a config spec: ``checkerboard:a1:a2``, ``meyers:eps``,
+    ``constant[:scale]`` or ``identity[:scale]`` (scale times the identity),
+    or ``smooth``."""
+    kind, *args = str(spec).split(":")
+    try:
+        nums = [float(a) for a in args]
+    except ValueError:
+        raise FemError(f"coefficient {spec!r}: arguments must be numbers") from None
+    if kind == "checkerboard" and len(nums) == 2:
+        return checkerboard_field(*nums)
+    if kind == "meyers" and len(nums) == 1:
+        return meyers_field(nums[0])
+    if kind in ("constant", "identity") and len(nums) <= 1:
+        return constant_field((nums[0] if nums else 1.0) * np.eye(2))
+    if kind == "smooth" and not nums:
         return smooth_field()
-    raise FemError(f"unknown coefficient kind {kind!r}")
+    raise FemError(f"unknown coefficient {spec!r}")
 
 
 @dataclass
@@ -163,7 +171,6 @@ def _p1_gradients(tri: Triangulation):
     """Constant barycentric gradients and areas, vectorized over triangles."""
     p = tri.points[tri.triangles]  # (m, 3, 2)
     a, b, c = p[:, 0], p[:, 1], p[:, 2]
-    area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
     grads = np.empty((len(p), 3, 2))
     grads[:, 0, 0] = b[:, 1] - c[:, 1]
     grads[:, 0, 1] = c[:, 0] - b[:, 0]
@@ -171,8 +178,8 @@ def _p1_gradients(tri: Triangulation):
     grads[:, 1, 1] = a[:, 0] - c[:, 0]
     grads[:, 2, 0] = a[:, 1] - b[:, 1]
     grads[:, 2, 1] = b[:, 0] - a[:, 0]
-    grads /= area2[:, None, None]
-    return grads, 0.5 * area2
+    grads /= 2.0 * tri.areas[:, None, None]
+    return grads, tri.areas
 
 
 class P1System:
@@ -209,8 +216,7 @@ class P1System:
         return "\n".join(lines) + "\n"
 
 
-def assemble(tri: Triangulation, field: CoefficientField,
-             validate: bool = True) -> P1System:
+def assemble(tri: Triangulation, field: CoefficientField) -> P1System:
     """Stiffness K[x][y] = integral(A grad phi_y . grad phi_x), interior rows.
 
     A is sampled at barycenters (exact for per-triangle-constant A).
@@ -218,8 +224,7 @@ def assemble(tri: Triangulation, field: CoefficientField,
     grads, areas = _p1_gradients(tri)
     bary = tri.points[tri.triangles].mean(axis=1)
     a_vals = field(bary)
-    if validate:
-        field.validate(bary)
+    field.validate(bary)
     # local matrices: K_loc[t, i, j] = area_t * (A grad_j) . grad_i
     agrad = np.einsum("tab,tjb->tja", a_vals, grads)
     k_loc = np.einsum("tia,tja->tij", grads, agrad) * areas[:, None, None]
@@ -283,29 +288,16 @@ class SolveResult:
     residual: float
 
 
-def solve(system: P1System, rtol: float = 1e-10, method: str = "direct") -> SolveResult:
-    """Solve K u = b: sparse direct factorization by default, or a
-    preconditioned iterative solve for nonsymmetric systems. The relative
-    residual is checked against ``rtol`` and reported."""
+def solve(system: P1System, rtol: float = 1e-10) -> SolveResult:
+    """Solve K u = b by sparse direct factorization. The relative residual
+    is checked against ``rtol`` (a NaN residual fails) and reported."""
     if system.b is None:
         raise FemError("no load assembled")
-    K = system.K.tocsc()
-    if method == "direct":
-        u_int = spla.spsolve(K, system.b)
-    elif method == "iterative":
-        ilu = spla.spilu(K, drop_tol=1e-6, fill_factor=20)
-        M = spla.LinearOperator(K.shape, ilu.solve)
-        u_int, info = spla.lgmres(K, system.b, M=M, rtol=rtol / 10, maxiter=2000)
-        if info != 0:
-            rel = float(np.linalg.norm(K @ u_int - system.b)
-                        / max(np.linalg.norm(system.b), 1e-300))
-            raise FemError(f"iterative solve stalled at residual {rel:.3e}")
-    else:
-        raise FemError(f"unknown solve method {method!r}")
+    u_int = spla.spsolve(system.K.tocsc(), system.b)
     res = np.linalg.norm(system.K @ u_int - system.b)
     scale = np.linalg.norm(system.b)
     rel = float(res / scale) if scale > 0 else float(res)
-    if scale > 0 and rel > rtol:
+    if not rel <= rtol:
         raise FemError(f"solve residual {rel:.3e} exceeds {rtol:.1e}")
     vals = np.zeros(system.tri.n_vertices)
     vals[system.interior] = u_int
@@ -332,42 +324,14 @@ class P1Field:
         self.tri_gradients = np.einsum(
             "ti,tid->td", self.values[tri.triangles], self._grads
         )
-        self._locator = None
 
     # -- evaluation --------------------------------------------------------
-    def _build_locator(self):
-        cell = max(self.tri.h, 1e-300)
-        table: dict[tuple[int, int], list[int]] = {}
-        pts = self.tri.points
-        for t, tri_ix in enumerate(self.tri.triangles):
-            q = pts[tri_ix]
-            lo, hi = q.min(axis=0), q.max(axis=0)
-            for gx in range(int(lo[0] // cell), int(hi[0] // cell) + 1):
-                for gy in range(int(lo[1] // cell), int(hi[1] // cell) + 1):
-                    table.setdefault((gx, gy), []).append(t)
-        self._locator = (cell, table)
-
     def __call__(self, points) -> np.ndarray:
-        if self._locator is None:
-            self._build_locator()
-        cell, table = self._locator
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.full(len(pts), np.nan)
-        corners = self.tri.points[self.tri.triangles]
-        for i, p in enumerate(pts):
-            for t in table.get((int(p[0] // cell), int(p[1] // cell)), ()):
-                a, b, c = corners[t]
-                d = (b[1] - c[1]) * (a[0] - c[0]) + (c[0] - b[0]) * (a[1] - c[1])
-                l1 = ((b[1] - c[1]) * (p[0] - c[0]) + (c[0] - b[0]) * (p[1] - c[1])) / d
-                l2 = ((c[1] - a[1]) * (p[0] - c[0]) + (a[0] - c[0]) * (p[1] - c[1])) / d
-                l3 = 1.0 - l1 - l2
-                if min(l1, l2, l3) >= -1e-12:
-                    v = self.values[self.tri.triangles[t]]
-                    out[i] = l1 * v[0] + l2 * v[1] + l3 * v[2]
-                    break
-        if np.any(np.isnan(out)):
+        t, (l1, l2, l3) = locate(self.tri, points)
+        if np.any(t < 0):
             raise FemError("point outside the mesh")
-        return out
+        v = self.values[self.tri.triangles[t]]
+        return l1 * v[:, 0] + l2 * v[:, 1] + l3 * v[:, 2]
 
     # -- norms --------------------------------------------------------------
     def _quad_values(self):
@@ -406,8 +370,7 @@ class P1Field:
     def w1p_error(self, exact, grad_exact, p: float) -> float:
         return self.lp_error(exact, p) + self.grad_lp_error(grad_exact, p)
 
-    def holder_seminorm(self, eta: float, include_midpoints: bool = True,
-                        point_cap: int = 8000, block: int = 512) -> float:
+    def holder_seminorm(self, eta: float, include_midpoints: bool = True) -> float:
         """Euclidean Holder seminorm over vertices (plus edge midpoints when
         the point budget allows); for P1 fields the vertex sup is the working
         assumption, audited separately."""
@@ -415,20 +378,11 @@ class P1Field:
         vals = self.values
         if include_midpoints:
             e = self.tri.edge_array
-            if len(pts) + len(e) <= point_cap:
+            if len(pts) + len(e) <= _HOLDER_POINT_CAP:
                 pts = np.vstack([pts, 0.5 * (pts[e[:, 0]] + pts[e[:, 1]])])
                 vals = np.concatenate([vals, 0.5 * (vals[e[:, 0]] + vals[e[:, 1]])])
-        best = 0.0
-        for s in range(0, len(pts), block):
-            chunk = slice(s, min(s + block, len(pts)))
-            d = np.hypot(pts[chunk, None, 0] - pts[None, :, 0],
-                         pts[chunk, None, 1] - pts[None, :, 1])
-            num = np.abs(vals[chunk, None] - vals[None, :])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r = num / d**eta
-            r[~np.isfinite(r)] = 0.0
-            best = max(best, float(r.max()))
-        return best
+        return _holder_sup(vals, lambda rows: np.hypot(
+            pts[rows, None, 0] - pts[None, :, 0], pts[rows, None, 1] - pts[None, :, 1]), eta)
 
     def holder_norm(self, eta: float) -> float:
         return float(np.abs(self.values).max()) + self.holder_seminorm(eta)
@@ -471,7 +425,7 @@ def w12_inverse_bound(system: P1System) -> float:
     h-independence of the inverse operator."""
     g = system.graph
     act = system.interior
-    G = (sp.diags(g.m) + _edge_laplacian(g)).tocsr()[act][:, act].toarray()
+    G = _w12_gram(g, act).toarray()
     import scipy.linalg as la
 
     L = la.cholesky(G, lower=True)

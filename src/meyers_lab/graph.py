@@ -26,8 +26,7 @@ class WeightedGraph:
     incident-length control ``C_W`` and incident-measure control ``C_mu``.
     """
 
-    def __init__(self, n, edge_u, edge_v, edge_h, edge_mu, boundary=(),
-                 coords=None, box_shape=None):
+    def __init__(self, n, edge_u, edge_v, edge_h, edge_mu, boundary=(), coords=None):
         u = np.asarray(edge_u, dtype=np.int64)
         v = np.asarray(edge_v, dtype=np.int64)
         h = np.asarray(edge_h, dtype=float)
@@ -88,10 +87,8 @@ class WeightedGraph:
         mask = np.ones(n, dtype=bool)
         mask[boundary] = False
         self.interior = np.nonzero(mask)[0]
-        self.interior_mask = mask
 
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
-        self.box_shape = box_shape
 
         # adjacency in CSR layout with edge ids, for per-vertex iteration
         order = np.argsort(np.concatenate([lo, hi]), kind="stable")
@@ -165,8 +162,7 @@ def lattice_box(nx: int, ny: int) -> WeightedGraph:
     v = np.concatenate(ev)
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     coords = np.column_stack([ii.ravel(), jj.ravel()]).astype(float)
-    return WeightedGraph(nx * ny, u, v, np.ones(len(u)), np.ones(len(u)),
-                         coords=coords, box_shape=(nx, ny))
+    return WeightedGraph(nx * ny, u, v, np.ones(len(u)), np.ones(len(u)), coords=coords)
 
 
 def box_window(g: WeightedGraph, margin: float = 0.25) -> np.ndarray:
@@ -185,15 +181,22 @@ def distances_from(g: WeightedGraph, sources) -> np.ndarray:
     return csgraph.dijkstra(g._metric, directed=False, indices=sources)
 
 
-def distances_all(g: WeightedGraph, cache_limit: int = 2000) -> np.ndarray:
+def distances_all(g: WeightedGraph) -> np.ndarray:
     """Full distance matrix, cached on the graph for repeated norm queries."""
     cached = getattr(g, "_dmat", None)
-    if cached is not None:
-        return cached
-    d = csgraph.dijkstra(g._metric, directed=False)
-    if g.n <= cache_limit:
-        g._dmat = d
-    return d
+    if cached is None:
+        cached = g._dmat = csgraph.dijkstra(g._metric, directed=False)
+    return cached
+
+
+def edge_gram(g: WeightedGraph, edge_weights) -> sp.csr_matrix:
+    """sum_e w_e (e_u - e_v)(e_u - e_v)^T as a sparse matrix."""
+    u, v = g.edge_u, g.edge_v
+    w = np.asarray(edge_weights)
+    rows = np.concatenate([u, v, u, v])
+    cols = np.concatenate([u, v, v, u])
+    data = np.concatenate([w, w, -w, -w])
+    return sp.coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
 
 
 def distance(g: WeightedGraph, x: int, y: int) -> float:
@@ -348,7 +351,6 @@ def rescale(g: WeightedGraph, alpha: float) -> WeightedGraph:
         g.n, g.edge_u, g.edge_v, alpha * g.edge_h, alpha * alpha * g.edge_mu,
         boundary=g.boundary,
         coords=None if g.coords is None else alpha * g.coords,
-        box_shape=g.box_shape,
     )
     return out
 

@@ -120,7 +120,7 @@ class Triangulation:
     Instances are immutable after construction.
     """
 
-    def __init__(self, points, triangles, polygon: Polygon | None = None, check_cover: bool = True):
+    def __init__(self, points, triangles, polygon: Polygon | None = None):
         pts = np.asarray(points, dtype=float)
         tris = np.asarray(triangles, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != 2:
@@ -151,7 +151,6 @@ class Triangulation:
         self.h_t = h_t
         self.rho_t = rho_t
         self.areas = 0.5 * area2
-        self._snap = snap
 
         edges = np.sort(
             np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1
@@ -162,7 +161,7 @@ class Triangulation:
         boundary_edges = uniq[counts == 1]
         self.boundary_vertices = np.unique(boundary_edges)
 
-        if polygon is not None and check_cover:
+        if polygon is not None:
             cover = math.fsum(self.areas.tolist())
             if abs(cover - polygon.area) > 1e-12 * polygon.area:
                 raise MeshError(
@@ -325,13 +324,46 @@ class RegularityReport:
     violations: list = field(default_factory=list)
 
 
-def _point_in_triangle(p, a, b, c, tol):
-    # barycentric signs against twice the area; tol is relative
-    d = (b[1] - c[1]) * (a[0] - c[0]) + (c[0] - b[0]) * (a[1] - c[1])
-    l1 = ((b[1] - c[1]) * (p[0] - c[0]) + (c[0] - b[0]) * (p[1] - c[1])) / d
-    l2 = ((c[1] - a[1]) * (p[0] - c[0]) + (a[0] - c[0]) * (p[1] - c[1])) / d
-    l3 = 1.0 - l1 - l2
-    return min(l1, l2, l3) >= -tol
+# a point whose barycentric coordinates are all >= -_INSIDE_TOL is inside
+_INSIDE_TOL = 1e-12
+# point-triangle pairs per block of the containment scan
+_LOCATE_PAIRS = 1 << 20
+
+
+def barycentric(p, a, b, c):
+    """Barycentric coordinates (l1, l2, l3) of points p in triangles (a, b, c).
+
+    The arguments broadcast against each other over their leading axes; the
+    last axis holds (x, y).
+    """
+    d = (b[..., 1] - c[..., 1]) * (a[..., 0] - c[..., 0]) \
+        + (c[..., 0] - b[..., 0]) * (a[..., 1] - c[..., 1])
+    px, py = p[..., 0] - c[..., 0], p[..., 1] - c[..., 1]
+    l1 = ((b[..., 1] - c[..., 1]) * px + (c[..., 0] - b[..., 0]) * py) / d
+    l2 = ((c[..., 1] - a[..., 1]) * px + (a[..., 0] - c[..., 0]) * py) / d
+    return l1, l2, 1.0 - l1 - l2
+
+
+def _containment(tri: Triangulation, pts: np.ndarray):
+    """Yield (rows, inside) over blocks of points: inside[i, t] is True when
+    point rows.start + i lies in triangle t."""
+    a, b, c = (tri.points[tri.triangles[:, k]] for k in range(3))
+    step = max(1, _LOCATE_PAIRS // tri.n_triangles)
+    for start in range(0, len(pts), step):
+        rows = slice(start, min(start + step, len(pts)))
+        l1, l2, l3 = barycentric(pts[rows, None], a, b, c)
+        yield rows, np.minimum(np.minimum(l1, l2), l3) >= -_INSIDE_TOL
+
+
+def locate(tri: Triangulation, points):
+    """Lowest-index triangle containing each point (-1 for none) and the
+    point's barycentric coordinates (l1, l2, l3) in it."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    found = np.full(len(pts), -1, dtype=np.int64)
+    for rows, inside in _containment(tri, pts):
+        found[rows] = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+    corners = tri.points[tri.triangles[np.maximum(found, 0)]]
+    return found, barycentric(pts, corners[:, 0], corners[:, 1], corners[:, 2])
 
 
 def _orient(a, b, c):
@@ -343,7 +375,7 @@ def regularity_report(tri: Triangulation) -> RegularityReport:
 
     Violations are reported, not raised: over-shared edges, vertices lying on
     a foreign triangle (hanging nodes and overlaps), and proper edge
-    crossings. Candidate pairs come from a spatial hash over bounding boxes.
+    crossings. Candidate edge pairs come from a spatial hash over midpoints.
     """
     violations = []
     over = tri.edge_counts > 2
@@ -351,28 +383,16 @@ def regularity_report(tri: Triangulation) -> RegularityReport:
         violations.append(("edge_incidence", int(a), int(b), int(cnt)))
 
     pts = tri.points
-    cell = max(tri.h, 1e-300)
-    grid: dict[tuple[int, int], list[int]] = {}
-    for v, p in enumerate(pts):
-        grid.setdefault((int(p[0] // cell), int(p[1] // cell)), []).append(v)
+    on_foreign = []
+    for rows, inside in _containment(tri, pts):
+        for corner in tri.triangles.T:  # a vertex lies on its own triangles
+            own = (corner >= rows.start) & (corner < rows.stop)
+            inside[corner[own] - rows.start, np.nonzero(own)[0]] = False
+        vs, ts = np.nonzero(inside)
+        on_foreign += zip(ts.tolist(), (vs + rows.start).tolist())
+    violations += [("vertex_on_triangle", v, t) for t, v in sorted(on_foreign)]
 
-    tol = 1e-12
-    for t, (ia, ib, ic) in enumerate(map(tuple, tri.triangles)):
-        a, b, c = pts[ia], pts[ib], pts[ic]
-        lo = np.minimum(np.minimum(a, b), c)
-        hi = np.maximum(np.maximum(a, b), c)
-        cand = []
-        for gx in range(int(lo[0] // cell), int(hi[0] // cell) + 1):
-            for gy in range(int(lo[1] // cell), int(hi[1] // cell) + 1):
-                cand.extend(grid.get((gx, gy), ()))
-        for v in cand:
-            if v in (ia, ib, ic):
-                continue
-            p = pts[v]
-            if np.any(p < lo - tol * cell) or np.any(p > hi + tol * cell):
-                continue
-            if _point_in_triangle(p, a, b, c, tol):
-                violations.append(("vertex_on_triangle", int(v), int(t)))
+    cell = max(tri.h, 1e-300)
 
     # proper crossings between mesh edges sharing no endpoint
     edges = tri.edge_array

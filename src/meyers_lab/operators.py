@@ -11,16 +11,20 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fitting import FitResult, fit_loglog
-from .graph import WeightedGraph, box_window, distances_from
+from .graph import WeightedGraph, box_window, distances_from, edge_gram
+from .spaces import _holder_sup
 
 TWO_PI_I = 2j * math.pi
+# random window-supported data per lambda in the resolvent sweep
+_RANDOM_DATA = 3
+# kernel values at or below this are round-off, left out of the decay fits
+_KERNEL_NOISE_FLOOR = 1e-12
 
 
 class OperatorError(ValueError):
@@ -42,8 +46,6 @@ class EdgeCoefficients:
         if c_f.shape != (graph.n_edges,) or c_b.shape != (graph.n_edges,):
             raise OperatorError("one coefficient per oriented edge required")
         self.graph = graph
-        self.forward = c_f
-        self.backward = c_b
         self.c_plus = c_f + c_b
         self.C_inf = float(max(np.abs(c_f).max(), np.abs(c_b).max()))
         self.delta_edge = float(np.real(self.c_plus).min() / 2.0)
@@ -57,8 +59,8 @@ class EdgeCoefficients:
         if self._delta_exact is None:
             g = self.graph
             w = g.edge_mu / g.edge_h**2
-            a = _pair_gram(g, np.real(self.c_plus) * w)
-            b = _pair_gram(g, 2.0 * w)
+            a = edge_gram(g, np.real(self.c_plus) * w)
+            b = edge_gram(g, 2.0 * w)
             if g.n <= 2000:
                 import scipy.linalg as la
 
@@ -70,21 +72,11 @@ class EdgeCoefficients:
             else:
                 rng = np.random.default_rng(7)
                 x0 = rng.standard_normal((g.n, 1))
-                vals, _ = spla.lobpcg(a.tocsr(), x0, B=b.tocsr(),
+                vals, _ = spla.lobpcg(a, x0, B=b,
                                       Y=np.ones((g.n, 1)), largest=False,
                                       tol=1e-8, maxiter=400)
                 self._delta_exact = float(vals[0])
         return self._delta_exact
-
-
-def _pair_gram(g: WeightedGraph, edge_weights) -> sp.coo_matrix:
-    """sum_e w_e (e_u - e_v)(e_u - e_v)^T as a sparse matrix."""
-    u, v = g.edge_u, g.edge_v
-    w = np.asarray(edge_weights)
-    rows = np.concatenate([u, v, u, v])
-    cols = np.concatenate([u, v, v, u])
-    data = np.concatenate([w, w, -w, -w])
-    return sp.coo_matrix((data, (rows, cols)), shape=(g.n, g.n))
 
 
 def uniform_coefficients(g: WeightedGraph, value=1.0) -> EdgeCoefficients:
@@ -110,7 +102,7 @@ class GraphOperator:
         self.graph = graph
         self.coefficients = coefficients
         w = coefficients.c_plus * graph.edge_mu / graph.edge_h**2
-        self.S = _pair_gram(graph, w).tocsr()
+        self.S = edge_gram(graph, w)
         if np.all(np.abs(self.S.data.imag) == 0):
             self.S = sp.csr_matrix((self.S.data.real, self.S.indices, self.S.indptr),
                                    shape=self.S.shape)
@@ -213,16 +205,6 @@ def accretivity_angle(op: GraphOperator, n_probes: int = 1000, n_refine: int = 1
 
 
 @dataclass
-class SectorPoint:
-    lam: complex
-    mu_sector: float
-    omega: float
-
-    def contains(self) -> bool:
-        return self.lam == 0 or abs(cmath.phase(self.lam)) < self.mu_sector
-
-
-@dataclass
 class ResolventResult:
     u: np.ndarray
     residual: float
@@ -232,10 +214,8 @@ def resolvent_solve(op: GraphOperator, lam, f, mu_sector: float | None = None,
                     rtol: float = 1e-10, _factor=None) -> ResolventResult:
     """Solve L u + lambda u = f, i.e. (S + lambda diag(m)) u = m f."""
     lam = complex(lam)
-    if mu_sector is not None:
-        pt = SectorPoint(lam, mu_sector, math.nan)
-        if not pt.contains():
-            raise OperatorError(f"lambda {lam} outside the sector of half-angle {mu_sector}")
+    if mu_sector is not None and lam != 0 and not abs(cmath.phase(lam)) < mu_sector:
+        raise OperatorError(f"lambda {lam} outside the sector of half-angle {mu_sector}")
     fv = np.asarray(getattr(f, "values", f))
     rhs = op.m * fv
     lu = _factor if _factor is not None else spla.splu(op.matrix(lam).tocsc())
@@ -243,24 +223,11 @@ def resolvent_solve(op: GraphOperator, lam, f, mu_sector: float | None = None,
     res = np.linalg.norm(op.matrix(lam) @ u - rhs)
     scale = np.linalg.norm(rhs)
     rel = float(res / scale) if scale > 0 else float(res)
-    if scale > 0 and rel > rtol:
+    if not rel <= rtol:
         raise OperatorError(f"resolvent residual {rel:.2e} above {rtol:.0e}")
     if np.all(np.abs(u.imag) == 0):
         u = u.real
     return ResolventResult(u, rel)
-
-
-def _window_distance(g: WeightedGraph, window: np.ndarray) -> np.ndarray:
-    d = distances_from(g, window)
-    return d[:, window]
-
-
-def _holder_sup(values, dmat, eta: float) -> float:
-    num = np.abs(values[:, None] - values[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = num / dmat**eta
-    r[~np.isfinite(r)] = 0.0
-    return float(r.max())
 
 
 @dataclass
@@ -276,43 +243,36 @@ class SweepRow:
 class SweepResult:
     eta: float
     rows: list
-    fit_sup: FitResult
-    fit_holder: FitResult
-    r_inf_maxmin: float
-    r_eta_maxmin: float
 
 
 def resolvent_bound_sweep(op: GraphOperator, lams, eta: float = 0.5,
-                          n_random_f: int = 3, n_probes: int = 5,
-                          margin: float = 0.25, seed: int = 0,
-                          project_constants: bool = True) -> SweepResult:
+                          n_probes: int = 5, margin: float = 0.25,
+                          seed: int = 0) -> SweepResult:
     """Resolvent decay probe over a lambda list spanning several decades.
 
     For each lambda the L2 -> L^inf and L2 -> Holder ratios are maximized
     over random data supported in the interior window plus near-optimal data
     built from resolvent rows (the rows themselves realize the L2 -> L^inf
     operator norm at the probed vertices, which fixed smooth data cannot).
-    Data is projected onto the mean-zero subspace by default: the constant
-    eigenmode of a finite box is a truncation artifact with no counterpart
-    in L2 of the unbounded graph being modeled.
+    Data is projected onto the mean-zero subspace: the constant eigenmode of
+    a finite box is a truncation artifact with no counterpart in L2 of the
+    unbounded graph being modeled.
     """
     g = op.graph
     rng = np.random.default_rng(seed)
     window = box_window(g, margin)
-    dwin = _window_distance(g, window)
+    dwin = distances_from(g, window)[:, window]
     total_m = float(g.m.sum())
 
     def prep(f):
-        if project_constants:
-            return f - (g.m @ f) / total_m
-        return f
+        return f - (g.m @ f) / total_m
 
     # probe vertices spread over the window
     take = np.unique(np.linspace(0, len(window) - 1, n_probes).astype(int))
     probe_vertices = window[take]
 
     fs = []
-    for _ in range(n_random_f):
+    for _ in range(_RANDOM_DATA):
         f = np.zeros(g.n)
         f[window] = rng.standard_normal(len(window))
         fs.append(prep(f))
@@ -336,18 +296,13 @@ def resolvent_bound_sweep(op: GraphOperator, lams, eta: float = 0.5,
                 continue
             uw = res.u[window]
             sup_ratio = max(sup_ratio, float(np.abs(uw).max()) / fl2)
-            hol_ratio = max(hol_ratio, _holder_sup(uw, dwin, eta) / fl2)
+            hol_ratio = max(hol_ratio, _holder_sup(uw, lambda rows: dwin[rows], eta) / fl2)
         al = abs(lam)
         rows.append(SweepRow(lam, sup_ratio, hol_ratio,
                              R_inf=sup_ratio * al**0.5,
                              R_eta=hol_ratio * al ** ((1.0 - eta) / 2.0)))
 
-    fit_sup = fit_loglog([(abs(r.lam), r.sup_ratio) for r in rows])
-    fit_holder = fit_loglog([(abs(r.lam), r.holder_ratio) for r in rows])
-    rinf = [r.R_inf for r in rows]
-    reta = [r.R_eta for r in rows]
-    return SweepResult(eta, rows, fit_sup, fit_holder,
-                       float(max(rinf) / min(rinf)), float(max(reta) / min(reta)))
+    return SweepResult(eta, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +382,7 @@ class KernelColumn:
     window: np.ndarray
     h_star: np.ndarray          # h*_{xy} for x in window
     mass: float                 # sum_x K(x, y) m(x); equals m(y) when L1 = 0
-    oracle_dev: float | None
+    oracle_dev: float
 
 
 def _h_star_bulk(g: WeightedGraph, y: int, window: np.ndarray,
@@ -460,19 +415,13 @@ def _h_star_bulk(g: WeightedGraph, y: int, window: np.ndarray,
 
 
 def kernel_column(op: GraphOperator, t: float, y: int, margin: float = 0.25,
-                  check_oracle: bool | None = None, **contour_kw) -> KernelColumn:
+                  **contour_kw) -> KernelColumn:
     """One kernel column K_t(., y) = (e^{-tL} e_y), tabulated with distances
-    and h*; checked against the matrix-exponential oracle by default on
-    graphs of at most 64^2 vertices."""
+    and h*, and checked against the matrix-exponential oracle."""
     g = op.graph
-    if check_oracle is None:
-        check_oracle = g.n <= 64 * 64
     e = np.zeros(g.n)
     e[y] = 1.0
-    if check_oracle:
-        values, dev = semigroup_apply(op, t, e, check_oracle=True, **contour_kw)
-    else:
-        values, dev = semigroup_apply(op, t, e, **contour_kw), None
+    values, dev = semigroup_apply(op, t, e, check_oracle=True, **contour_kw)
     d_y = distances_from(g, y)
     window = box_window(g, margin) if g.coords is not None else np.arange(g.n)
     hs = _h_star_bulk(g, y, window, d_y)
@@ -490,16 +439,12 @@ class KernelBoundFit:
     C_a: float | None
     beta_a: float | None
     pass_rate_a: float
-    C_holder: float
-    eta: float
-    failures: list = field(default_factory=list)
 
 
-def kernel_bound_check(columns, c_prime: float = 1.0,
-                       noise_floor: float = 1e-12) -> KernelBoundFit:
-    """Fit (C, beta) for the two kernel regimes and (C'', eta) for the
-    neighbor Holder increment, then verify the bounds on every tabulated
-    pair. The threshold between regimes is t vs c_prime * h* * d."""
+def kernel_bound_check(columns, c_prime: float = 1.0) -> KernelBoundFit:
+    """Fit (C, beta) for the two kernel regimes, then verify the bounds on
+    every tabulated pair. The threshold between regimes is t vs
+    c_prime * h* * d; the neighbor Holder increment is kernel_holder_fit's."""
     t_all, d_all, hs_all, k_all = [], [], [], []
     for col in columns:
         x = col.window
@@ -516,61 +461,49 @@ def kernel_bound_check(columns, c_prime: float = 1.0,
     in_b = t_all >= thresh
     in_a = ~in_b
 
-    failures = []
-
-    def fit_regime(mask, z):
-        usable = mask & (k_all > noise_floor) & (z > 0)
+    def fit_regime(mask, z, exponent):
+        """(C, beta, pass rate) of t K <= C exp(-beta z) over the pairs in
+        mask, or None without a positive fitted beta; exponent(beta) is
+        beta z on the mask."""
+        usable = mask & (k_all > _KERNEL_NOISE_FLOOR) & (z > 0)
         if usable.sum() < 3:
-            return None, None
-        y = np.log(t_all[usable] * k_all[usable])
-        slope, intercept = np.polyfit(z[usable], y, 1)
-        return -float(slope), float(intercept)
+            return None
+        slope, _ = np.polyfit(z[usable], np.log(t_all[usable] * k_all[usable]), 1)
+        beta = -float(slope)
+        if beta <= 0:
+            return None
+        t, k = t_all[mask], k_all[mask]
+        C = float(np.max(t * k * np.exp(exponent(beta))))
+        return C, beta, float(np.mean(k <= (C / t) * np.exp(exponent(-beta)) * (1 + 1e-12)))
 
-    beta, _ = fit_regime(in_b, d_all**2 / t_all)
-    if beta is None or beta <= 0:
-        worst = int(np.argmax(k_all * in_b))
-        failures.append(("regime_b_no_positive_beta", d_all[worst], t_all[worst]))
-        beta = float("nan")
-        C = float("nan")
-        rate_b = 0.0
-    else:
-        C = float(np.max(t_all[in_b] * k_all[in_b] * np.exp(beta * d_all[in_b] ** 2 / t_all[in_b])))
-        bound = (C / t_all[in_b]) * np.exp(-beta * d_all[in_b] ** 2 / t_all[in_b])
-        rate_b = float(np.mean(k_all[in_b] <= bound * (1 + 1e-12)))
-
+    fit_b = fit_regime(in_b, d_all**2 / t_all, lambda b: b * d_all[in_b] ** 2 / t_all[in_b])
+    C, beta, rate_b = fit_b or (float("nan"), float("nan"), 0.0)
     if np.any(in_a):
         with np.errstate(divide="ignore"):
             w = np.where(hs_all > 0, d_all / np.where(hs_all > 0, hs_all, 1.0), 0.0)
-        beta_a, _ = fit_regime(in_a, w)
-        if beta_a is None or beta_a <= 0:
-            beta_a = None
-            C_a = None
-            rate_a = 0.0 if np.any(in_a) else 1.0
-            failures.append(("regime_a_no_positive_beta",))
-        else:
-            C_a = float(np.max(t_all[in_a] * k_all[in_a] * np.exp(beta_a * w[in_a])))
-            bound = (C_a / t_all[in_a]) * np.exp(-beta_a * w[in_a])
-            rate_a = float(np.mean(k_all[in_a] <= bound * (1 + 1e-12)))
+        C_a, beta_a, rate_a = fit_regime(in_a, w, lambda b: b * w[in_a]) or (None, None, 0.0)
     else:
         beta_a, C_a, rate_a = None, None, 1.0
 
     return KernelBoundFit(c_prime=c_prime, C=C, beta=beta, pass_rate_b=rate_b,
-                          C_a=C_a, beta_a=beta_a, pass_rate_a=rate_a,
-                          C_holder=float("nan"), eta=float("nan"),
-                          failures=failures)
+                          C_a=C_a, beta_a=beta_a, pass_rate_a=rate_a)
+
+
+def window_increments(g: WeightedGraph, col: KernelColumn):
+    """|K_t(x, y) - K_t(x', y)| and the edge length h_xx' over the edges
+    (x, x') with both ends in the column's window."""
+    inw = np.zeros(g.n, dtype=bool)
+    inw[col.window] = True
+    mask = inw[g.edge_u] & inw[g.edge_v]
+    return np.abs(col.values[g.edge_v[mask]] - col.values[g.edge_u[mask]]), g.edge_h[mask]
 
 
 def kernel_holder_fit(op: GraphOperator, columns) -> tuple[float, float, float]:
     """(C'', eta, pass_rate) for |K_t(x, y) - K_t(x', y)| over neighbor pairs
     (x, x') inside the window."""
-    g = op.graph
     zs, ys = [], []
     for col in columns:
-        inw = np.zeros(g.n, dtype=bool)
-        inw[col.window] = True
-        mask = inw[g.edge_u] & inw[g.edge_v]
-        du = np.abs(col.values[g.edge_v[mask]] - col.values[g.edge_u[mask]])
-        dd = g.edge_h[mask]
+        du, dd = window_increments(op.graph, col)
         zs.append(np.log(dd / math.sqrt(col.t)))
         ys.append(col.t * du)
     z = np.concatenate(zs)

@@ -17,7 +17,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graph import WeightedGraph, distances_all, distances_from
+from .graph import WeightedGraph, distances_all, distances_from, edge_gram
+
+# rows per block of the pairwise Holder sup, and the largest graph whose
+# full distance matrix it computes once instead of per block
+_HOLDER_BLOCK = 256
+_HOLDER_DENSE_MAX = 2000
 
 
 class SpaceError(ValueError):
@@ -36,10 +41,6 @@ class VertexFunction:
         if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(np.imag(v))):
             raise SpaceError("non-finite values")
         self.values = v
-
-    def is_zero_boundary(self, tol: float = 0.0) -> bool:
-        b = self.graph.boundary
-        return len(b) == 0 or bool(np.all(np.abs(self.values[b]) <= tol))
 
 
 @dataclass
@@ -60,10 +61,6 @@ class EdgeFunction:
         return sign * self.values[k]
 
 
-def _vals(f) -> np.ndarray:
-    return f.values if isinstance(f, (VertexFunction, EdgeFunction)) else np.asarray(f)
-
-
 def differential(f: VertexFunction) -> EdgeFunction:
     """df(x, y) = (f(y) - f(x)) / h_xy on the stored orientation."""
     g = f.graph
@@ -81,26 +78,24 @@ def gradient_length(f: VertexFunction) -> VertexFunction:
     return VertexFunction(g, np.sqrt(acc) / g.h_x)
 
 
-def lp_norm(f, p: float, graph: WeightedGraph | None = None) -> float:
+def lp_norm(f: VertexFunction, p: float) -> float:
     """L^p(Gamma, m) norm of a vertex function; p may be inf."""
-    g = graph or f.graph
-    v = np.abs(_vals(f))
+    v = np.abs(f.values)
     if np.isinf(p):
         return float(v.max()) if len(v) else 0.0
     if p < 1:
         raise SpaceError("p must be in [1, inf]")
-    return float((g.m @ v**p) ** (1.0 / p))
+    return float((f.graph.m @ v**p) ** (1.0 / p))
 
 
-def edge_lp_norm(F, p: float, graph: WeightedGraph | None = None) -> float:
+def edge_lp_norm(F: EdgeFunction, p: float) -> float:
     """L^p(E, mu) norm; the sum runs over ordered pairs (factor 2)."""
-    g = graph or F.graph
-    v = np.abs(_vals(F))
+    v = np.abs(F.values)
     if np.isinf(p):
         return float(v.max()) if len(v) else 0.0
     if p < 1:
         raise SpaceError("p must be in [1, inf]")
-    return float((2.0 * (g.edge_mu @ v**p)) ** (1.0 / p))
+    return float((2.0 * (F.graph.edge_mu @ v**p)) ** (1.0 / p))
 
 
 def w1p_norm(f: VertexFunction, p: float) -> float:
@@ -116,27 +111,33 @@ def df_grad_bracket(g: WeightedGraph, p: float) -> float:
     return max(upper, lower_inv)
 
 
-def _pairwise_sup_ratio(g: WeightedGraph, values: np.ndarray, eta: float,
-                        block: int = 256) -> float:
-    """sup_{x != y} |f(x) - f(y)| / d(x, y)^eta, streamed over source blocks."""
+def _holder_sup(values: np.ndarray, distance_rows, eta: float) -> float:
+    """sup_{x != y} |v(x) - v(y)| / d(x, y)^eta over row blocks.
+
+    ``distance_rows(rows)`` returns the distances from the points of the
+    slice ``rows`` to all points; pairs at distance zero are skipped.
+    """
     best = 0.0
-    v = values
-    full = distances_all(g) if g.n <= 2000 else None
-    for start in range(0, g.n, block):
-        idx = np.arange(start, min(start + block, g.n))
-        d = full[idx] if full is not None else distances_from(g, idx)
-        num = np.abs(v[idx][:, None] - v[None, :])
+    for start in range(0, len(values), _HOLDER_BLOCK):
+        rows = slice(start, min(start + _HOLDER_BLOCK, len(values)))
+        num = np.abs(values[rows, None] - values[None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = num / d**eta
+            ratio = num / distance_rows(rows) ** eta
         ratio[~np.isfinite(ratio)] = 0.0
         best = max(best, float(ratio.max()))
     return best
 
 
 def holder_seminorm(f: VertexFunction, eta: float) -> float:
+    """Holder seminorm in the path metric of the graph."""
     if not 0 < eta <= 1:
         raise SpaceError("holder exponent must be in (0, 1]")
-    return _pairwise_sup_ratio(f.graph, f.values, eta)
+    g = f.graph
+    if g.n <= _HOLDER_DENSE_MAX:
+        full = distances_all(g)
+        return _holder_sup(f.values, lambda rows: full[rows], eta)
+    return _holder_sup(f.values, lambda rows: distances_from(
+        g, np.arange(rows.start, rows.stop)), eta)
 
 
 def holder_norm(f: VertexFunction, eta: float) -> float:
@@ -174,29 +175,11 @@ def norm_report(f: VertexFunction, p: float, eta: float) -> NormReport:
     )
 
 
-def norm(f: VertexFunction, p: float, kind: str, eta: float | None = None):
-    """Dispatcher over the implemented norms."""
-    if kind == "lp_vertex":
-        return lp_norm(f, p)
-    if kind == "lp_edge":
-        return edge_lp_norm(differential(f), p)
-    if kind == "w1p":
-        return w1p_norm(f, p)
-    if kind == "holder":
-        if eta is None:
-            raise SpaceError("holder norm needs eta")
-        return holder_norm(f, eta)
-    raise SpaceError(f"unknown norm kind {kind!r}")
-
-
-def _edge_laplacian(g: WeightedGraph) -> sp.csr_matrix:
-    """Gram matrix of v -> ||dv||_{L^2(E)}^2 (ordered-pair convention)."""
-    w = 2.0 * g.edge_mu / g.edge_h**2
-    u, v = g.edge_u, g.edge_v
-    rows = np.concatenate([u, v, u, v])
-    cols = np.concatenate([u, v, v, u])
-    data = np.concatenate([w, w, -w, -w])
-    return sp.coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
+def _w12_gram(g: WeightedGraph, active: np.ndarray) -> sp.csr_matrix:
+    """Gram matrix of v -> ||v||_2^2 + ||dv||_{L^2(E)}^2 (ordered-pair
+    convention) on the active vertices."""
+    laplacian = edge_gram(g, 2.0 * g.edge_mu / g.edge_h**2)
+    return (sp.diags(g.m) + laplacian).tocsr()[active][:, active]
 
 
 @dataclass
@@ -225,24 +208,23 @@ def dual_norm(f: VertexFunction, p: float, mode: str = "exact_p2",
         raise SpaceError("dual norm needs 1 < p < inf")
     g = f.graph
     act = _active_set(g)
-    H = (sp.diags(g.m) + _edge_laplacian(g)).tocsr()[act][:, act]
+    H = _w12_gram(g, act)
     rhs = (g.m * f.values)[act]
 
-    if mode == "exact_p2":
-        if p != 2:
-            raise SpaceError("exact_p2 mode is the p = 2 Hilbertian dual")
-        if np.iscomplexobj(rhs):
-            w = spla.spsolve(H.astype(complex), rhs.conj())
-            val = float(np.sqrt(np.real(rhs @ w)))
-        else:
-            w = spla.spsolve(H, rhs)
-            val = float(np.sqrt(rhs @ w))
-        opt = np.zeros(g.n, dtype=np.asarray(w).dtype)
-        opt[act] = w
-        return DualNormResult(val, mode, True, 0, optimizer=opt)
-
-    if mode != "ascent":
+    if mode not in ("exact_p2", "ascent"):
         raise SpaceError(f"unknown dual norm mode {mode!r}")
+    if mode == "exact_p2" and p != 2:
+        raise SpaceError("exact_p2 mode is the p = 2 Hilbertian dual")
+    # the Hilbertian optimizer: the exact_p2 answer and the ascent's warm start
+    if np.iscomplexobj(rhs):
+        hilbert = spla.spsolve(H.astype(complex), rhs.conj())
+    else:
+        hilbert = spla.spsolve(H, rhs)
+    if mode == "exact_p2":
+        opt = np.zeros(g.n, dtype=np.asarray(hilbert).dtype)
+        opt[act] = hilbert
+        return DualNormResult(float(np.sqrt(np.real(rhs @ hilbert))), mode, True, 0,
+                              optimizer=opt)
 
     q = p / (p - 1.0)
     m_act = g.m[act]
@@ -281,11 +263,7 @@ def dual_norm(f: VertexFunction, p: float, mode: str = "exact_p2",
             ge_full *= ndv ** (1 - q)
         return total, gv + ge_full[act]
 
-    # warm start from the Hilbertian optimizer
-    if np.iscomplexobj(rhs):
-        v_act = spla.spsolve(H.astype(complex), np.conj(rhs))
-    else:
-        v_act = spla.spsolve(H, rhs).astype(complex)
+    v_act = hilbert.astype(complex)
     if not np.any(v_act):
         return DualNormResult(0.0, mode, True, 0)
 

@@ -1,9 +1,28 @@
+import csv
+import math
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meyers_lab import FitError, fit_loglog
-from meyers_lab.experiments import (ConfigError, parse_config, recompute_verdicts,
-                                    run)
+from meyers_lab import experiments
+from meyers_lab.experiments import (REGISTRY, SUMMARY_HEADER, ConfigError,
+                                    parse_config, recompute_verdicts, run,
+                                    run_kernel_bounds)
 from meyers_lab import cli
+
+
+CONFIG_KEYS = sorted({key for exp in REGISTRY.values() for key in exp.defaults}
+                     | {"experiment", "seed", "out"})
+SAFE_VALUE = st.from_regex(r"[A-Za-z0-9_.:,^+-]{1,12}", fullmatch=True)
+
+
+def render(exp, seed, out, params) -> str:
+    lines = [f"experiment = {exp}", f"seed = {seed}", f"out = {out}"]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in params.items()]) + "\n"
 
 
 class TestFitLoglog:
@@ -53,6 +72,84 @@ class TestConfig:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("experiment = geometry\nbogus line")
 
+    @pytest.mark.parametrize("text", [
+        "experiment = geometry\nseed = x",
+        "experiment = geometry\nseed = -1",
+        "experiment = meyers_sweep\np_list = abc",
+        "experiment = meyers_sweep\np_list = 2^99999",
+        "experiment = embeddings\np_sobolev = q",
+        "experiment = rate_theta\np_probe = 2.x",
+        "experiment = meyers_sweep\ncoefficient = checkerboard:1",
+        "experiment = holder_convergence\ncoefficient = bogus",
+        "experiment = counterexample\ncoefficient = checkerboard:1:4",
+    ])
+    def test_bad_values_raise_config_error(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(REGISTRY)),
+           st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.text(max_size=12)),
+                    max_size=6),
+           st.text(max_size=20))
+    def test_any_text_parses_or_raises_config_error(self, exp, pairs, noise):
+        lines = [f"experiment = {exp}", *(f"{k} = {v}" for k, v in pairs), noise]
+        for text in ("\n".join(lines), noise):
+            try:
+                parse_config(text)
+            except ConfigError:
+                pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(REGISTRY)),
+           st.dictionaries(st.from_regex(r"x_[a-z0-9_]{1,8}", fullmatch=True),
+                           SAFE_VALUE, max_size=4),
+           st.integers(0, 2**32), SAFE_VALUE)
+    def test_rendered_config_parses_back(self, exp, extra, seed, out):
+        cfg = parse_config(render(exp, seed, out, extra))
+        assert cfg.params == {**REGISTRY[exp].defaults, **extra}
+        again = parse_config(render(cfg.experiment, cfg.seed, cfg.out, cfg.params))
+        assert (again.experiment, again.seed, again.out, again.params) == \
+            (exp, seed, out, cfg.params)
+
+
+# text cells exclude carriage returns, which no config value can carry
+# (configs are split into lines) and which the csv writer leaves unquoted,
+# and lone surrogates, which UTF-8 cannot encode
+CELL_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                           blacklist_characters="\r"))
+
+
+def _read_back(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _same(a, b) -> bool:
+    both_nan = isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b)
+    return both_nan or a == b
+
+
+class TestCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fixed_dictionaries({"a": CELL_TEXT, "b": st.floats(),
+                                           "c": CELL_TEXT}), max_size=5))
+    def test_write_and_read_round_trip(self, rows):
+        header = ["a", "b", "c"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            experiments.write_csv(path, header, rows)
+            with open(path, newline="", encoding="utf-8") as fh:
+                cells = list(csv.reader(fh))
+            got_header, parsed = experiments._parse_csv(path)
+        assert cells == [header] + [[row["a"], repr(row["b"]), row["c"]] for row in rows]
+        assert got_header == header and len(parsed) == len(rows)
+        for row, back in zip(rows, parsed):
+            assert _same(back["b"], row["b"])
+            assert all(_same(back[k], _read_back(row[k])) for k in ("a", "c"))
+
 
 SMALL_SWEEP = """
 experiment = meyers_sweep
@@ -100,11 +197,100 @@ class TestRunAndReport:
         redo = recompute_verdicts([str(p) for p in summary.csv_paths])
         assert {v["check"] for v in redo} == {v["check"] for v in summary.verdicts}
 
+    def test_kernel_bounds_above_64_squared(self):
+        # above 64^2 vertices the oracle used to be skipped, and the verdicts
+        # then failed on its missing deviation; one time alone cannot fit the
+        # increment exponent, so the grid has two
+        cfg = parse_config("experiment = kernel_bounds\nbox = 65\nt_grid = 1,2")
+        (meta_rows, _), verdicts = run_kernel_bounds(cfg)
+        assert all(isinstance(r["oracle_dev"], float) for r in meta_rows)
+        assert verdicts[0]["check"] == "contour_vs_oracle"
+        assert verdicts[0]["verdict"] == "pass"
+
     def test_embeddings_small(self, tmp_path):
         cfg = parse_config("experiment = embeddings\nlevels = 2,3,4\ntrials = 8")
         cfg.out = str(tmp_path / "e")
         summary = run(cfg)
         assert summary.all_pass
+
+
+# small problem sizes for every experiment
+SMALL = {
+    "meyers_sweep": "levels = 3,4,5",
+    "counterexample": "levels = 3,4,5",
+    "holder_convergence": "levels = 3,4,5",
+    "rate_theta": "levels = 3,4,5",
+    "resolvent_sweep": "box = 16",
+    "kernel_bounds": "box = 16",
+    "embeddings": "levels = 2,3,4\ntrials = 8",
+    "geometry": "levels = 3,4\nsample_count = 25",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SMALL))
+def small_run(request, tmp_path_factory):
+    """One small run per experiment, with the rows handed to write_csv."""
+    name = request.param
+    cfg = parse_config(f"experiment = {name}\n{SMALL[name]}\n")
+    cfg.out = str(tmp_path_factory.mktemp(name))
+    written = {}
+    write_csv = experiments.write_csv
+
+    def capture(path, header, rows):
+        written[os.path.basename(path)] = rows
+        write_csv(path, header, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "write_csv", capture)
+        summary = run(cfg)
+    return name, summary, written
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestRecords:
+    def test_small_sizes_cover_every_experiment(self):
+        assert set(SMALL) == set(REGISTRY)
+
+    def test_emitted_files_parse_with_csv_reader(self, small_run):
+        _, summary, _ = small_run
+        for path in summary.csv_paths:
+            header, *rows = _csv_rows(path)
+            assert rows and all(len(row) == len(header) for row in rows), path
+
+    def test_report_recomputes_every_verdict(self, small_run):
+        _, summary, _ = small_run
+        redo = recompute_verdicts(summary.csv_paths)
+        assert len(redo) == len(summary.verdicts)
+        for got, want in zip(redo, summary.verdicts):
+            assert got["check"] == want["check"]
+            assert got["verdict"] == want["verdict"]
+            assert _same(float(got["value"]), float(want["value"])), got["check"]
+
+    def test_help_lists_the_emitted_headers(self, small_run, capsys):
+        name, summary, written = small_run
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index(f"  {name}") + 1
+        section = []
+        for line in lines[start:]:
+            if not line.startswith("    "):
+                break
+            section.append(line.strip())
+        listed = dict(line.split(": ", 1) for line in section
+                      if not line.startswith("defaults:"))
+        emitted = {os.path.basename(p): ",".join(_csv_rows(p)[0])
+                   for p in summary.csv_paths if not p.endswith("_summary.csv")}
+        assert listed == emitted
+        for file_name, header in listed.items():
+            assert all(list(row) == header.split(",") for row in written[file_name])
+        summary_header = ",".join(_csv_rows(summary.csv_paths[-1])[0])
+        assert summary_header == SUMMARY_HEADER
+        assert f"<experiment>_summary.csv: {SUMMARY_HEADER}" in "\n".join(lines)
 
 
 class TestCli:

@@ -155,15 +155,11 @@ class TestSolve:
         assert center == pytest.approx(reference.torsion_center_value(), abs=2e-3)
         assert res.residual <= 1e-10
 
-    def test_iterative_matches_direct(self, coarse_square_mesh):
-        tri = refine_red(refine_red(coarse_square_mesh))
-        sys = assemble(tri, checkerboard_field(1.0, 4.0))
-        load(sys, lambda pts: np.ones(len(pts)))
-        u_direct = solve(sys, method="direct").u.values
-        u_iter = solve(sys, method="iterative").u.values
-        assert np.abs(u_direct - u_iter).max() <= 1e-9 * np.abs(u_direct).max()
-        with pytest.raises(FemError, match="unknown solve method"):
-            solve(sys, method="bogus")
+    def test_nan_load_fails_the_residual_check(self, coarse_square_mesh):
+        sys = assemble(coarse_square_mesh, identity_field())
+        load(sys, lambda pts: np.full(len(pts), np.nan))
+        with pytest.raises(FemError, match="residual"):
+            solve(sys)
 
     def test_galerkin_orthogonality(self, coarse_square_mesh):
         tri = refine_red(refine_red(coarse_square_mesh))
@@ -265,6 +261,37 @@ class TestReconstruct:
         assert np.all(lo5 / lo4 < 1.5) and np.all(lo4 / lo5 < 1.5)
         assert np.all(hi5 / hi4 < 1.5) and np.all(hi4 / hi5 < 1.5)
 
+    def test_evaluation_matches_per_point_loop(self, unit_square):
+        # reference: the lowest-index triangle whose barycentric coordinates
+        # are all >= -1e-12, evaluated one point at a time
+        tri = triangulate(unit_square, 2.0**-3)
+        rng = np.random.default_rng(21)
+        vals = rng.standard_normal(tri.n_vertices)
+        pts = np.vstack([tri.points, rng.uniform(0.0, 1.0, (200, 2))])
+        corners = tri.points[tri.triangles]
+        want = []
+        for p in pts:
+            for t, (a, b, c) in enumerate(corners):
+                d = (b[1] - c[1]) * (a[0] - c[0]) + (c[0] - b[0]) * (a[1] - c[1])
+                l1 = ((b[1] - c[1]) * (p[0] - c[0]) + (c[0] - b[0]) * (p[1] - c[1])) / d
+                l2 = ((c[1] - a[1]) * (p[0] - c[0]) + (a[0] - c[0]) * (p[1] - c[1])) / d
+                l3 = 1.0 - l1 - l2
+                if min(l1, l2, l3) >= -1e-12:
+                    v = vals[tri.triangles[t]]
+                    want.append(l1 * v[0] + l2 * v[1] + l3 * v[2])
+                    break
+        assert np.array_equal(reconstruct(tri, vals)(pts), np.array(want))
+
+    def test_holder_matches_dense_pairs(self, unit_square):
+        tri = triangulate(unit_square, 2.0**-4)  # 289 vertices: two row blocks
+        vals = np.random.default_rng(22).standard_normal(tri.n_vertices)
+        p = tri.points
+        d = np.hypot(p[:, None, 0] - p[None, :, 0], p[:, None, 1] - p[None, :, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(vals[:, None] - vals[None, :]) / d**0.4
+        got = reconstruct(tri, vals).holder_seminorm(0.4, include_midpoints=False)
+        assert got == ratio[np.isfinite(ratio)].max()
+
     def test_point_outside_mesh(self, coarse_square_mesh):
         fld = reconstruct(coarse_square_mesh, np.zeros(9))
         with pytest.raises(FemError):
@@ -274,9 +301,14 @@ class TestReconstruct:
 class TestCoefficientBuilders:
     def test_dispatch(self):
         assert coefficient_field("constant").kind == "constant"
-        assert coefficient_field("checkerboard", a1=1, a2=4).kind == "checkerboard"
-        assert coefficient_field("meyers", eps=0.5).kind == "meyers(0.5)"
+        assert coefficient_field("identity:2").bound == 2.0
+        assert coefficient_field("checkerboard:1:4").kind == "checkerboard"
+        assert coefficient_field("meyers:0.5").kind == "meyers(0.5)"
+        assert coefficient_field("meyers:0.5").eps == 0.5
         assert coefficient_field("smooth").kind == "smooth"
+        for bad in ("nope", "checkerboard:1", "meyers:x", "smooth:1", "meyers:1.5"):
+            with pytest.raises(FemError):
+                coefficient_field(bad)
 
     def test_meyers_requires_unit_interval(self):
         with pytest.raises(FemError):

@@ -155,6 +155,11 @@ class TestResolvent:
             u2 = resolvent_solve(opa, 1.0, f / lam).u
             assert np.abs(u1 - u2).max() <= 1e-13 * np.abs(u1).max()
 
+    def test_nan_data_fails_the_residual_check(self, op16):
+        f = np.full(op16.graph.n, np.nan)
+        with pytest.raises(OperatorError, match="residual"):
+            resolvent_solve(op16, 1.0, f)
+
     def test_sector_membership_enforced(self, op16):
         mu = 0.75 * math.pi
         f = np.ones(op16.graph.n)

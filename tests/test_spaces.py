@@ -9,7 +9,7 @@ from meyers_lab import (SpaceError, VertexFunction, WeightedGraph,
                         df_grad_bracket, differential, distances_from,
                         dual_norm, edge_lp_norm, embedding_report,
                         gradient_length, holder_norm, holder_seminorm, lp_norm,
-                        maximal_function, norm, norm_report, w1p_norm)
+                        maximal_function, norm_report, w1p_norm)
 
 from conftest import path_graph, random_graph
 
@@ -96,6 +96,21 @@ class TestNorms:
         f = VertexFunction(g, np.array([1.0, 0.0]))
         assert holder_seminorm(f, 0.5) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n_edges", [300, 2000])
+    def test_holder_matches_dense_pairs(self, n_edges):
+        # 2001 vertices take the per-block Dijkstra branch, 301 the cached
+        # distance matrix; both must equal the dense all-pairs sup exactly
+        rng = np.random.default_rng(n_edges)
+        lengths = rng.uniform(0.5, 2.0, n_edges)
+        g = path_graph(lengths)
+        v = rng.standard_normal(g.n)
+        x = np.concatenate([[0.0], np.cumsum(lengths)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(v[:, None] - v[None, :]) / np.abs(x[:, None] - x[None, :]) ** 0.3
+        dense = ratio[np.isfinite(ratio)].max()
+        got = holder_seminorm(VertexFunction(g, v), 0.3)
+        assert got == pytest.approx(dense, rel=1e-12)
+
     def test_w1p_is_sum(self):
         rng = np.random.default_rng(1)
         g = random_graph(rng)
@@ -115,13 +130,13 @@ class TestNorms:
         assert w1p_norm(scaled, p) == pytest.approx(3.0 * w1p_norm(f1, p), rel=1e-12)
         assert w1p_norm(both, p) <= w1p_norm(f1, p) + w1p_norm(f2, p) + 1e-12
 
-    def test_norm_dispatcher_and_report(self, coarse_square_graph):
+    def test_norm_report(self, coarse_square_graph):
         g = coarse_square_graph
         rng = np.random.default_rng(2)
         f = VertexFunction(g, rng.standard_normal(g.n))
-        assert norm(f, 2.0, "w1p") == pytest.approx(w1p_norm(f, 2.0))
-        assert norm(f, 2.0, "holder", eta=0.5) == pytest.approx(holder_norm(f, 0.5))
         rep = norm_report(f, 2.0, 0.5)
+        assert rep.w1p == pytest.approx(w1p_norm(f, 2.0))
+        assert rep.holder_norm == pytest.approx(holder_norm(f, 0.5))
         assert rep.w1p == pytest.approx(rep.lp + rep.grad_lp)
         row = rep.csv_row("g0")
         assert row.startswith("g0,2.0,0.5,")
