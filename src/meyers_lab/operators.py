@@ -3,9 +3,13 @@
 The operator induced by oriented edge coefficients c_xy acts through the
 symmetric per-edge sums c_xy + c_yx, so it is represented by a complex
 symmetric matrix S with  <L u, v>_m = v* S u  and  (L u)(z) = (S u)(z) / m(z).
-Resolvents are sparse direct solves of S + lambda diag(m); the semigroup is
-recovered from resolvents along a sectorial contour (two rays at +-theta and
-an arc of radius 1/t), cross-checked against a matrix-exponential oracle.
+Resolvents are sparse direct solves of S + lambda diag(m), filled into the
+sparsity pattern of S + diag(m), which is built once per operator. The
+semigroup is recovered from resolvents along a sectorial contour (two rays at
++-theta and an arc of radius 1/t), cross-checked against a matrix-exponential
+oracle. The contour nodes come in conjugate pairs; when the operator and the
+data are real, the solve at conj(lambda) is the exact conjugate of the solve
+at lambda, so each pair shares one LU factorization.
 """
 from __future__ import annotations
 
@@ -107,6 +111,7 @@ class GraphOperator:
             self.S = sp.csr_matrix((self.S.data.real, self.S.indices, self.S.indptr),
                                    shape=self.S.shape)
         self.m = graph.m
+        self._pattern = None
 
     def apply(self, u) -> np.ndarray:
         return (self.S @ np.asarray(u)) / self.m
@@ -115,9 +120,30 @@ class GraphOperator:
         """<L u, v>_m = sum over ordered pairs of c du conj(dv) mu."""
         return complex(np.conj(np.asarray(v)) @ (self.S @ np.asarray(u)))
 
-    def matrix(self, lam: complex = 0.0) -> sp.csr_matrix:
-        out = self.S + lam * sp.diags(self.m)
-        return out.tocsr()
+    def matrix(self, lam: complex = 0.0) -> sp.csc_matrix:
+        """S + lam diag(m) in CSC form, bitwise equal to
+        ``(S + lam * sp.diags(m)).tocsr().tocsc()``.
+
+        The pattern of S + diag(m), its diagonal positions and the values of
+        S in it are built once; each call fills a fresh data array. Real S
+        and real lam give a real matrix.
+        """
+        if self._pattern is None:
+            p = (self.S + sp.diags(self.m)).tocsc()
+            cols = np.repeat(np.arange(p.shape[1]), np.diff(p.indptr))
+            diag = np.flatnonzero(p.indices == cols)
+            # off the diagonal p holds S + 0, the values a shifted sum stores
+            base = p.data
+            base[diag] = self.S.diagonal()
+            self._pattern = (base, p.indices, p.indptr, diag)
+        base, indices, indptr, diag = self._pattern
+        shift = self.m * lam  # the product lam * sp.diags(m) stores
+        data = base.astype(np.result_type(base, shift))
+        data[diag] += shift
+        out = sp.csc_matrix((data, indices.copy(), indptr.copy()), shape=self.S.shape)
+        if not data[diag].all():
+            out.eliminate_zeros()  # a sparse sum drops entries that cancel
+        return out
 
 
 def build_operator(g: WeightedGraph, c: EdgeCoefficients) -> GraphOperator:
@@ -218,9 +244,10 @@ def resolvent_solve(op: GraphOperator, lam, f, mu_sector: float | None = None,
         raise OperatorError(f"lambda {lam} outside the sector of half-angle {mu_sector}")
     fv = np.asarray(getattr(f, "values", f))
     rhs = op.m * fv
-    lu = _factor if _factor is not None else spla.splu(op.matrix(lam).tocsc())
+    a = op.matrix(lam)
+    lu = _factor if _factor is not None else spla.splu(a)
     u = lu.solve(rhs.astype(complex))
-    res = np.linalg.norm(op.matrix(lam) @ u - rhs)
+    res = np.linalg.norm(a @ u - rhs)
     scale = np.linalg.norm(rhs)
     rel = float(res / scale) if scale > 0 else float(res)
     if not rel <= rtol:
@@ -280,7 +307,7 @@ def resolvent_bound_sweep(op: GraphOperator, lams, eta: float = 0.5,
     rows = []
     for lam in lams:
         lam = complex(lam)
-        lu = spla.splu(op.matrix(lam).tocsc())
+        lu = spla.splu(op.matrix(lam))
         cands = list(fs)
         for x in probe_vertices:
             e = np.zeros(g.n)
@@ -347,14 +374,28 @@ def contour_nodes(t: float, theta: float = 0.75 * math.pi, ray_nodes: int = 200,
 
 def semigroup_apply(op: GraphOperator, t: float, u0, check_oracle: bool = False,
                     oracle_tol: float = 1e-6, **contour_kw) -> np.ndarray:
-    """Apply e^{-tL} to a vector through the resolvent contour formula."""
+    """Apply e^{-tL} to a vector through the resolvent contour formula.
+
+    For real S and real data, the solve at the conjugate of a node is the
+    bitwise conjugate of the solve at that node, so the first node of each
+    conjugate pair is solved and its partner reuses the conjugated solution;
+    the sum runs in node order either way.
+    """
     u0 = np.asarray(getattr(u0, "values", u0))
     lams, weights = contour_nodes(t, **contour_kw)
     acc = np.zeros(op.graph.n, dtype=complex)
     rhs = (op.m * u0).astype(complex)
+    paired = np.isrealobj(op.S.data) and np.isrealobj(u0)
+    pending = {}  # exact node -> its solution, until the conjugate node comes
     for lam, w in zip(lams, weights):
-        lu = spla.splu(op.matrix(lam).tocsc())
-        acc += w * lu.solve(rhs)
+        u = pending.pop(lam.conjugate(), None)
+        if u is not None:
+            acc += w * np.conj(u)
+            continue
+        u = spla.splu(op.matrix(lam)).solve(rhs)
+        acc += w * u
+        if paired:
+            pending[lam] = u
     if check_oracle:
         dev = float(np.abs(acc - expm_oracle(op, t, u0)).max())
         if dev > oracle_tol:
@@ -423,8 +464,16 @@ def kernel_column(op: GraphOperator, t: float, y: int, margin: float = 0.25,
     e[y] = 1.0
     values, dev = semigroup_apply(op, t, e, check_oracle=True, **contour_kw)
     d_y = distances_from(g, y)
-    window = box_window(g, margin) if g.coords is not None else np.arange(g.n)
-    hs = _h_star_bulk(g, y, window, d_y)
+    # the window and h* do not depend on t: cached on the graph per source
+    cache = getattr(g, "_h_star_cache", None)
+    if cache is None:
+        cache = g._h_star_cache = {}
+    if (y, margin) not in cache:
+        window = box_window(g, margin) if g.coords is not None else np.arange(g.n)
+        hs = _h_star_bulk(g, y, window, d_y)
+        window.flags.writeable = hs.flags.writeable = False
+        cache[y, margin] = window, hs
+    window, hs = cache[y, margin]
     mass = float(np.real(np.sum(values * g.m)))
     return KernelColumn(t=t, y=y, values=values, d_from_y=d_y, window=window,
                         h_star=hs, mass=mass, oracle_dev=dev)

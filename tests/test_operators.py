@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from meyers_lab import (EdgeCoefficients, OperatorError, accretivity_angle,
                         build_operator, contour_nodes, df_grad_bracket,
@@ -106,6 +107,42 @@ class TestBuildOperator:
         assert (op.S - base.S).nnz == 0 or np.abs((op.S - base.S).data).max() == 0
 
 
+class TestShiftedMatrix:
+    LAMS = (0.0, 1.0, 2 - 5j, 7 * cmath.exp(0.6j * math.pi))
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_bitwise_equal_to_sparse_sum(self, box16, perturbed):
+        c = perturbed_coefficients(box16, 0.3) if perturbed else uniform_coefficients(box16)
+        op = build_operator(box16, c)
+        assert np.iscomplexobj(op.S.data) == perturbed
+        for lam in self.LAMS:
+            got = op.matrix(lam)
+            ref = (op.S + lam * sp.diags(op.m)).tocsr().tocsc()
+            assert got.format == "csc" and got.dtype == ref.dtype
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert got.data.tobytes() == ref.data.tobytes()
+        assert op.matrix(1.0).dtype == (complex if perturbed else float)
+
+    @pytest.mark.parametrize("lam", [-2.0, -2 + 0j])
+    def test_cancelled_diagonal_is_dropped(self, op16, lam):
+        # S_ii = 2 m_i on the uniform lattice: lam = -2 cancels every diagonal
+        assert np.array_equal(op16.S.diagonal(), 2.0 * op16.m)
+        got = op16.matrix(lam)
+        ref = (op16.S + lam * sp.diags(op16.m)).tocsr().tocsc()
+        assert got.nnz == ref.nnz == op16.S.nnz - op16.graph.n
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert got.data.tobytes() == ref.data.tobytes()
+
+    def test_calls_do_not_share_data(self, op16):
+        a = op16.matrix(1.0)
+        b = op16.matrix(1.0)
+        assert not np.shares_memory(a.data, b.data)
+        a.data[:] = 0.0
+        assert np.array_equal(op16.matrix(1.0).data, b.data)
+
+
 class TestAccretivity:
     def test_symmetric_real_zero(self, op16):
         est = accretivity_angle(op16, n_probes=100, seed=0)
@@ -154,6 +191,19 @@ class TestResolvent:
             opa = build_operator(ga, uniform_coefficients(ga))
             u2 = resolvent_solve(opa, 1.0, f / lam).u
             assert np.abs(u1 - u2).max() <= 1e-13 * np.abs(u1).max()
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_residual_arithmetic(self, box16, perturbed):
+        c = perturbed_coefficients(box16, 0.3) if perturbed else uniform_coefficients(box16)
+        op = build_operator(box16, c)
+        f = np.random.default_rng(6).standard_normal(box16.n)
+        lam = 2 - 5j
+        res = resolvent_solve(op, lam, f)
+        a = (op.S + lam * sp.diags(op.m)).tocsr()
+        rhs = op.m * f
+        u = spla.splu(a.tocsc()).solve(rhs.astype(complex))
+        assert res.u.tobytes() == u.tobytes()
+        assert res.residual == np.linalg.norm(a @ u - rhs) / np.linalg.norm(rhs)
 
     def test_nan_data_fails_the_residual_check(self, op16):
         f = np.full(op16.graph.n, np.nan)
@@ -225,6 +275,36 @@ class TestContour:
             semigroup_apply(op16, 1.0, e, check_oracle=True, ray_nodes=4,
                             arc_nodes=4, decades=2.0)
 
+    @staticmethod
+    def _per_node_reference(op, t, u0):
+        lams, ws = contour_nodes(t)
+        acc = np.zeros(op.graph.n, dtype=complex)
+        rhs = (op.m * u0).astype(complex)
+        for lam, w in zip(lams, ws):
+            a = (op.S + lam * sp.diags(op.m)).tocsr().tocsc()
+            acc += w * spla.splu(a).solve(rhs)
+        return acc
+
+    @pytest.mark.parametrize("perturbed, dtype", [(False, float), (True, float),
+                                                  (False, complex)])
+    def test_bitwise_equal_to_one_lu_per_node(self, box16, monkeypatch, perturbed, dtype):
+        c = perturbed_coefficients(box16, 0.3) if perturbed else uniform_coefficients(box16)
+        op = build_operator(box16, c)
+        u0 = np.zeros(box16.n, dtype=dtype)
+        u0[6 * 16 + 9] = 1.0 if dtype is float else 1.0 + 0.5j
+        # conjugate nodes share one LU only for a real operator and real data
+        paired = not perturbed and dtype is float
+        refs = {t: self._per_node_reference(op, t, u0) for t in (0.5, 8.0)}
+        calls = []
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda a: calls.append(a) or splu(a))
+        for t, ref in refs.items():
+            calls.clear()
+            got = semigroup_apply(op, t, u0)
+            n_nodes = len(contour_nodes(t)[0])
+            assert len(calls) == (n_nodes // 2 if paired else n_nodes)
+            assert got.tobytes() == ref.tobytes()
+
     def test_bad_time_rejected(self, op16):
         with pytest.raises(OperatorError):
             contour_nodes(0.0)
@@ -240,6 +320,13 @@ def columns():
 
 
 class TestKernelBounds:
+    def test_window_and_h_star_shared_across_times(self, columns):
+        g, op, cols = columns
+        again = kernel_column(op, 3.0, cols[0].y)
+        assert np.array_equal(again.window, cols[0].window)
+        assert np.array_equal(again.h_star, cols[0].h_star)
+        assert again.h_star is cols[-1].h_star
+
     def test_h_star_uniform(self, columns):
         _, _, cols = columns
         col = cols[0]
