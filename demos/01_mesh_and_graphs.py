@@ -52,4 +52,4 @@ for _ in range(3):
 print("\nweight sup near a pair (strict balls, either endpoint touching):")
 gpath = ml.WeightedGraph(3, [0, 1], [1, 2], [1.0, 5.0], [1.0, 1.0])
 print(f"  path with lengths 1, 5: h*(ends of the short edge) = "
-      f"{ml.h_star(gpath, 0, 1)}")
+      f"{ml.h_star(gpath, 1, [0])[0]}")

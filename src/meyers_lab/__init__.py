@@ -14,8 +14,7 @@ from .spaces import (DualNormResult, EdgeFunction, EmbeddingReport, NormReport,
 from .fem import (CoefficientField, FemError, MeyersProblem, P1Field, P1System,
                   SolveResult, apply_Lh, assemble, checkerboard_field,
                   coefficient_field, constant_field, f_h, identity_field, load,
-                  meyers_field, meyers_problem, reconstruct, smooth_field, solve,
-                  w12_inverse_bound)
+                  meyers_field, meyers_problem, reconstruct, smooth_field, solve)
 from .operators import (AccretivityEstimate, EdgeCoefficients, GraphOperator,
                         KernelBoundFit, KernelColumn, OperatorError,
                         ResolventResult, SweepResult,

@@ -103,17 +103,11 @@ def _read(cfg: ExperimentConfig, key: str, parse):
     return _parse(key, str(cfg.get(key)), parse)
 
 
-def _parse_float(tok: str) -> float:
-    tok = tok.strip()
-    if tok.startswith("2^"):
-        return 2.0 ** float(tok[2:])
-    if tok.endswith("pi"):
-        return float(tok[:-2] or "1") * math.pi
-    return float(tok)
-
-
 def _floats(text: str) -> list[float]:
-    return [_parse_float(tok) for tok in text.split(",") if tok.strip()]
+    vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not vals:
+        raise ValueError("empty list")
+    return vals
 
 
 def _ints(text: str) -> list[int]:
@@ -199,7 +193,28 @@ def _validate_counterexample(cfg: ExperimentConfig) -> None:
 def _validate_rate_theta(cfg: ExperimentConfig) -> None:
     if not _read(cfg, "p_probe", float) > 2:
         raise ConfigError("rate_theta needs p_probe > 2")
+    if _read(cfg, "center_level", int) not in _read(cfg, "levels", _ints):
+        raise ConfigError("rate_theta needs center_level among the levels")
     _coefficient(cfg)
+
+
+# resolvent rays: the positive reals and the ray at angle 3 pi / 5
+_RAY_PHASES = {"real": 1.0, "sector": np.exp(1j * 3 * math.pi / 5)}
+
+
+def _rays(cfg: ExperimentConfig) -> list[str]:
+    return [s.strip() for s in str(cfg.get("rays")).split(",")]
+
+
+def _validate_resolvent(cfg: ExperimentConfig) -> None:
+    for ray in _rays(cfg):
+        if ray not in _RAY_PHASES:
+            raise ConfigError(f"unknown ray {ray!r}; choose from {tuple(_RAY_PHASES)}")
+    for lam in _read(cfg, "lambda_list", _floats):
+        if not 0 < lam < math.inf:
+            raise ConfigError(f"resolvent_sweep needs finite lambda > 0, got {lam}")
+    if not _read(cfg, "eta_p", float) > 2:
+        raise ConfigError("resolvent_sweep needs eta_p > 2")
 
 
 def _validate_embeddings(cfg: ExperimentConfig) -> None:
@@ -375,16 +390,14 @@ def run_resolvent_sweep(cfg: ExperimentConfig):
     eta = 1.0 - 2.0 / eta_p
     amp = _read(cfg, "perturbation", float)
     g = graph.rescale(graph.lattice_box(box, box), 1.0 / box)
-    rays = [s.strip() for s in str(cfg.get("rays")).split(",")]
     variants = [("symmetric", operators.uniform_coefficients(g)),
                 ("perturbed", operators.perturbed_coefficients(g, amp))]
     rows = []
     for vname, coeffs in variants:
         op = operators.build_operator(g, coeffs)
-        for ray in rays:
-            phase = 1.0 if ray == "real" else np.exp(1j * 3 * math.pi / 5)
+        for ray in _rays(cfg):
             sweep = operators.resolvent_bound_sweep(
-                op, [l * phase for l in lams], eta=eta, seed=cfg.seed)
+                op, [l * _RAY_PHASES[ray] for l in lams], eta=eta, seed=cfg.seed)
             for r in sweep.rows:
                 rows.append({"experiment": "resolvent_sweep", "variant": vname,
                              "ray": ray, "lam_re": r.lam.real, "lam_im": r.lam.imag,
@@ -590,7 +603,8 @@ REGISTRY = {exp.name: exp for exp in (
         run_resolvent_sweep, verdicts_resolvent,
         (("resolvent_sweep_rows.csv",
           "experiment,variant,ray,lam_re,lam_im,abs_lam,sup_ratio,holder_ratio,"
-          "R_inf,R_eta,eta"),)),
+          "R_inf,R_eta,eta"),),
+        _validate_resolvent),
     Experiment(
         "kernel_bounds",
         dict(box="48", t_grid="0.5,1,2,4,8", c_prime="1"),

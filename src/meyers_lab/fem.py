@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 from . import reference
 from .graph import WeightedGraph, from_triangulation
 from .mesh import Triangulation, locate
-from .spaces import VertexFunction, _holder_sup, _w12_gram
+from .spaces import VertexFunction, _holder_sup
 
 
 class FemError(ValueError):
@@ -153,16 +153,12 @@ class MeyersProblem:
     field: CoefficientField
     eps: float
     p_c: float
-    u_exact: Callable
-    grad_exact: Callable
     f: Callable
 
 
 def meyers_problem(eps: float) -> MeyersProblem:
     return MeyersProblem(
         field=meyers_field(eps), eps=eps, p_c=2.0 / (1.0 - eps),
-        u_exact=lambda pts: reference.singular_solution(pts, eps),
-        grad_exact=lambda pts: reference.singular_gradient(pts, eps),
         f=lambda pts: reference.singular_load(pts, eps),
     )
 
@@ -196,24 +192,6 @@ class P1System:
         self.index_of[self.interior] = np.arange(len(self.interior))
         self.m_interior = graph.m[self.interior]
         self.b = None
-
-    def coercivity(self) -> float:
-        """Smallest eigenvalue of the symmetric part; positive iff coercive."""
-        ksym = 0.5 * (self.K + self.K.T)
-        if self.K.shape[0] <= 1200:
-            return float(np.linalg.eigvalsh(ksym.toarray()).min())
-        val = spla.eigsh(ksym, k=1, which="SA", return_eigenvectors=False)
-        return float(val[0])
-
-    def export_matrix_text(self) -> str:
-        """Matrix-market style sparse dump of the stiffness block."""
-        coo = self.K.tocoo()
-        lines = ["%%MatrixMarket matrix coordinate real general",
-                 f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            lines.append(f"{coo.row[i] + 1} {coo.col[i] + 1} {float(coo.data[i])!r}")
-        return "\n".join(lines) + "\n"
 
 
 def assemble(tri: Triangulation, field: CoefficientField) -> P1System:
@@ -405,30 +383,9 @@ class P1Field:
         ok = d > 0
         return float((np.abs(v1 - v2)[ok] / d[ok] ** eta).max())
 
-    def export_csv(self) -> str:
-        lines = ["vertex_id,x,y,u"]
-        for i, ((x, y), u) in enumerate(zip(self.tri.points, self.values)):
-            lines.append(f"{i},{float(x)!r},{float(y)!r},{float(u)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def reconstruct(tri: Triangulation, u) -> P1Field:
     """Piecewise-linear interpolant of vertex values (zero-boundary enforced
     only through the values themselves)."""
     vals = u.values if isinstance(u, VertexFunction) else u
     return P1Field(tri, vals)
-
-
-def w12_inverse_bound(system: P1System) -> float:
-    """Smallest singular value of the stiffness in the Hilbertian
-    W^{1,2}-to-dual sense; its stability across refinements mirrors the
-    h-independence of the inverse operator."""
-    g = system.graph
-    act = system.interior
-    G = _w12_gram(g, act).toarray()
-    import scipy.linalg as la
-
-    L = la.cholesky(G, lower=True)
-    Kd = system.K.toarray()
-    mid = la.solve_triangular(L, la.solve_triangular(L, Kd.T, lower=True).T, lower=True)
-    return float(np.linalg.svd(mid, compute_uv=False).min())

@@ -10,8 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.sparse import csgraph
+
+# largest ball closure the Poincare constant solves as a dense pencil
+_DENSE_LIMIT = 600
+# Poincare balls are sampled at these fractions of the radius cap r0
+_POINCARE_RADIUS_FRACTIONS = (0.25, 0.5, 1.0)
 
 
 class GraphError(ValueError):
@@ -90,11 +96,10 @@ class WeightedGraph:
 
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
 
-        # adjacency in CSR layout with edge ids, for per-vertex iteration
+        # adjacency in CSR layout, for per-vertex iteration
         order = np.argsort(np.concatenate([lo, hi]), kind="stable")
         ends = np.concatenate([lo, hi])[order]
         self._adj_nbr = np.concatenate([hi, lo])[order]
-        self._adj_edge = np.concatenate([np.arange(len(lo))] * 2)[order]
         self._adj_ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
         self._edge_rank = None
 
@@ -104,9 +109,6 @@ class WeightedGraph:
 
     def neighbors(self, x: int) -> np.ndarray:
         return self._adj_nbr[self._adj_ptr[x]:self._adj_ptr[x + 1]]
-
-    def incident_edges(self, x: int) -> np.ndarray:
-        return self._adj_edge[self._adj_ptr[x]:self._adj_ptr[x + 1]]
 
     def edge_lookup(self, x: int, y: int):
         """Edge id and orientation sign (+1 if stored as x -> y)."""
@@ -118,9 +120,6 @@ class WeightedGraph:
         if k is None:
             raise GraphError(f"no edge between {x} and {y}")
         return k, (1.0 if x < y else -1.0)
-
-    def total_measure(self) -> float:
-        return float(self.m.sum())
 
     def export_text(self) -> str:
         lines = [f"vertex {x} {float(self.m[x])!r}" for x in range(self.n)]
@@ -225,49 +224,40 @@ class GeometryReport:
     balls_sampled: int
 
 
-def _poincare_constant(g: WeightedGraph, members: np.ndarray, r: float,
-                       dense_limit: int = 600):
+def _poincare_constant(g: WeightedGraph, members: np.ndarray, r: float):
     """Sharp constant of the scaled L2 Poincare inequality on one ball.
 
     Largest generalized Rayleigh quotient of the mean-zero quadratic form on
     the ball against r^2 times the gradient form; the gradient at y uses all
-    neighbors of y, including those outside the ball.
+    neighbors of y, including those outside the ball. Both forms live on the
+    closure (the ball and its neighbors) and vanish on constants, and the
+    closure is connected, so grounding its last vertex leaves a definite
+    pencil with the same spectrum as the pencil on the quotient by constants.
     """
     if len(members) <= 1:
         return 0.0
-    closure = set(members.tolist())
-    for y in members:
-        closure.update(g.neighbors(y).tolist())
-    closure = np.asarray(sorted(closure), dtype=np.int64)
-    if len(closure) > dense_limit:
-        raise GraphError(f"ball closure too large for dense solve ({len(closure)})")
-    local = {int(x): i for i, x in enumerate(closure)}
+    inside = np.zeros(g.n, dtype=bool)
+    inside[members] = True
+    touch = inside[g.edge_u] | inside[g.edge_v]
+    u, v = g.edge_u[touch], g.edge_v[touch]
+    closure, local = np.unique(np.concatenate([u, v]), return_inverse=True)
     k = len(closure)
+    if k > _DENSE_LIMIT:
+        raise GraphError(f"ball closure too large for dense solve ({k})")
+    lu, lv = local[:len(u)], local[len(u):]
 
-    mloc = np.zeros(k)
-    for y in members:
-        mloc[local[int(y)]] = g.m[y]
-    A = np.diag(mloc) - np.outer(mloc, mloc) / mloc.sum()
-
+    # each member y weighs every edge at y by m(y) / h_y^2
+    wy = g.m / g.h_x**2
+    w = inside[u] * wy[u] + inside[v] * wy[v]
     G = np.zeros((k, k))
-    for y in members:
-        iy = local[int(y)]
-        wy = g.m[y] / g.h_x[y] ** 2
-        for z in g.neighbors(y):
-            iz = local[int(z)]
-            G[iy, iy] += wy
-            G[iz, iz] += wy
-            G[iy, iz] -= wy
-            G[iz, iy] -= wy
+    np.add.at(G, (lu, lu), w)
+    np.add.at(G, (lv, lv), w)
+    np.add.at(G, (lu, lv), -w)
+    np.add.at(G, (lv, lu), -w)
 
-    import scipy.linalg as la
-
-    # restrict to the complement of constants, where G is positive definite
-    q, _ = np.linalg.qr(np.column_stack([np.ones(k), np.eye(k)[:, : k - 1]]))
-    P = q[:, 1:]
-    Ap = P.T @ A @ P
-    Gp = P.T @ (r * r * G) @ P
-    vals = la.eigh(Ap, Gp, eigvals_only=True)
+    mloc = np.where(inside[closure], g.m[closure], 0.0)
+    A = np.diag(mloc) - np.outer(mloc, mloc) / mloc.sum()
+    vals = la.eigh(A[:-1, :-1], r * r * G[:-1, :-1], eigvals_only=True)
     return float(vals[-1])
 
 
@@ -287,14 +277,14 @@ def _volume_at(breaks, vols, r):
 
 
 def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None,
-                    seed: int = 0, radius_fractions=(0.25, 0.5, 1.0)) -> GeometryReport:
+                    seed: int = 0) -> GeometryReport:
     """Empirical doubling, lower-volume and Poincare constants on sampled balls.
 
     For each sampled center the doubling ratio V(x, 2r)/V(x, r) and the lower
     bound V(x, r)/r^2 are extremized exactly over all radii below r0 (ball
     volumes are piecewise constant in r, so it suffices to look just past
     each breakpoint). The Poincare constant needs one dense eigensolve per
-    ball and is sampled at the radii r0 * radius_fractions only.
+    ball and is sampled at the radii r0 * _POINCARE_RADIUS_FRACTIONS only.
     """
     if not r0 > float(g.edge_h.min()):
         raise GraphError("r0 must exceed the smallest edge length")
@@ -307,7 +297,7 @@ def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None
         centers = rng.choice(g.n, size=sample_count, replace=False)
         centers.sort()
 
-    radii = [f * r0 for f in radius_fractions]
+    radii = [f * r0 for f in _POINCARE_RADIUS_FRACTIONS]
     d = distances_from(g, centers)
     bump = 1.0 + 1e-12
     c_d = 1.0
@@ -355,25 +345,26 @@ def rescale(g: WeightedGraph, alpha: float) -> WeightedGraph:
     return out
 
 
-def h_star(g: WeightedGraph, x: int, y: int, closed_ball: bool = False,
-           either_endpoint: bool = True) -> float:
-    """min(h*_{x->y}, h*_{y->x}); zero when x == y.
+def h_star(g: WeightedGraph, y: int, xs) -> np.ndarray:
+    """h*_{xy} = min(h*_{x->y}, h*_{y->x}) for every x in ``xs``; zero at x == y.
 
-    h*_{x->y} is the sup of weights of edges touching the ball B(x, d(x, y)).
-    Defaults follow the strict ball and the either-endpoint reading of
-    "touching"; both alternates sit behind the flags.
+    h*_{x->y} is the sup of the lengths of the edges touching the strict ball
+    B(x, d(x, y)), where an edge touches a ball when either endpoint lies in it.
     """
-    if x == y:
-        return 0.0
-    r = distance(g, x, y)
-
-    def directed(src):
-        d = distances_from(g, src)
-        inside = d <= r if closed_ball else d < r
-        iu, iv = inside[g.edge_u], inside[g.edge_v]
-        touch = (iu & iv) if not either_endpoint else (iu | iv)
-        if not np.any(touch):
-            return 0.0
-        return float(g.edge_h[touch].max())
-
-    return min(directed(x), directed(y))
+    xs = np.asarray(xs, dtype=np.int64)
+    d_y = distances_from(g, y)
+    # direction y -> x for all x at once: running sup over the edges sorted
+    # by their distance to y
+    edge_d = np.minimum(d_y[g.edge_u], d_y[g.edge_v])
+    order = np.argsort(edge_d, kind="stable")
+    sorted_d = edge_d[order]
+    sup_y = np.maximum.accumulate(g.edge_h[order])
+    out = np.zeros(len(xs))
+    for i, (x, d_x) in enumerate(zip(xs, distances_from(g, xs))):
+        if x == y:
+            continue
+        r = d_y[x]
+        touch = (d_x[g.edge_u] < r) | (d_x[g.edge_v] < r)
+        # r > 0, so both balls hold an endpoint of some edge
+        out[i] = min(g.edge_h[touch].max(), sup_y[np.searchsorted(sorted_d, r) - 1])
+    return out

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graph import WeightedGraph, box_window, distances_from, edge_gram
+from .graph import WeightedGraph, box_window, distances_from, edge_gram, h_star
 from .spaces import _holder_sup
 
 TWO_PI_I = 2j * math.pi
@@ -36,12 +36,10 @@ class OperatorError(ValueError):
 
 
 class EdgeCoefficients:
-    """Oriented complex coefficients with bounds C_inf and delta.
+    """Oriented complex coefficients with bounds C_inf and delta_edge.
 
     ``delta_edge`` (the minimum of Re(c_xy + c_yx)/2 over edges) must be
-    positive; it is a sufficient ellipticity constant. ``delta_exact`` is the
-    sharp constant, the smallest Rayleigh quotient of the Hermitian part of
-    the form against the squared differential, over the range of d.
+    positive; it is a sufficient ellipticity constant.
     """
 
     def __init__(self, graph: WeightedGraph, forward, backward=None):
@@ -57,30 +55,6 @@ class EdgeCoefficients:
             raise OperatorError(
                 f"ellipticity refused: min Re(c_xy + c_yx)/2 = {self.delta_edge}"
             )
-        self._delta_exact = None
-
-    def delta_exact(self) -> float:
-        if self._delta_exact is None:
-            g = self.graph
-            w = g.edge_mu / g.edge_h**2
-            a = edge_gram(g, np.real(self.c_plus) * w)
-            b = edge_gram(g, 2.0 * w)
-            if g.n <= 2000:
-                import scipy.linalg as la
-
-                q, _ = np.linalg.qr(np.column_stack([np.ones(g.n), np.eye(g.n)[:, :-1]]))
-                P = q[:, 1:]
-                vals = la.eigh(P.T @ a.toarray() @ P, P.T @ b.toarray() @ P,
-                               eigvals_only=True)
-                self._delta_exact = float(vals[0])
-            else:
-                rng = np.random.default_rng(7)
-                x0 = rng.standard_normal((g.n, 1))
-                vals, _ = spla.lobpcg(a, x0, B=b,
-                                      Y=np.ones((g.n, 1)), largest=False,
-                                      tol=1e-8, maxiter=400)
-                self._delta_exact = float(vals[0])
-        return self._delta_exact
 
 
 def uniform_coefficients(g: WeightedGraph, value=1.0) -> EdgeCoefficients:
@@ -426,43 +400,13 @@ class KernelColumn:
     oracle_dev: float
 
 
-def _h_star_bulk(g: WeightedGraph, y: int, window: np.ndarray,
-                 d_y: np.ndarray) -> np.ndarray:
-    """h*_{xy} for every x in the window against a fixed y (strict balls,
-    either-endpoint reading)."""
-    # direction y -> x for all x at once: running sup over edges sorted by
-    # their distance to y
-    edge_mind_y = np.minimum(d_y[g.edge_u], d_y[g.edge_v])
-    order = np.argsort(edge_mind_y, kind="stable")
-    sorted_mind = edge_mind_y[order]
-    run_max = np.maximum.accumulate(g.edge_h[order])
-
-    def sup_y_to(r):
-        k = np.searchsorted(sorted_mind, r, side="left")
-        return run_max[k - 1] if k > 0 else 0.0
-
-    d_from_x = distances_from(g, window)
-    out = np.empty(len(window))
-    for i, x in enumerate(window):
-        if x == y:
-            out[i] = 0.0
-            continue
-        r = d_y[x]
-        dx = d_from_x[i]
-        touch = (dx[g.edge_u] < r) | (dx[g.edge_v] < r)
-        sup_x = float(g.edge_h[touch].max()) if np.any(touch) else 0.0
-        out[i] = min(sup_x, sup_y_to(r))
-    return out
-
-
-def kernel_column(op: GraphOperator, t: float, y: int, margin: float = 0.25,
-                  **contour_kw) -> KernelColumn:
+def kernel_column(op: GraphOperator, t: float, y: int, margin: float = 0.25) -> KernelColumn:
     """One kernel column K_t(., y) = (e^{-tL} e_y), tabulated with distances
     and h*, and checked against the matrix-exponential oracle."""
     g = op.graph
     e = np.zeros(g.n)
     e[y] = 1.0
-    values, dev = semigroup_apply(op, t, e, check_oracle=True, **contour_kw)
+    values, dev = semigroup_apply(op, t, e, check_oracle=True)
     d_y = distances_from(g, y)
     # the window and h* do not depend on t: cached on the graph per source
     cache = getattr(g, "_h_star_cache", None)
@@ -470,7 +414,7 @@ def kernel_column(op: GraphOperator, t: float, y: int, margin: float = 0.25,
         cache = g._h_star_cache = {}
     if (y, margin) not in cache:
         window = box_window(g, margin) if g.coords is not None else np.arange(g.n)
-        hs = _h_star_bulk(g, y, window, d_y)
+        hs = h_star(g, y, window)
         window.flags.writeable = hs.flags.writeable = False
         cache[y, margin] = window, hs
     window, hs = cache[y, margin]

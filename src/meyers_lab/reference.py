@@ -3,8 +3,9 @@
 The torsion problem (Laplacian with constant load on the unit square) is
 evaluated through its classical single-series solution in a numerically
 stable exponential form. The radial/tangential matrix family used for the
-optimality experiment comes with its exact singular solution r^eps cos(theta)
-under a C^2 polynomial cutoff, and the matching divergence-form load.
+optimality experiment comes with the gradient of its exact singular solution
+r^eps cos(theta) under a C^2 polynomial cutoff, and the matching
+divergence-form load.
 """
 from __future__ import annotations
 
@@ -120,17 +121,6 @@ def _radial_profile(r, eps):
     gp = d1 * re + chi * re1
     gpp = d2 * re + 2.0 * d1 * re1 + chi * re2
     return g, gp, gpp
-
-
-def singular_solution(points, eps: float) -> np.ndarray:
-    """u_eps = chi(r) r^eps cos(theta); zero at the origin."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.hypot(p[:, 0], p[:, 1])
-    out = np.zeros(len(p))
-    pos = r > 0
-    g, _, _ = _radial_profile(r[pos], eps)
-    out[pos] = g * p[pos, 0] / r[pos]
-    return out
 
 
 def singular_gradient(points, eps: float) -> np.ndarray:

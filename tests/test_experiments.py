@@ -82,6 +82,16 @@ class TestConfig:
         "experiment = meyers_sweep\ncoefficient = checkerboard:1",
         "experiment = holder_convergence\ncoefficient = bogus",
         "experiment = counterexample\ncoefficient = checkerboard:1:4",
+        "experiment = rate_theta\ncenter_level = 9\nlevels = 2,3,4",
+        "experiment = resolvent_sweep\nrays = real,bogus",
+        "experiment = resolvent_sweep\nlambda_list = -1,1,10",
+        "experiment = resolvent_sweep\nlambda_list = 0,1,10",
+        "experiment = resolvent_sweep\nlambda_list = nan,1,10",
+        "experiment = resolvent_sweep\nlambda_list = 1,inf",
+        "experiment = resolvent_sweep\neta_p = 2",
+        "experiment = resolvent_sweep\neta_p = 1",
+        "experiment = resolvent_sweep\nlambda_list = ,",
+        "experiment = meyers_sweep\np_list = ,",
     ])
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):

@@ -28,38 +28,12 @@ class TestEdgeCoefficients:
         c = perturbed_coefficients(box16, 0.3)
         assert c.C_inf == pytest.approx(abs(1 + 0.3j))
         assert c.delta_edge == pytest.approx(1.0)
-        assert c.delta_exact() >= c.delta_edge - 1e-9
 
     def test_rejects_nonelliptic(self, box16):
         vals = np.ones(box16.n_edges, dtype=complex)
         vals[0] = -1.5
         with pytest.raises(OperatorError, match="ellipticity refused"):
             EdgeCoefficients(box16, vals)
-
-    def test_delta_exact_on_small_graph(self):
-        g = lattice_box(4, 4)
-        rng = np.random.default_rng(0)
-        vals = 1.0 + 0.4 * rng.uniform(size=g.n_edges)
-        c = EdgeCoefficients(g, vals.astype(complex))
-        # dense pencil oracle on the complement of constants
-        w = g.edge_mu / g.edge_h**2
-        def gram(coef):
-            m = np.zeros((g.n, g.n))
-            for k in range(g.n_edges):
-                u, v = g.edge_u[k], g.edge_v[k]
-                m[u, u] += coef[k]
-                m[v, v] += coef[k]
-                m[u, v] -= coef[k]
-                m[v, u] -= coef[k]
-            return m
-        A = gram(np.real(c.c_plus) * w)
-        B = gram(2.0 * w)
-        import scipy.linalg as la
-        q, _ = np.linalg.qr(np.column_stack([np.ones(g.n), np.eye(g.n)[:, :-1]]))
-        P = q[:, 1:]
-        oracle = la.eigh(P.T @ A @ P, P.T @ B @ P, eigvals_only=True)[0]
-        assert c.delta_exact() == pytest.approx(float(oracle), rel=1e-10)
-        assert c.delta_exact() >= c.delta_edge - 1e-12
 
 
 class TestBuildOperator:
