@@ -200,21 +200,38 @@ def _validate_rate_theta(cfg: ExperimentConfig) -> None:
 
 # resolvent rays: the positive reals and the ray at angle 3 pi / 5
 _RAY_PHASES = {"real": 1.0, "sector": np.exp(1j * 3 * math.pi / 5)}
+# smallest lattice box whose interior window (graph.box_window: coordinates in
+# [(box-1)/4, 3(box-1)/4]) holds an edge; smaller boxes leave no increments
+_MIN_BOX = 4
 
 
 def _rays(cfg: ExperimentConfig) -> list[str]:
     return [s.strip() for s in str(cfg.get("rays")).split(",")]
 
 
+def _validate_lattice(cfg: ExperimentConfig, key: str) -> None:
+    """box >= _MIN_BOX, and ``key`` a list of finite values > 0."""
+    if not _read(cfg, "box", int) >= _MIN_BOX:
+        raise ConfigError(f"{cfg.experiment} needs box >= {_MIN_BOX}")
+    for v in _read(cfg, key, _floats):
+        if not 0 < v < math.inf:
+            raise ConfigError(f"{cfg.experiment} needs finite {key} > 0, got {v}")
+
+
 def _validate_resolvent(cfg: ExperimentConfig) -> None:
+    _validate_lattice(cfg, "lambda_list")
     for ray in _rays(cfg):
         if ray not in _RAY_PHASES:
             raise ConfigError(f"unknown ray {ray!r}; choose from {tuple(_RAY_PHASES)}")
-    for lam in _read(cfg, "lambda_list", _floats):
-        if not 0 < lam < math.inf:
-            raise ConfigError(f"resolvent_sweep needs finite lambda > 0, got {lam}")
     if not _read(cfg, "eta_p", float) > 2:
         raise ConfigError("resolvent_sweep needs eta_p > 2")
+
+
+def _validate_geometry(cfg: ExperimentConfig) -> None:
+    if cfg.get("r0") != "auto" and not 0 < _read(cfg, "r0", float) < math.inf:
+        raise ConfigError("geometry needs r0 = auto or a finite r0 > 0")
+    if cfg.get("sample_count") != "all" and not _read(cfg, "sample_count", int) >= 1:
+        raise ConfigError("geometry needs sample_count = all or an integer >= 1")
 
 
 def _validate_embeddings(cfg: ExperimentConfig) -> None:
@@ -392,18 +409,18 @@ def run_resolvent_sweep(cfg: ExperimentConfig):
     g = graph.rescale(graph.lattice_box(box, box), 1.0 / box)
     variants = [("symmetric", operators.uniform_coefficients(g)),
                 ("perturbed", operators.perturbed_coefficients(g, amp))]
+    rays = _rays(cfg)
     rows = []
     for vname, coeffs in variants:
-        op = operators.build_operator(g, coeffs)
-        for ray in _rays(cfg):
-            sweep = operators.resolvent_bound_sweep(
-                op, [l * _RAY_PHASES[ray] for l in lams], eta=eta, seed=cfg.seed)
-            for r in sweep.rows:
-                rows.append({"experiment": "resolvent_sweep", "variant": vname,
-                             "ray": ray, "lam_re": r.lam.real, "lam_im": r.lam.imag,
-                             "abs_lam": abs(r.lam), "sup_ratio": r.sup_ratio,
-                             "holder_ratio": r.holder_ratio, "R_inf": r.R_inf,
-                             "R_eta": r.R_eta, "eta": eta})
+        sweep = operators.resolvent_bound_sweep(
+            operators.build_operator(g, coeffs),
+            [l * _RAY_PHASES[ray] for ray in rays for l in lams], eta=eta, seed=cfg.seed)
+        for i, r in enumerate(sweep.rows):
+            rows.append({"experiment": "resolvent_sweep", "variant": vname,
+                         "ray": rays[i // len(lams)], "lam_re": r.lam.real,
+                         "lam_im": r.lam.imag, "abs_lam": abs(r.lam),
+                         "sup_ratio": r.sup_ratio, "holder_ratio": r.holder_ratio,
+                         "R_inf": r.R_inf, "R_eta": r.R_eta, "eta": eta})
     return rows, verdicts_resolvent(rows)
 
 
@@ -440,23 +457,13 @@ def run_kernel_bounds(cfg: ExperimentConfig):
     fitb = operators.kernel_bound_check(cols, c_prime=c_prime)
     cpp, eta_inc, rate_inc = operators.kernel_holder_fit(op, cols)
 
-    table_rows = []
-    for col in cols:
-        for i, x in enumerate(col.window):
-            d = float(col.d_from_y[x])
-            hs = float(col.h_star[i])
-            regime = "b" if col.t >= c_prime * hs * d else "a"
-            if regime == "b" and np.isfinite(fitb.beta):
-                bound = fitb.C / col.t * math.exp(-fitb.beta * d * d / col.t)
-            elif regime == "a" and fitb.beta_a is not None:
-                bound = fitb.C_a / col.t * math.exp(-fitb.beta_a * d / max(hs, 1e-300))
-            else:
-                bound = float("nan")
-            table_rows.append({"t": col.t, "y": col.y, "x": int(x), "d": d,
-                               "h_star": hs, "regime": regime,
-                               "K_re": float(col.values[x].real),
-                               "K_im": float(col.values[x].imag),
-                               "bound_value": bound})
+    pairs = [(col, x) for col in cols for x in col.window]
+    table_rows = [{"t": col.t, "y": col.y, "x": int(x), "d": float(col.d_from_y[x]),
+                   "h_star": float(hs), "regime": "b" if in_b else "a",
+                   "K_re": float(col.values[x].real), "K_im": float(col.values[x].imag),
+                   "bound_value": float(bound)}
+                  for (col, x), hs, in_b, bound
+                  in zip(pairs, fitb.h_star, fitb.in_b, fitb.bound, strict=True)]
 
     meta_rows = []
     for col in cols:
@@ -521,15 +528,13 @@ def verdicts_embeddings(rows):
 
 
 def run_geometry(cfg: ExperimentConfig):
-    r0_key = str(cfg.get("r0"))
-    count_key = str(cfg.get("sample_count"))
-    count = None if count_key == "all" else _parse("sample_count", count_key, int)
+    count = None if cfg.get("sample_count") == "all" else _read(cfg, "sample_count", int)
     rows = []
     for lvl, tri in _family(cfg):
         g = graph.from_triangulation(tri)
         # lattice-relative radius cap keeps the probed ball patterns
         # self-similar across the refinement family
-        r0 = 2.5 * tri.h if r0_key == "auto" else _parse("r0", r0_key, float)
+        r0 = 2.5 * tri.h if cfg.get("r0") == "auto" else _read(cfg, "r0", float)
         rep = graph.geometry_report(g, r0, sample_count=count, seed=cfg.seed)
         rows.append({"experiment": "geometry", "level": lvl, "h": tri.h,
                      "r0": rep.r0, "C_D": rep.C_D, "c_L": rep.c_L, "C_P": rep.C_P,
@@ -612,7 +617,8 @@ REGISTRY = {exp.name: exp for exp in (
         (("kernel_bounds_rows.csv",
           "experiment,t,y,oracle_dev,mass,neighbor_d,max_neighbor_increment,C,beta,"
           "pass_rate_b,pass_rate_a,C_holder,eta_increment,pass_rate_holder,c_prime"),
-         ("kernel_table.csv", "t,y,x,d,h_star,regime,K_re,K_im,bound_value"))),
+         ("kernel_table.csv", "t,y,x,d,h_star,regime,K_re,K_im,bound_value")),
+        lambda cfg: _validate_lattice(cfg, "t_grid")),
     Experiment(
         "embeddings",
         dict(domain="unit_square", levels="2,3,4,5", p_sobolev="1.5", p_holder="4",
@@ -626,7 +632,8 @@ REGISTRY = {exp.name: exp for exp in (
         "geometry",
         dict(domain="unit_square", levels="3,4,5,6", r0="auto", sample_count="all"),
         run_geometry, verdicts_geometry,
-        (("geometry_rows.csv", "experiment,level,h,r0,C_D,c_L,C_P,D,balls"),)),
+        (("geometry_rows.csv", "experiment,level,h,r0,C_D,c_L,C_P,D,balls"),),
+        _validate_geometry),
 )}
 
 

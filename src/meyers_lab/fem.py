@@ -50,6 +50,11 @@ _MID_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
 # the Euclidean Holder sup adds edge midpoints only up to this many points
 _HOLDER_POINT_CAP = 8000
+# point pairs of the Holder audit, the relative residual a solve must meet,
+# and the round-off allowance of the coefficient spot check
+_AUDIT_PAIRS = 20000
+_SOLVE_RTOL = 1e-10
+_VALIDATE_SLACK = 1e-9
 
 
 @dataclass
@@ -65,16 +70,15 @@ class CoefficientField:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.matrix(np.atleast_2d(np.asarray(points, dtype=float)))
 
-    def validate(self, points, seed: int = 0, slack: float = 1e-9) -> None:
+    def validate(self, points) -> None:
         """Spot-check A xi . xi >= c |xi|^2 and the entry bound on a sample."""
-        rng = np.random.default_rng(seed)
         a = self(points)
-        xi = rng.standard_normal((len(a), 2))
+        xi = np.random.default_rng(0).standard_normal((len(a), 2))
         quad = np.einsum("kij,ki,kj->k", a, xi, xi)
         norms = np.einsum("ki,ki->k", xi, xi)
-        if np.any(quad < (self.ellipticity - slack) * norms):
+        if np.any(quad < (self.ellipticity - _VALIDATE_SLACK) * norms):
             raise FemError(f"ellipticity check failed for kind {self.kind!r}")
-        if np.any(np.abs(a) > self.bound + slack):
+        if np.any(np.abs(a) > self.bound + _VALIDATE_SLACK):
             raise FemError(f"bound check failed for kind {self.kind!r}")
 
 
@@ -266,17 +270,17 @@ class SolveResult:
     residual: float
 
 
-def solve(system: P1System, rtol: float = 1e-10) -> SolveResult:
+def solve(system: P1System) -> SolveResult:
     """Solve K u = b by sparse direct factorization. The relative residual
-    is checked against ``rtol`` (a NaN residual fails) and reported."""
+    is checked against ``_SOLVE_RTOL`` (a NaN residual fails) and reported."""
     if system.b is None:
         raise FemError("no load assembled")
     u_int = spla.spsolve(system.K.tocsc(), system.b)
     res = np.linalg.norm(system.K @ u_int - system.b)
     scale = np.linalg.norm(system.b)
     rel = float(res / scale) if scale > 0 else float(res)
-    if not rel <= rtol:
-        raise FemError(f"solve residual {rel:.3e} exceeds {rtol:.1e}")
+    if not rel <= _SOLVE_RTOL:
+        raise FemError(f"solve residual {rel:.3e} exceeds {_SOLVE_RTOL:.1e}")
     vals = np.zeros(system.tri.n_vertices)
     vals[system.interior] = u_int
     return SolveResult(VertexFunction(system.graph, vals), rel)
@@ -365,11 +369,11 @@ class P1Field:
     def holder_norm(self, eta: float) -> float:
         return float(np.abs(self.values).max()) + self.holder_seminorm(eta)
 
-    def holder_audit(self, eta: float, n_pairs: int = 20000, seed: int = 0) -> float:
+    def holder_audit(self, eta: float) -> float:
         """Random intra-triangle pairs; returns the sampled seminorm."""
-        rng = np.random.default_rng(seed)
-        t1 = rng.integers(0, self.tri.n_triangles, n_pairs)
-        t2 = rng.integers(0, self.tri.n_triangles, n_pairs)
+        rng = np.random.default_rng(0)
+        t1 = rng.integers(0, self.tri.n_triangles, _AUDIT_PAIRS)
+        t2 = rng.integers(0, self.tri.n_triangles, _AUDIT_PAIRS)
 
         def sample(ts):
             lam = rng.dirichlet(np.ones(3), len(ts))

@@ -18,6 +18,8 @@ from scipy.sparse import csgraph
 _DENSE_LIMIT = 600
 # Poincare balls are sampled at these fractions of the radius cap r0
 _POINCARE_RADIUS_FRACTIONS = (0.25, 0.5, 1.0)
+# the interior window keeps this fraction of the extent off each side of a box
+_WINDOW_MARGIN = 0.25
 
 
 class GraphError(ValueError):
@@ -101,7 +103,6 @@ class WeightedGraph:
         ends = np.concatenate([lo, hi])[order]
         self._adj_nbr = np.concatenate([hi, lo])[order]
         self._adj_ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
-        self._edge_rank = None
 
     @property
     def n_edges(self) -> int:
@@ -109,17 +110,6 @@ class WeightedGraph:
 
     def neighbors(self, x: int) -> np.ndarray:
         return self._adj_nbr[self._adj_ptr[x]:self._adj_ptr[x + 1]]
-
-    def edge_lookup(self, x: int, y: int):
-        """Edge id and orientation sign (+1 if stored as x -> y)."""
-        if self._edge_rank is None:
-            key = self.edge_u * np.int64(self.n) + self.edge_v
-            self._edge_rank = dict(zip(key.tolist(), range(self.n_edges)))
-        a, b = (x, y) if x < y else (y, x)
-        k = self._edge_rank.get(a * self.n + b)
-        if k is None:
-            raise GraphError(f"no edge between {x} and {y}")
-        return k, (1.0 if x < y else -1.0)
 
     def export_text(self) -> str:
         lines = [f"vertex {x} {float(self.m[x])!r}" for x in range(self.n)]
@@ -164,13 +154,13 @@ def lattice_box(nx: int, ny: int) -> WeightedGraph:
     return WeightedGraph(nx * ny, u, v, np.ones(len(u)), np.ones(len(u)), coords=coords)
 
 
-def box_window(g: WeightedGraph, margin: float = 0.25) -> np.ndarray:
-    """Vertices at least ``margin`` of the extent away from the bounding box."""
+def box_window(g: WeightedGraph) -> np.ndarray:
+    """Vertices at least _WINDOW_MARGIN of the extent away from the bounding box."""
     if g.coords is None:
         raise GraphError("graph has no coordinates")
     lo = g.coords.min(axis=0)
     hi = g.coords.max(axis=0)
-    pad = margin * (hi - lo)
+    pad = _WINDOW_MARGIN * (hi - lo)
     ok = np.all((g.coords >= lo + pad - 1e-12) & (g.coords <= hi - pad + 1e-12), axis=1)
     return np.nonzero(ok)[0]
 

@@ -6,10 +6,10 @@ symmetric matrix S with  <L u, v>_m = v* S u  and  (L u)(z) = (S u)(z) / m(z).
 Resolvents are sparse direct solves of S + lambda diag(m), filled into the
 sparsity pattern of S + diag(m), which is built once per operator. The
 semigroup is recovered from resolvents along a sectorial contour (two rays at
-+-theta and an arc of radius 1/t), cross-checked against a matrix-exponential
-oracle. The contour nodes come in conjugate pairs; when the operator and the
-data are real, the solve at conj(lambda) is the exact conjugate of the solve
-at lambda, so each pair shares one LU factorization.
++-theta and an arc of radius 1/t); kernel columns are cross-checked against a
+matrix-exponential oracle. The contour nodes come in conjugate pairs; when the
+operator and the data are real, the solve at conj(lambda) is the exact
+conjugate of the solve at lambda, so each pair shares one LU factorization.
 """
 from __future__ import annotations
 
@@ -29,6 +29,22 @@ TWO_PI_I = 2j * math.pi
 _RANDOM_DATA = 3
 # kernel values at or below this are round-off, left out of the decay fits
 _KERNEL_NOISE_FLOOR = 1e-12
+# probe vertices of the resolvent sweep, spread over the window
+_SWEEP_PROBES = 5
+# accretivity: the best probes refined by gradient ascent, and its steps
+_REFINE_PROBES = 10
+_REFINE_STEPS = 120
+# failure thresholds: the relative residual of a resolvent solve, and the
+# deviation of a kernel column from the matrix-exponential oracle
+_RESOLVENT_RTOL = 1e-10
+_ORACLE_TOL = 1e-6
+# contour: ray angle theta, decades of decay at which the rays end, Gauss
+# nodes on the arc, Gauss panels per ray and nodes per panel
+_THETA = 0.75 * math.pi
+_DECADES = 18.0
+_ARC_NODES = 64
+_RAY_PANELS = 10
+_PANEL_NODES = 20
 
 
 class OperatorError(ValueError):
@@ -57,9 +73,8 @@ class EdgeCoefficients:
             )
 
 
-def uniform_coefficients(g: WeightedGraph, value=1.0) -> EdgeCoefficients:
-    c = np.full(g.n_edges, value, dtype=complex)
-    return EdgeCoefficients(g, c)
+def uniform_coefficients(g: WeightedGraph) -> EdgeCoefficients:
+    return EdgeCoefficients(g, np.ones(g.n_edges, dtype=complex))
 
 
 def perturbed_coefficients(g: WeightedGraph, amplitude: float = 0.3) -> EdgeCoefficients:
@@ -94,7 +109,7 @@ class GraphOperator:
         """<L u, v>_m = sum over ordered pairs of c du conj(dv) mu."""
         return complex(np.conj(np.asarray(v)) @ (self.S @ np.asarray(u)))
 
-    def matrix(self, lam: complex = 0.0) -> sp.csc_matrix:
+    def matrix(self, lam: complex) -> sp.csc_matrix:
         """S + lam diag(m) in CSC form, bitwise equal to
         ``(S + lam * sp.diags(m)).tocsr().tocsc()``.
 
@@ -131,8 +146,8 @@ class AccretivityEstimate:
     mu_sector: float      # pi/2 + (pi/2 - omega_hat)/2
 
 
-def accretivity_angle(op: GraphOperator, n_probes: int = 1000, n_refine: int = 10,
-                      refine_steps: int = 120, seed: int = 0) -> AccretivityEstimate:
+def accretivity_angle(op: GraphOperator, n_probes: int = 1000,
+                      seed: int = 0) -> AccretivityEstimate:
     """Estimate the numerical-range angle sup |arg <L u, u>_m|.
 
     Random complex probes, then gradient ascent on |arg| from the worst ones.
@@ -145,10 +160,10 @@ def accretivity_angle(op: GraphOperator, n_probes: int = 1000, n_refine: int = 1
 
     def form_val(u):
         du = u[g.edge_v] - u[g.edge_u]
-        return np.sum(cp * w * np.abs(du) ** 2)
+        return du, np.sum(cp * w * np.abs(du) ** 2)
 
     def arg_abs(u):
-        z = form_val(u)
+        z = form_val(u)[1]
         return abs(cmath.phase(z)) if z != 0 else None
 
     probes = rng.standard_normal((n_probes, g.n)) + 1j * rng.standard_normal((n_probes, g.n))
@@ -160,13 +175,12 @@ def accretivity_angle(op: GraphOperator, n_probes: int = 1000, n_refine: int = 1
     scored.sort(key=lambda t: -t[0])
     best = scored[0][0] if scored else 0.0
 
-    for a0, u in scored[:n_refine]:
+    for a0, u in scored[:_REFINE_PROBES]:
         u = u.copy()
         step = 0.5
         cur = a0
-        for _ in range(refine_steps):
-            du = u[g.edge_v] - u[g.edge_u]
-            z = np.sum(cp * w * np.abs(du) ** 2)
+        for _ in range(_REFINE_STEPS):
+            du, z = form_val(u)
             if z == 0:
                 break
             # packed gradients of Re/Im of the form
@@ -211,7 +225,7 @@ class ResolventResult:
 
 
 def resolvent_solve(op: GraphOperator, lam, f, mu_sector: float | None = None,
-                    rtol: float = 1e-10, _factor=None) -> ResolventResult:
+                    _factor=None) -> ResolventResult:
     """Solve L u + lambda u = f, i.e. (S + lambda diag(m)) u = m f."""
     lam = complex(lam)
     if mu_sector is not None and lam != 0 and not abs(cmath.phase(lam)) < mu_sector:
@@ -224,8 +238,8 @@ def resolvent_solve(op: GraphOperator, lam, f, mu_sector: float | None = None,
     res = np.linalg.norm(a @ u - rhs)
     scale = np.linalg.norm(rhs)
     rel = float(res / scale) if scale > 0 else float(res)
-    if not rel <= rtol:
-        raise OperatorError(f"resolvent residual {rel:.2e} above {rtol:.0e}")
+    if not rel <= _RESOLVENT_RTOL:
+        raise OperatorError(f"resolvent residual {rel:.2e} above {_RESOLVENT_RTOL:.0e}")
     if np.all(np.abs(u.imag) == 0):
         u = u.real
     return ResolventResult(u, rel)
@@ -247,7 +261,6 @@ class SweepResult:
 
 
 def resolvent_bound_sweep(op: GraphOperator, lams, eta: float = 0.5,
-                          n_probes: int = 5, margin: float = 0.25,
                           seed: int = 0) -> SweepResult:
     """Resolvent decay probe over a lambda list spanning several decades.
 
@@ -261,7 +274,7 @@ def resolvent_bound_sweep(op: GraphOperator, lams, eta: float = 0.5,
     """
     g = op.graph
     rng = np.random.default_rng(seed)
-    window = box_window(g, margin)
+    window = box_window(g)
     dwin = distances_from(g, window)[:, window]
     total_m = float(g.m.sum())
 
@@ -269,7 +282,7 @@ def resolvent_bound_sweep(op: GraphOperator, lams, eta: float = 0.5,
         return f - (g.m @ f) / total_m
 
     # probe vertices spread over the window
-    take = np.unique(np.linspace(0, len(window) - 1, n_probes).astype(int))
+    take = np.unique(np.linspace(0, len(window) - 1, _SWEEP_PROBES).astype(int))
     probe_vertices = window[take]
 
     fs = []
@@ -309,36 +322,32 @@ def resolvent_bound_sweep(op: GraphOperator, lams, eta: float = 0.5,
 # ---------------------------------------------------------------------------
 # semigroup via contour quadrature
 
-def contour_nodes(t: float, theta: float = 0.75 * math.pi, ray_nodes: int = 200,
-                  arc_nodes: int = 64, decades: float = 18.0, panels: int = 10):
+def contour_nodes(t: float):
     """Quadrature nodes lambda_k and weights c_k with
     e^{-tL} = sum_k c_k (L + lambda_k)^{-1}; weights absorb e^{t lambda} and
     the 1/(2 pi i) factor. Rays are truncated where the integrand has decayed
-    by the requested number of decades."""
+    by _DECADES decades."""
     if not t > 0:
         raise OperatorError("time must be positive")
-    if not 0.5 * math.pi < theta < math.pi:
-        raise OperatorError("contour angle must lie in (pi/2, pi)")
     r0 = 1.0 / t
-    rmax = decades * math.log(10.0) / (t * abs(math.cos(theta)))
-    lams = []
-    weights = []
+    rmax = _DECADES * math.log(10.0) / (t * abs(math.cos(_THETA)))
+    lams, weights = [], []
 
     # arc of radius 1/t, counterclockwise from -theta to theta
-    xs, ws = np.polynomial.legendre.leggauss(arc_nodes)
-    sig = theta * xs
+    xs, ws = np.polynomial.legendre.leggauss(_ARC_NODES)
+    sig = _THETA * xs
     lam = r0 * np.exp(1j * sig)
-    dlam = 1j * lam * theta
+    dlam = 1j * lam * _THETA
     lams.append(lam)
     weights.append(ws * dlam * np.exp(t * lam) / TWO_PI_I)
 
-    xs, ws = np.polynomial.legendre.leggauss(max(2, ray_nodes // panels))
-    edges = r0 * (rmax / r0) ** (np.arange(panels + 1) / panels)
+    xs, ws = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    edges = r0 * (rmax / r0) ** (np.arange(_RAY_PANELS + 1) / _RAY_PANELS)
     for a, b in zip(edges[:-1], edges[1:]):
         r = 0.5 * (b - a) * xs + 0.5 * (a + b)
         jac = 0.5 * (b - a) * ws
         for sign in (+1.0, -1.0):
-            phase = cmath.exp(1j * sign * theta)
+            phase = cmath.exp(1j * sign * _THETA)
             lam = r * phase
             lams.append(lam)
             weights.append(sign * jac * phase * np.exp(t * lam) / TWO_PI_I)
@@ -346,8 +355,7 @@ def contour_nodes(t: float, theta: float = 0.75 * math.pi, ray_nodes: int = 200,
     return np.concatenate(lams), np.concatenate(weights)
 
 
-def semigroup_apply(op: GraphOperator, t: float, u0, check_oracle: bool = False,
-                    oracle_tol: float = 1e-6, **contour_kw) -> np.ndarray:
+def semigroup_apply(op: GraphOperator, t: float, u0) -> np.ndarray:
     """Apply e^{-tL} to a vector through the resolvent contour formula.
 
     For real S and real data, the solve at the conjugate of a node is the
@@ -356,7 +364,7 @@ def semigroup_apply(op: GraphOperator, t: float, u0, check_oracle: bool = False,
     the sum runs in node order either way.
     """
     u0 = np.asarray(getattr(u0, "values", u0))
-    lams, weights = contour_nodes(t, **contour_kw)
+    lams, weights = contour_nodes(t)
     acc = np.zeros(op.graph.n, dtype=complex)
     rhs = (op.m * u0).astype(complex)
     paired = np.isrealobj(op.S.data) and np.isrealobj(u0)
@@ -370,13 +378,6 @@ def semigroup_apply(op: GraphOperator, t: float, u0, check_oracle: bool = False,
         acc += w * u
         if paired:
             pending[lam] = u
-    if check_oracle:
-        dev = float(np.abs(acc - expm_oracle(op, t, u0)).max())
-        if dev > oracle_tol:
-            raise OperatorError(
-                f"contour quadrature deviates from the matrix exponential by {dev:.2e}"
-            )
-        return acc, dev
     return acc
 
 
@@ -400,24 +401,28 @@ class KernelColumn:
     oracle_dev: float
 
 
-def kernel_column(op: GraphOperator, t: float, y: int, margin: float = 0.25) -> KernelColumn:
+def kernel_column(op: GraphOperator, t: float, y: int) -> KernelColumn:
     """One kernel column K_t(., y) = (e^{-tL} e_y), tabulated with distances
     and h*, and checked against the matrix-exponential oracle."""
     g = op.graph
     e = np.zeros(g.n)
     e[y] = 1.0
-    values, dev = semigroup_apply(op, t, e, check_oracle=True)
+    values = semigroup_apply(op, t, e)
+    dev = float(np.abs(values - expm_oracle(op, t, e)).max())
+    if dev > _ORACLE_TOL:
+        raise OperatorError(f"contour quadrature deviates from the matrix "
+                            f"exponential by {dev:.2e}")
     d_y = distances_from(g, y)
     # the window and h* do not depend on t: cached on the graph per source
     cache = getattr(g, "_h_star_cache", None)
     if cache is None:
         cache = g._h_star_cache = {}
-    if (y, margin) not in cache:
-        window = box_window(g, margin) if g.coords is not None else np.arange(g.n)
+    if y not in cache:
+        window = box_window(g) if g.coords is not None else np.arange(g.n)
         hs = h_star(g, y, window)
         window.flags.writeable = hs.flags.writeable = False
-        cache[y, margin] = window, hs
-    window, hs = cache[y, margin]
+        cache[y] = window, hs
+    window, hs = cache[y]
     mass = float(np.real(np.sum(values * g.m)))
     return KernelColumn(t=t, y=y, values=values, d_from_y=d_y, window=window,
                         h_star=hs, mass=mass, oracle_dev=dev)
@@ -432,32 +437,29 @@ class KernelBoundFit:
     C_a: float | None
     beta_a: float | None
     pass_rate_a: float
+    # per tabulated pair, columns in order and the window within each
+    h_star: np.ndarray
+    in_b: np.ndarray            # t >= c_prime * h* * d
+    bound: np.ndarray           # the fitted bound tested; NaN without a fit
 
 
 def kernel_bound_check(columns, c_prime: float = 1.0) -> KernelBoundFit:
     """Fit (C, beta) for the two kernel regimes, then verify the bounds on
     every tabulated pair. The threshold between regimes is t vs
-    c_prime * h* * d; the neighbor Holder increment is kernel_holder_fit's."""
-    t_all, d_all, hs_all, k_all = [], [], [], []
-    for col in columns:
-        x = col.window
-        t_all.append(np.full(len(x), col.t))
-        d_all.append(col.d_from_y[x])
-        hs_all.append(col.h_star)
-        k_all.append(np.abs(col.values[x]))
-    t_all = np.concatenate(t_all)
-    d_all = np.concatenate(d_all)
-    hs_all = np.concatenate(hs_all)
-    k_all = np.concatenate(k_all)
+    c_prime * h* * d."""
+    t_all = np.concatenate([np.full(len(col.window), col.t) for col in columns])
+    d_all = np.concatenate([col.d_from_y[col.window] for col in columns])
+    hs_all = np.concatenate([col.h_star for col in columns])
+    k_all = np.concatenate([np.abs(col.values[col.window]) for col in columns])
 
-    thresh = c_prime * hs_all * d_all
-    in_b = t_all >= thresh
+    in_b = t_all >= c_prime * hs_all * d_all
     in_a = ~in_b
+    bound = np.full(len(t_all), np.nan)
 
     def fit_regime(mask, z, exponent):
         """(C, beta, pass rate) of t K <= C exp(-beta z) over the pairs in
         mask, or None without a positive fitted beta; exponent(beta) is
-        beta z on the mask."""
+        beta z on the mask. Fills ``bound`` on the mask."""
         usable = mask & (k_all > _KERNEL_NOISE_FLOOR) & (z > 0)
         if usable.sum() < 3:
             return None
@@ -467,19 +469,20 @@ def kernel_bound_check(columns, c_prime: float = 1.0) -> KernelBoundFit:
             return None
         t, k = t_all[mask], k_all[mask]
         C = float(np.max(t * k * np.exp(exponent(beta))))
-        return C, beta, float(np.mean(k <= (C / t) * np.exp(exponent(-beta)) * (1 + 1e-12)))
+        bound[mask] = (C / t) * np.exp(exponent(-beta))
+        return C, beta, float(np.mean(k <= bound[mask] * (1 + 1e-12)))
 
     fit_b = fit_regime(in_b, d_all**2 / t_all, lambda b: b * d_all[in_b] ** 2 / t_all[in_b])
     C, beta, rate_b = fit_b or (float("nan"), float("nan"), 0.0)
     if np.any(in_a):
-        with np.errstate(divide="ignore"):
-            w = np.where(hs_all > 0, d_all / np.where(hs_all > 0, hs_all, 1.0), 0.0)
+        w = np.where(hs_all > 0, d_all / np.where(hs_all > 0, hs_all, 1.0), 0.0)
         C_a, beta_a, rate_a = fit_regime(in_a, w, lambda b: b * w[in_a]) or (None, None, 0.0)
     else:
         beta_a, C_a, rate_a = None, None, 1.0
 
     return KernelBoundFit(c_prime=c_prime, C=C, beta=beta, pass_rate_b=rate_b,
-                          C_a=C_a, beta_a=beta_a, pass_rate_a=rate_a)
+                          C_a=C_a, beta_a=beta_a, pass_rate_a=rate_a,
+                          h_star=hs_all, in_b=in_b, bound=bound)
 
 
 def window_increments(g: WeightedGraph, col: KernelColumn):

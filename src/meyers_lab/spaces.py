@@ -23,6 +23,9 @@ from .graph import WeightedGraph, distances_all, distances_from, edge_gram
 # full distance matrix it computes once instead of per block
 _HOLDER_BLOCK = 256
 _HOLDER_DENSE_MAX = 2000
+# the dual-norm ascent stops below this relative gain, or after this many steps
+_ASCENT_TOL = 1e-6
+_ASCENT_MAX_ITER = 5000
 
 
 class SpaceError(ValueError):
@@ -55,10 +58,6 @@ class EdgeFunction:
         if v.shape != (self.graph.n_edges,):
             raise SpaceError(f"values must have shape ({self.graph.n_edges},)")
         self.values = v
-
-    def value(self, x: int, y: int):
-        k, sign = self.graph.edge_lookup(x, y)
-        return sign * self.values[k]
 
 
 def differential(f: VertexFunction) -> EdgeFunction:
@@ -195,8 +194,7 @@ def _active_set(g: WeightedGraph) -> np.ndarray:
     return g.interior if len(g.boundary) else np.arange(g.n)
 
 
-def dual_norm(f: VertexFunction, p: float, mode: str = "exact_p2",
-              tol: float = 1e-6, max_iter: int = 5000) -> DualNormResult:
+def dual_norm(f: VertexFunction, p: float, mode: str = "exact_p2") -> DualNormResult:
     """Negative-order norm of f via the pairing <f, v> = sum f conj(v) m.
 
     ``exact_p2`` (p = 2 only) solves one SPD system for the Hilbertian
@@ -282,7 +280,7 @@ def dual_norm(f: VertexFunction, p: float, mode: str = "exact_p2",
     it = 0
     converged = False
     step = 1.0
-    while it < max_iter:
+    while it < _ASCENT_MAX_ITER:
         it += 1
         nrm, gn = sum_norm_and_grad(v_act)
         pairing = float(np.real(np.vdot(fa * m_act, v_act)))
@@ -301,7 +299,7 @@ def dual_norm(f: VertexFunction, p: float, mode: str = "exact_p2",
                 v_act, best = cand, val
                 improved = True
                 step = min(2.0 * step, 1.0)
-                if rel < tol:
+                if rel < _ASCENT_TOL:
                     converged = True
                 break
             step *= 0.5

@@ -3,6 +3,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +93,19 @@ class TestConfig:
         "experiment = resolvent_sweep\neta_p = 1",
         "experiment = resolvent_sweep\nlambda_list = ,",
         "experiment = meyers_sweep\np_list = ,",
+        "experiment = kernel_bounds\nbox = 1",
+        "experiment = kernel_bounds\nbox = 2",
+        "experiment = kernel_bounds\nbox = 3",
+        "experiment = kernel_bounds\nbox = 2.5",
+        "experiment = kernel_bounds\nt_grid = -1,1",
+        "experiment = kernel_bounds\nt_grid = 1,inf",
+        "experiment = resolvent_sweep\nbox = 1",
+        "experiment = resolvent_sweep\nbox = 2",
+        "experiment = resolvent_sweep\nbox = 3",
+        "experiment = geometry\nr0 = -1",
+        "experiment = geometry\nr0 = nan",
+        "experiment = geometry\nsample_count = 0",
+        "experiment = geometry\nsample_count = 2.5",
     ])
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):
@@ -301,6 +315,22 @@ class TestRecords:
         summary_header = ",".join(_csv_rows(summary.csv_paths[-1])[0])
         assert summary_header == SUMMARY_HEADER
         assert f"<experiment>_summary.csv: {SUMMARY_HEADER}" in "\n".join(lines)
+
+
+@pytest.mark.parametrize("small_run", ["kernel_bounds"], indirect=True)
+def test_kernel_table_regimes_and_bounds_match_meta(small_run):
+    _, summary, _ = small_run
+    paths = {os.path.basename(p): p for p in summary.csv_paths}
+    _, meta = experiments._parse_csv(paths["kernel_bounds_rows.csv"])
+    _, table = experiments._parse_csv(paths["kernel_table.csv"])
+    c_prime = meta[0]["c_prime"]
+    for r in table:
+        assert (r["regime"] == "b") == (r["t"] >= c_prime * r["h_star"] * r["d"])
+    for regime in ("a", "b"):
+        sub = [r for r in table if r["regime"] == regime]
+        k = np.abs(np.array([complex(r["K_re"], r["K_im"]) for r in sub]))
+        bound = np.array([r["bound_value"] for r in sub])
+        assert sub and np.mean(k <= bound * (1 + 1e-12)) == meta[0][f"pass_rate_{regime}"]
 
 
 class TestCli:

@@ -297,7 +297,7 @@ class TestLatticeBox:
 
     def test_window_margin(self):
         g = lattice_box(8, 8)
-        w = box_window(g, 0.25)
+        w = box_window(g)
         coords = g.coords[w]
         assert coords.min() >= 0.25 * 7 - 1e-9
         assert coords.max() <= 0.75 * 7 + 1e-9
