@@ -225,6 +225,14 @@ def _validate_resolvent(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"unknown ray {ray!r}; choose from {tuple(_RAY_PHASES)}")
     if not _read(cfg, "eta_p", float) > 2:
         raise ConfigError("resolvent_sweep needs eta_p > 2")
+    if not math.isfinite(_read(cfg, "perturbation", float)):
+        raise ConfigError("resolvent_sweep needs a finite perturbation")
+
+
+def _validate_kernel(cfg: ExperimentConfig) -> None:
+    _validate_lattice(cfg, "t_grid")
+    if not 0 < _read(cfg, "c_prime", float) < math.inf:
+        raise ConfigError("kernel_bounds needs a finite c_prime > 0")
 
 
 def _validate_geometry(cfg: ExperimentConfig) -> None:
@@ -618,7 +626,7 @@ REGISTRY = {exp.name: exp for exp in (
           "experiment,t,y,oracle_dev,mass,neighbor_d,max_neighbor_increment,C,beta,"
           "pass_rate_b,pass_rate_a,C_holder,eta_increment,pass_rate_holder,c_prime"),
          ("kernel_table.csv", "t,y,x,d,h_star,regime,K_re,K_im,bound_value")),
-        lambda cfg: _validate_lattice(cfg, "t_grid")),
+        _validate_kernel),
     Experiment(
         "embeddings",
         dict(domain="unit_square", levels="2,3,4,5", p_sobolev="1.5", p_holder="4",

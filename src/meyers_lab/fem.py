@@ -363,8 +363,9 @@ class P1Field:
             if len(pts) + len(e) <= _HOLDER_POINT_CAP:
                 pts = np.vstack([pts, 0.5 * (pts[e[:, 0]] + pts[e[:, 1]])])
                 vals = np.concatenate([vals, 0.5 * (vals[e[:, 0]] + vals[e[:, 1]])])
-        return _holder_sup(vals, lambda rows: np.hypot(
-            pts[rows, None, 0] - pts[None, :, 0], pts[rows, None, 1] - pts[None, :, 1]), eta)
+        return float(_holder_sup(vals[None], lambda rows: np.hypot(
+            pts[rows, None, 0] - pts[None, :, 0], pts[rows, None, 1] - pts[None, :, 1]),
+            eta)[0])
 
     def holder_norm(self, eta: float) -> float:
         return float(np.abs(self.values).max()) + self.holder_seminorm(eta)

@@ -171,11 +171,8 @@ def distances_from(g: WeightedGraph, sources) -> np.ndarray:
 
 
 def distances_all(g: WeightedGraph) -> np.ndarray:
-    """Full distance matrix, cached on the graph for repeated norm queries."""
-    cached = getattr(g, "_dmat", None)
-    if cached is None:
-        cached = g._dmat = csgraph.dijkstra(g._metric, directed=False)
-    return cached
+    """Full distance matrix."""
+    return csgraph.dijkstra(g._metric, directed=False)
 
 
 def edge_gram(g: WeightedGraph, edge_weights) -> sp.csr_matrix:

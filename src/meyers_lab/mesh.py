@@ -155,9 +155,12 @@ class Triangulation:
         edges = np.sort(
             np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1
         )
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        uniq, inverse, counts = np.unique(edges, axis=0, return_inverse=True,
+                                          return_counts=True)
         self.edge_array = uniq
         self.edge_counts = counts
+        # edge ids of the sides (v0, v1), (v1, v2), (v2, v0) of each triangle
+        self.triangle_edges = inverse.reshape(3, -1).T
         boundary_edges = uniq[counts == 1]
         self.boundary_vertices = np.unique(boundary_edges)
 
@@ -280,25 +283,11 @@ def triangulate(polygon: Polygon, h_target: float) -> Triangulation:
 
 def refine_red(tri: Triangulation) -> Triangulation:
     """Red refinement: split every triangle into 4 children via edge midpoints."""
-    pts = tri.points
-    edges = tri.edge_array
-    midpoints = 0.5 * (pts[edges[:, 0]] + pts[edges[:, 1]])
-    mid_index = {}
-    base = len(pts)
-    for k, (a, b) in enumerate(edges):
-        mid_index[(int(a), int(b))] = base + k
-    new_pts = np.vstack([pts, midpoints])
-
-    def mid(a, b):
-        return mid_index[(a, b) if a < b else (b, a)]
-
-    children = np.empty((4 * tri.n_triangles, 3), dtype=np.int64)
-    for t, (a, b, c) in enumerate(map(tuple, tri.triangles)):
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        children[4 * t] = (a, mab, mca)
-        children[4 * t + 1] = (mab, b, mbc)
-        children[4 * t + 2] = (mca, mbc, c)
-        children[4 * t + 3] = (mab, mbc, mca)
+    new_pts = np.column_stack([red_prolong(tri, x) for x in tri.points.T])
+    a, b, c = tri.triangles.T
+    mab, mbc, mca = (tri.n_vertices + tri.triangle_edges).T
+    children = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
+                        axis=1).reshape(-1, 3)
     return Triangulation(new_pts, children, polygon=tri.polygon)
 
 

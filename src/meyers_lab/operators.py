@@ -301,16 +301,16 @@ def resolvent_bound_sweep(op: GraphOperator, lams, eta: float = 0.5,
             e[x] = 1.0
             row = lu.solve(e.astype(complex))  # resolvent row by symmetry of S
             cands.append(prep(np.conj(row)))
-        sup_ratio = 0.0
-        hol_ratio = 0.0
+        uws, fl2s = [], []
         for f in cands:
             res = resolvent_solve(op, lam, f, _factor=lu)
             fl2 = math.sqrt(float(g.m @ np.abs(f) ** 2))
-            if fl2 == 0:
-                continue
-            uw = res.u[window]
-            sup_ratio = max(sup_ratio, float(np.abs(uw).max()) / fl2)
-            hol_ratio = max(hol_ratio, _holder_sup(uw, lambda rows: dwin[rows], eta) / fl2)
+            if fl2 > 0:
+                uws.append(res.u[window])
+                fl2s.append(fl2)
+        uw, fl2 = np.array(uws).reshape(-1, len(window)), np.array(fl2s)
+        sup_ratio = float((np.abs(uw).max(axis=1) / fl2).max(initial=0.0))
+        hol_ratio = float((_holder_sup(uw, lambda rows: dwin[rows], eta) / fl2).max(initial=0.0))
         al = abs(lam)
         rows.append(SweepRow(lam, sup_ratio, hol_ratio,
                              R_inf=sup_ratio * al**0.5,

@@ -11,6 +11,8 @@ norm differ by at most sqrt(2), and reports say which one was used.
 """
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +21,8 @@ import scipy.sparse.linalg as spla
 
 from .graph import WeightedGraph, distances_all, distances_from, edge_gram
 
-# rows per block of the pairwise Holder sup, and the largest graph whose
-# full distance matrix it computes once instead of per block
+# rows per block of the pairwise Holder sup
 _HOLDER_BLOCK = 256
-_HOLDER_DENSE_MAX = 2000
 # the dual-norm ascent stops below this relative gain, or after this many steps
 _ASCENT_TOL = 1e-6
 _ASCENT_MAX_ITER = 5000
@@ -110,20 +110,23 @@ def df_grad_bracket(g: WeightedGraph, p: float) -> float:
     return max(upper, lower_inv)
 
 
-def _holder_sup(values: np.ndarray, distance_rows, eta: float) -> float:
-    """sup_{x != y} |v(x) - v(y)| / d(x, y)^eta over row blocks.
+def _holder_sup(values: np.ndarray, distance_rows, eta: float) -> np.ndarray:
+    """sup_{x != y} |v(x) - v(y)| / d(x, y)^eta for each row v of ``values``.
 
     ``distance_rows(rows)`` returns the distances from the points of the
-    slice ``rows`` to all points; pairs at distance zero are skipped.
+    slice ``rows`` to all points; its d^eta serves every row of ``values``,
+    and pairs at distance zero are skipped.
     """
-    best = 0.0
-    for start in range(0, len(values), _HOLDER_BLOCK):
-        rows = slice(start, min(start + _HOLDER_BLOCK, len(values)))
-        num = np.abs(values[rows, None] - values[None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = num / distance_rows(rows) ** eta
-        ratio[~np.isfinite(ratio)] = 0.0
-        best = max(best, float(ratio.max()))
+    best = np.zeros(len(values))
+    for start in range(0, values.shape[1], _HOLDER_BLOCK):
+        rows = slice(start, start + _HOLDER_BLOCK)
+        d_eta = distance_rows(rows) ** eta
+        for i, v in enumerate(values):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.abs(v[rows, None] - v[None, :]) / d_eta
+            ratio[~np.isfinite(ratio)] = 0.0
+            best[i] = max(best[i], ratio.max())
+        del d_eta  # freed before the next block's distances are formed
     return best
 
 
@@ -132,11 +135,8 @@ def holder_seminorm(f: VertexFunction, eta: float) -> float:
     if not 0 < eta <= 1:
         raise SpaceError("holder exponent must be in (0, 1]")
     g = f.graph
-    if g.n <= _HOLDER_DENSE_MAX:
-        full = distances_all(g)
-        return _holder_sup(f.values, lambda rows: full[rows], eta)
-    return _holder_sup(f.values, lambda rows: distances_from(
-        g, np.arange(rows.start, rows.stop)), eta)
+    return float(_holder_sup(f.values[None], lambda rows: distances_from(
+        g, np.arange(g.n)[rows]), eta)[0])
 
 
 def holder_norm(f: VertexFunction, eta: float) -> float:
@@ -155,10 +155,12 @@ class NormReport:
     holder_norm: float
 
     def csv_row(self, graph_id: str) -> str:
-        cells = [graph_id, repr(float(self.p)), repr(float(self.eta)),
-                 repr(self.lp), repr(self.grad_lp), repr(self.w1p),
-                 repr(self.holder_semi), repr(self.holder_norm)]
-        return ",".join(cells)
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow(
+            [graph_id, repr(float(self.p)), repr(float(self.eta)),
+             repr(self.lp), repr(self.grad_lp), repr(self.w1p),
+             repr(self.holder_semi), repr(self.holder_norm)])
+        return out.getvalue()
 
     csv_header = "graph_id,p,eta,lp,grad_lp,w1p,holder_semi,holder_norm"
 
@@ -325,7 +327,7 @@ def maximal_function(f: VertexFunction) -> VertexFunction:
         raise SpaceError("maximal function is all-pairs; graph too large")
     absf = np.abs(f.values)
     out = np.zeros(g.n)
-    d = distances_from(g, np.arange(g.n))
+    d = distances_all(g)
     for z in range(g.n):
         order = np.argsort(d[z], kind="stable")
         dz = d[z][order]
@@ -390,22 +392,22 @@ def embedding_report(g: WeightedGraph, p: float, trials: int = 40,
         raise SpaceError("embedding needs p < 2 (Sobolev) or p > 2 (Holder)")
     rng = np.random.default_rng(seed)
     cands = _candidate_functions(g, trials, rng)
+    fs = [VertexFunction(g, v) for v in cands]
     if p < sigma:
         if not p >= 1:
             raise SpaceError("violated inequality: 1 <= p < 2 for the Sobolev ratio")
         p_star = sigma * p / (sigma - p)
         best = 0.0
-        for v in cands:
-            f = VertexFunction(g, v)
+        for f in fs:
             gd = lp_norm(gradient_length(f), p)
             if gd > 0:
                 best = max(best, lp_norm(f, p_star) / gd)
         return EmbeddingReport(p=p, trials=trials, p_star=p_star, sobolev_ratio_max=best)
     eta = 1.0 - sigma / p
-    best = 0.0
-    for v in cands:
-        f = VertexFunction(g, v)
-        w = w1p_norm(f, p)
-        if w > 0:
-            best = max(best, holder_norm(f, eta) / w)
+    w = np.array([w1p_norm(f, p) for f in fs])
+    keep = w > 0
+    sup = np.array([lp_norm(f, np.inf) for f in fs])[keep]
+    semi = _holder_sup(np.array(cands)[keep], lambda rows: distances_from(
+        g, np.arange(g.n)[rows]), eta)
+    best = float(((sup + semi) / w[keep]).max(initial=0.0))
     return EmbeddingReport(p=p, trials=trials, eta=eta, holder_ratio_max=best)

@@ -102,6 +102,10 @@ class TestConfig:
         "experiment = resolvent_sweep\nbox = 1",
         "experiment = resolvent_sweep\nbox = 2",
         "experiment = resolvent_sweep\nbox = 3",
+        "experiment = resolvent_sweep\nperturbation = nan",
+        "experiment = resolvent_sweep\nperturbation = inf",
+        "experiment = kernel_bounds\nc_prime = nan",
+        "experiment = kernel_bounds\nc_prime = -1",
         "experiment = geometry\nr0 = -1",
         "experiment = geometry\nr0 = nan",
         "experiment = geometry\nsample_count = 0",

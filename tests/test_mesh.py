@@ -111,6 +111,36 @@ class TestRefineRed:
         assert len(mid) == 1
         assert mid[0] not in fine.boundary_vertices
 
+    @pytest.mark.parametrize("poly,h", [
+        (Polygon.unit_square(), 0.5),
+        (Polygon.symmetric_square(1.0), 1.0),
+        (Polygon([(math.cos(0.4 * math.pi * k), math.sin(0.4 * math.pi * k))
+                  for k in range(5)]), 1.5),
+    ])
+    def test_matches_per_triangle_reference(self, poly, h):
+        # the children, their order and the midpoint numbering of a loop over
+        # triangles with an edge -> midpoint dictionary
+        tri = triangulate(poly, h)
+        for _ in range(3):
+            base = tri.n_vertices
+            mid = {tuple(e): base + k for k, e in enumerate(tri.edge_array.tolist())}
+            children = []
+            for a, b, c in tri.triangles.tolist():
+                mab, mbc, mca = (mid[tuple(sorted(e))] for e in ((a, b), (b, c), (c, a)))
+                children += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
+            e = tri.edge_array
+            pts = np.vstack([tri.points, 0.5 * (tri.points[e[:, 0]] + tri.points[e[:, 1]])])
+            fine = refine_red(tri)
+            assert fine.points.tobytes() == pts.tobytes()
+            assert np.array_equal(fine.triangles, children)
+            tri = fine
+
+    def test_triangle_edges_are_the_sides(self, coarse_square_mesh):
+        tri = refine_red(coarse_square_mesh)
+        t = tri.triangles
+        sides = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1)
+        assert np.array_equal(tri.edge_array[tri.triangle_edges], np.sort(sides, axis=2))
+
     def test_prolongation_exact_for_linear(self, coarse_square_mesh):
         tri = coarse_square_mesh
         vals = 2.0 * tri.points[:, 0] - 0.7 * tri.points[:, 1] + 0.3

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meyers_lab import (SpaceError, VertexFunction, WeightedGraph,
+from meyers_lab import (SpaceError, VertexFunction, WeightedGraph, box_window,
                         df_grad_bracket, differential, distances_from,
                         dual_norm, edge_lp_norm, embedding_report,
-                        gradient_length, holder_norm, holder_seminorm, lp_norm,
-                        maximal_function, norm_report, w1p_norm)
+                        gradient_length, holder_norm, holder_seminorm,
+                        lattice_box, lp_norm, maximal_function, norm_report,
+                        w1p_norm)
+from meyers_lab.spaces import _HOLDER_BLOCK, _candidate_functions, _holder_sup
 
 from conftest import path_graph, random_graph
 
@@ -99,8 +102,8 @@ class TestNorms:
 
     @pytest.mark.parametrize("n_edges", [300, 2000])
     def test_holder_matches_dense_pairs(self, n_edges):
-        # 2001 vertices take the per-block Dijkstra branch, 301 the cached
-        # distance matrix; both must equal the dense all-pairs sup exactly
+        # one row block (301 vertices) and many (2001), each with a partial
+        # last block, must equal the dense all-pairs sup
         rng = np.random.default_rng(n_edges)
         lengths = rng.uniform(0.5, 2.0, n_edges)
         g = path_graph(lengths)
@@ -111,6 +114,37 @@ class TestNorms:
         dense = ratio[np.isfinite(ratio)].max()
         got = holder_seminorm(VertexFunction(g, v), 0.3)
         assert got == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["graph", "window"])
+    def test_holder_sup_block_equals_single_rows(self, case):
+        # a (k, n) block shares each d^eta among its rows; every row's sup
+        # must be the one a call on that row alone gives, bit for bit
+        rng = np.random.default_rng(7)
+        if case == "graph":
+            g = path_graph(rng.uniform(0.5, 2.0, 300))
+            values = rng.standard_normal((5, g.n))
+            rows_of = lambda rows: distances_from(g, np.arange(g.n)[rows])
+        else:
+            g = lattice_box(40, 40)
+            window = box_window(g)
+            dwin = distances_from(g, window)[:, window]
+            values = rng.standard_normal((4, len(window))) \
+                + 1j * rng.standard_normal((4, len(window)))
+            rows_of = lambda rows: dwin[rows]
+        assert values.shape[1] % _HOLDER_BLOCK != 0
+        block = _holder_sup(values, rows_of, 0.3)
+        singles = [_holder_sup(v[None], rows_of, 0.3)[0] for v in values]
+        assert block.tobytes() == np.array(singles).tobytes()
+
+    def test_holder_queries_leave_graph_unchanged(self, coarse_square_graph):
+        g = coarse_square_graph
+        before = dict(vars(g))
+        f = VertexFunction(g, np.random.default_rng(4).standard_normal(g.n))
+        holder_seminorm(f, 0.5)
+        holder_norm(f, 0.5)
+        embedding_report(g, 4.0, trials=5)
+        assert vars(g).keys() == before.keys()
+        assert all(vars(g)[k] is v for k, v in before.items())
 
     def test_w1p_is_sum(self):
         rng = np.random.default_rng(1)
@@ -142,6 +176,11 @@ class TestNorms:
         row = rep.csv_row("g0")
         assert row.startswith("g0,2.0,0.5,")
         assert len(row.split(",")) == len(rep.csv_header.split(","))
+        graph_id = 'mesh "a", level 3'
+        cells, = csv.reader([rep.csv_row(graph_id)])
+        assert len(cells) == len(rep.csv_header.split(","))
+        assert cells[0] == graph_id
+        assert cells[1:] == row.split(",")[1:]
 
     def test_antisymmetric_reads(self, coarse_square_graph):
         g = coarse_square_graph
@@ -312,6 +351,16 @@ class TestEmbeddings:
         rep = embedding_report(coarse_square_graph, 4.0, trials=5)
         assert rep.eta == pytest.approx(0.5)
         assert rep.holder_ratio_max > 0
+
+    def test_holder_ratio_is_max_over_candidates(self, coarse_square_graph):
+        g = coarse_square_graph
+        rep = embedding_report(g, 4.0, trials=5, seed=2)
+        best = 0.0
+        for v in _candidate_functions(g, 5, np.random.default_rng(2)):
+            f = VertexFunction(g, v)
+            if w1p_norm(f, 4.0) > 0:
+                best = max(best, holder_norm(f, 0.5) / w1p_norm(f, 4.0))
+        assert rep.holder_ratio_max == best
 
     def test_p_equals_sigma_rejected(self, coarse_square_graph):
         with pytest.raises(SpaceError):
