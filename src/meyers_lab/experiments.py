@@ -191,8 +191,12 @@ def _validate_counterexample(cfg: ExperimentConfig) -> None:
 
 
 def _validate_rate_theta(cfg: ExperimentConfig) -> None:
-    if not _read(cfg, "p_probe", float) > 2:
-        raise ConfigError("rate_theta needs p_probe > 2")
+    eps = _read(cfg, "eps_probe", float)
+    if not 0 < eps < math.inf:
+        raise ConfigError("rate_theta needs a finite eps_probe > 0")
+    # theta in (0, 1): p_probe strictly between the endpoints 2 and 2 + eps
+    if not 2 < _read(cfg, "p_probe", float) < 2 + eps:
+        raise ConfigError("rate_theta needs 2 < p_probe < 2 + eps_probe")
     if _read(cfg, "center_level", int) not in _read(cfg, "levels", _ints):
         raise ConfigError("rate_theta needs center_level among the levels")
     _coefficient(cfg)
@@ -231,6 +235,9 @@ def _validate_resolvent(cfg: ExperimentConfig) -> None:
 
 def _validate_kernel(cfg: ExperimentConfig) -> None:
     _validate_lattice(cfg, "t_grid")
+    # one time gives the increment fit a single abscissa on a unit lattice
+    if len(set(_read(cfg, "t_grid", _floats))) < 2:
+        raise ConfigError("kernel_bounds needs at least two distinct times in t_grid")
     if not 0 < _read(cfg, "c_prime", float) < math.inf:
         raise ConfigError("kernel_bounds needs a finite c_prime > 0")
 
@@ -324,15 +331,13 @@ def run_holder_convergence(cfg: ExperimentConfig):
         prev = None
         for lvl, tri in _family(cfg):
             res, fld, lhuh = _solve_cell(tri, coeff, fload)
-            hn = fld.holder_seminorm(eta, include_midpoints=False) \
-                + float(np.abs(fld.values).max())
+            hn = fld.holder_seminorm(eta) + float(np.abs(fld.values).max())
             diff = ""
             if prev is not None:
                 ptri, pvals = prev
                 dvals = mesh.red_prolong(ptri, pvals) - res.u.values
                 dfld = fem.reconstruct(tri, dvals)
-                diff = dfld.holder_seminorm(eta, include_midpoints=False) \
-                    + float(np.abs(dvals).max())
+                diff = dfld.holder_seminorm(eta) + float(np.abs(dvals).max())
             rows.append({"experiment": "holder_convergence", "p": p, "eta": eta,
                          "level": lvl, "h": tri.h, "holder_norm": hn,
                          "cauchy_diff": diff, "lhuh_rel": lhuh})
@@ -461,30 +466,27 @@ def run_kernel_bounds(cfg: ExperimentConfig):
     g = graph.lattice_box(box, box)
     op = operators.build_operator(g, operators.uniform_coefficients(g))
     y = (box // 2) * box + box // 2
-    cols = [operators.kernel_column(op, t, y) for t in ts]
-    fitb = operators.kernel_bound_check(cols, c_prime=c_prime)
-    cpp, eta_inc, rate_inc = operators.kernel_holder_fit(op, cols)
+    col = operators.kernel_column(op, ts, y)
+    fitb = operators.kernel_bound_check(col, c_prime=c_prime)
+    cpp, eta_inc, rate_inc = operators.kernel_holder_fit(col)
 
-    pairs = [(col, x) for col in cols for x in col.window]
-    table_rows = [{"t": col.t, "y": col.y, "x": int(x), "d": float(col.d_from_y[x]),
-                   "h_star": float(hs), "regime": "b" if in_b else "a",
-                   "K_re": float(col.values[x].real), "K_im": float(col.values[x].imag),
+    pairs = [(i, j, x) for i in range(len(ts)) for j, x in enumerate(col.window)]
+    table_rows = [{"t": ts[i], "y": y, "x": int(x), "d": float(col.d[j]),
+                   "h_star": float(col.h_star[j]), "regime": "b" if in_b else "a",
+                   "K_re": float(col.values[i, x].real), "K_im": float(col.values[i, x].imag),
                    "bound_value": float(bound)}
-                  for (col, x), hs, in_b, bound
-                  in zip(pairs, fitb.h_star, fitb.in_b, fitb.bound, strict=True)]
+                  for (i, j, x), in_b, bound in zip(pairs, fitb.in_b, fitb.bound, strict=True)]
 
-    meta_rows = []
-    for col in cols:
-        inc, lengths = operators.window_increments(g, col)
-        meta_rows.append({"experiment": "kernel_bounds", "t": col.t, "y": col.y,
-                          "oracle_dev": col.oracle_dev, "mass": col.mass,
-                          "neighbor_d": float(lengths.max()),
-                          "max_neighbor_increment": float(inc.max()),
-                          "C": fitb.C, "beta": fitb.beta,
-                          "pass_rate_b": fitb.pass_rate_b,
-                          "pass_rate_a": fitb.pass_rate_a,
-                          "C_holder": cpp, "eta_increment": eta_inc,
-                          "pass_rate_holder": rate_inc, "c_prime": c_prime})
+    meta_rows = [{"experiment": "kernel_bounds", "t": t, "y": y,
+                  "oracle_dev": float(col.oracle_dev[i]), "mass": float(col.mass[i]),
+                  "neighbor_d": float(col.edge_h.max()),
+                  "max_neighbor_increment": float(col.increments[i].max()),
+                  "C": fitb.C, "beta": fitb.beta,
+                  "pass_rate_b": fitb.pass_rate_b,
+                  "pass_rate_a": fitb.pass_rate_a,
+                  "C_holder": cpp, "eta_increment": eta_inc,
+                  "pass_rate_holder": rate_inc, "c_prime": c_prime}
+                 for i, t in enumerate(ts)]
     return (meta_rows, table_rows), verdicts_kernel(meta_rows)
 
 

@@ -48,8 +48,6 @@ _Q4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 
 _MID_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
-# the Euclidean Holder sup adds edge midpoints only up to this many points
-_HOLDER_POINT_CAP = 8000
 # point pairs of the Holder audit, the relative residual a solve must meet,
 # and the round-off allowance of the coefficient spot check
 _AUDIT_PAIRS = 20000
@@ -352,18 +350,11 @@ class P1Field:
     def w1p_error(self, exact, grad_exact, p: float) -> float:
         return self.lp_error(exact, p) + self.grad_lp_error(grad_exact, p)
 
-    def holder_seminorm(self, eta: float, include_midpoints: bool = True) -> float:
-        """Euclidean Holder seminorm over vertices (plus edge midpoints when
-        the point budget allows); for P1 fields the vertex sup is the working
-        assumption, audited separately."""
+    def holder_seminorm(self, eta: float) -> float:
+        """Euclidean Holder seminorm over the vertices; for P1 fields the
+        vertex sup is the working assumption, audited by ``holder_audit``."""
         pts = self.tri.points
-        vals = self.values
-        if include_midpoints:
-            e = self.tri.edge_array
-            if len(pts) + len(e) <= _HOLDER_POINT_CAP:
-                pts = np.vstack([pts, 0.5 * (pts[e[:, 0]] + pts[e[:, 1]])])
-                vals = np.concatenate([vals, 0.5 * (vals[e[:, 0]] + vals[e[:, 1]])])
-        return float(_holder_sup(vals[None], lambda rows: np.hypot(
+        return float(_holder_sup(self.values[None], lambda rows: np.hypot(
             pts[rows, None, 0] - pts[None, :, 0], pts[rows, None, 1] - pts[None, :, 1]),
             eta)[0])
 

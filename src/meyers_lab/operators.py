@@ -391,41 +391,48 @@ def expm_oracle(op: GraphOperator, t: float, u0) -> np.ndarray:
 
 @dataclass
 class KernelColumn:
-    t: float
+    """K_t(., y) for every time of ``ts``, with what depends on y alone: the
+    window, d(., y) and h*_{.y} on it, and the edges inside it."""
+    ts: np.ndarray
     y: int
-    values: np.ndarray          # K_t(., y) over all vertices
-    d_from_y: np.ndarray
+    values: np.ndarray          # K_t(., y) over all vertices, one row per time
     window: np.ndarray
+    d: np.ndarray               # d(x, y) for x in window
     h_star: np.ndarray          # h*_{xy} for x in window
-    mass: float                 # sum_x K(x, y) m(x); equals m(y) when L1 = 0
-    oracle_dev: float
+    edge_h: np.ndarray          # lengths of the edges with both ends in window
+    increments: np.ndarray      # |K_t(x, y) - K_t(x', y)| over those edges, per time
+    mass: np.ndarray            # sum_x K_t(x, y) m(x) per time; m(y) when L1 = 0
+    oracle_dev: np.ndarray      # per time
 
 
-def kernel_column(op: GraphOperator, t: float, y: int) -> KernelColumn:
-    """One kernel column K_t(., y) = (e^{-tL} e_y), tabulated with distances
-    and h*, and checked against the matrix-exponential oracle."""
+def kernel_column(op: GraphOperator, ts, y: int) -> KernelColumn:
+    """Kernel columns K_t(., y) = (e^{-tL} e_y)(.) for every t in ``ts``, each
+    checked against the matrix-exponential oracle. The window, distances, h*
+    and window edges are tabulated once, before the contours, so h*'s
+    distance rows are freed before the first factorization."""
     g = op.graph
+    ts = np.asarray(ts, dtype=float)
+    window = box_window(g) if g.coords is not None else np.arange(g.n)
+    d = distances_from(g, y)[window]
+    hs = h_star(g, y, window)
+    inw = np.zeros(g.n, dtype=bool)
+    inw[window] = True
+    inside = inw[g.edge_u] & inw[g.edge_v]
     e = np.zeros(g.n)
     e[y] = 1.0
-    values = semigroup_apply(op, t, e)
-    dev = float(np.abs(values - expm_oracle(op, t, e)).max())
-    if dev > _ORACLE_TOL:
-        raise OperatorError(f"contour quadrature deviates from the matrix "
-                            f"exponential by {dev:.2e}")
-    d_y = distances_from(g, y)
-    # the window and h* do not depend on t: cached on the graph per source
-    cache = getattr(g, "_h_star_cache", None)
-    if cache is None:
-        cache = g._h_star_cache = {}
-    if y not in cache:
-        window = box_window(g) if g.coords is not None else np.arange(g.n)
-        hs = h_star(g, y, window)
-        window.flags.writeable = hs.flags.writeable = False
-        cache[y] = window, hs
-    window, hs = cache[y]
-    mass = float(np.real(np.sum(values * g.m)))
-    return KernelColumn(t=t, y=y, values=values, d_from_y=d_y, window=window,
-                        h_star=hs, mass=mass, oracle_dev=dev)
+    values = np.empty((len(ts), g.n), dtype=complex)
+    mass, dev = np.empty(len(ts)), np.empty(len(ts))
+    for i, t in enumerate(ts.tolist()):
+        values[i] = semigroup_apply(op, t, e)
+        dev[i] = np.abs(values[i] - expm_oracle(op, t, e)).max()
+        if dev[i] > _ORACLE_TOL:
+            raise OperatorError(f"contour quadrature deviates from the matrix "
+                                f"exponential by {dev[i]:.2e}")
+        mass[i] = np.real(np.sum(values[i] * g.m))
+    increments = np.abs(values[:, g.edge_v[inside]] - values[:, g.edge_u[inside]])
+    return KernelColumn(ts=ts, y=y, values=values, window=window, d=d, h_star=hs,
+                        edge_h=g.edge_h[inside], increments=increments, mass=mass,
+                        oracle_dev=dev)
 
 
 @dataclass
@@ -437,20 +444,19 @@ class KernelBoundFit:
     C_a: float | None
     beta_a: float | None
     pass_rate_a: float
-    # per tabulated pair, columns in order and the window within each
-    h_star: np.ndarray
+    # per tabulated pair, times in order and the window within each
     in_b: np.ndarray            # t >= c_prime * h* * d
     bound: np.ndarray           # the fitted bound tested; NaN without a fit
 
 
-def kernel_bound_check(columns, c_prime: float = 1.0) -> KernelBoundFit:
+def kernel_bound_check(col: KernelColumn, c_prime: float = 1.0) -> KernelBoundFit:
     """Fit (C, beta) for the two kernel regimes, then verify the bounds on
     every tabulated pair. The threshold between regimes is t vs
     c_prime * h* * d."""
-    t_all = np.concatenate([np.full(len(col.window), col.t) for col in columns])
-    d_all = np.concatenate([col.d_from_y[col.window] for col in columns])
-    hs_all = np.concatenate([col.h_star for col in columns])
-    k_all = np.concatenate([np.abs(col.values[col.window]) for col in columns])
+    t_all = np.repeat(col.ts, len(col.window))
+    d_all = np.tile(col.d, len(col.ts))
+    hs_all = np.tile(col.h_star, len(col.ts))
+    k_all = np.abs(col.values[:, col.window]).ravel()
 
     in_b = t_all >= c_prime * hs_all * d_all
     in_a = ~in_b
@@ -482,28 +488,14 @@ def kernel_bound_check(columns, c_prime: float = 1.0) -> KernelBoundFit:
 
     return KernelBoundFit(c_prime=c_prime, C=C, beta=beta, pass_rate_b=rate_b,
                           C_a=C_a, beta_a=beta_a, pass_rate_a=rate_a,
-                          h_star=hs_all, in_b=in_b, bound=bound)
+                          in_b=in_b, bound=bound)
 
 
-def window_increments(g: WeightedGraph, col: KernelColumn):
-    """|K_t(x, y) - K_t(x', y)| and the edge length h_xx' over the edges
-    (x, x') with both ends in the column's window."""
-    inw = np.zeros(g.n, dtype=bool)
-    inw[col.window] = True
-    mask = inw[g.edge_u] & inw[g.edge_v]
-    return np.abs(col.values[g.edge_v[mask]] - col.values[g.edge_u[mask]]), g.edge_h[mask]
-
-
-def kernel_holder_fit(op: GraphOperator, columns) -> tuple[float, float, float]:
+def kernel_holder_fit(col: KernelColumn) -> tuple[float, float, float]:
     """(C'', eta, pass_rate) for |K_t(x, y) - K_t(x', y)| over neighbor pairs
     (x, x') inside the window."""
-    zs, ys = [], []
-    for col in columns:
-        du, dd = window_increments(op.graph, col)
-        zs.append(np.log(dd / math.sqrt(col.t)))
-        ys.append(col.t * du)
-    z = np.concatenate(zs)
-    y = np.concatenate(ys)
+    z = np.log(col.edge_h / np.sqrt(col.ts)[:, None]).ravel()
+    y = (col.ts[:, None] * col.increments).ravel()
     good = y > 1e-14
     if good.sum() < 3:
         raise OperatorError("not enough increments for the Holder fit")

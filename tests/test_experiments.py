@@ -99,6 +99,15 @@ class TestConfig:
         "experiment = kernel_bounds\nbox = 2.5",
         "experiment = kernel_bounds\nt_grid = -1,1",
         "experiment = kernel_bounds\nt_grid = 1,inf",
+        "experiment = kernel_bounds\nt_grid = 1",
+        "experiment = kernel_bounds\nt_grid = 1,1",
+        "experiment = rate_theta\neps_probe = 0",
+        "experiment = rate_theta\neps_probe = nan",
+        "experiment = rate_theta\neps_probe = inf",
+        "experiment = rate_theta\neps_probe = -0.5",
+        "experiment = rate_theta\np_probe = 3",
+        "experiment = rate_theta\np_probe = 2.5",
+        "experiment = rate_theta\np_probe = nan",
         "experiment = resolvent_sweep\nbox = 1",
         "experiment = resolvent_sweep\nbox = 2",
         "experiment = resolvent_sweep\nbox = 3",

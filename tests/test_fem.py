@@ -287,7 +287,7 @@ class TestReconstruct:
         d = np.hypot(p[:, None, 0] - p[None, :, 0], p[:, None, 1] - p[None, :, 1])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.abs(vals[:, None] - vals[None, :]) / d**0.4
-        got = reconstruct(tri, vals).holder_seminorm(0.4, include_midpoints=False)
+        got = reconstruct(tri, vals).holder_seminorm(0.4)
         assert got == ratio[np.isfinite(ratio)].max()
 
     def test_point_outside_mesh(self, coarse_square_mesh):

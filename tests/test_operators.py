@@ -9,7 +9,8 @@ import scipy.sparse.linalg as spla
 from meyers_lab import operators
 from meyers_lab import (EdgeCoefficients, OperatorError, accretivity_angle,
                         build_operator, contour_nodes, df_grad_bracket,
-                        expm_oracle, gradient_length, kernel_bound_check,
+                        distances_from, expm_oracle, gradient_length, h_star,
+                        kernel_bound_check,
                         kernel_column, kernel_holder_fit, lattice_box,
                         perturbed_coefficients, rescale, resolvent_solve,
                         semigroup_apply, uniform_coefficients, VertexFunction)
@@ -212,25 +213,25 @@ class TestContour:
         w, q = np.linalg.eigh(sym)
         e = np.zeros(g.n)
         e[y] = 1.0
-        for t in (0.1, 1.0, 10.0):
-            col = kernel_column(op, t, y)
-            assert col.oracle_dev <= 1e-8
+        col = kernel_column(op, (0.1, 1.0, 10.0), y)
+        for t, values, dev in zip(col.ts, col.values, col.oracle_dev):
+            assert dev <= 1e-8
             eig = (q @ (np.exp(-t * w) * (q.T @ (root * e)))) / root
-            assert np.abs(col.values - eig).max() <= 1e-8
+            assert np.abs(values - eig).max() <= 1e-8
 
     def test_kernel_measure_symmetry(self, box16):
         op = build_operator(box16, perturbed_coefficients(box16, 0.3))
         x, y = 5 * 16 + 5, 9 * 16 + 8
-        cx = kernel_column(op, 1.0, x)
-        cy = kernel_column(op, 1.0, y)
-        lhs = box16.m[y] * cx.values[y]
-        rhs = box16.m[x] * cy.values[x]
+        cx = kernel_column(op, [1.0], x)
+        cy = kernel_column(op, [1.0], y)
+        lhs = box16.m[y] * cx.values[0, y]
+        rhs = box16.m[x] * cy.values[0, x]
         assert abs(lhs - rhs) <= 1e-10
 
     def test_kernel_mass_conservation(self, op16):
         y = 7 * 16 + 7
-        col = kernel_column(op16, 2.0, y)
-        assert col.mass == pytest.approx(op16.graph.m[y], abs=1e-9)
+        col = kernel_column(op16, [2.0], y)
+        assert col.mass[0] == pytest.approx(op16.graph.m[y], abs=1e-9)
 
     def test_semigroup_property(self, op16):
         y = 6 * 16 + 9
@@ -247,7 +248,7 @@ class TestContour:
         monkeypatch.setattr(operators, "contour_nodes",
                             lambda t: tuple(a[::40] for a in nodes(t)))
         with pytest.raises(OperatorError, match="deviates"):
-            kernel_column(op16, 1.0, 0)
+            kernel_column(op16, [1.0], 0)
 
     @staticmethod
     def _per_node_reference(op, t, u0):
@@ -285,25 +286,49 @@ class TestContour:
 
 
 @pytest.fixture(scope="module")
-def columns():
+def column():
     g = lattice_box(20, 20)
     op = build_operator(g, uniform_coefficients(g))
-    y = 10 * 20 + 10
-    cols = [kernel_column(op, t, y) for t in (0.5, 1.0, 2.0, 4.0)]
-    return g, op, cols
+    col = kernel_column(op, (0.5, 1.0, 2.0, 4.0), 10 * 20 + 10)
+    return g, op, col
 
 
 class TestKernelBounds:
-    def test_window_and_h_star_shared_across_times(self, columns):
-        g, op, cols = columns
-        again = kernel_column(op, 3.0, cols[0].y)
-        assert np.array_equal(again.window, cols[0].window)
-        assert np.array_equal(again.h_star, cols[0].h_star)
-        assert again.h_star is cols[-1].h_star
+    def test_bitwise_equal_to_per_time_references(self, column):
+        g, op, col = column
+        e = np.zeros(g.n)
+        e[col.y] = 1.0
+        assert col.values.shape == (len(col.ts), g.n)
+        for i, t in enumerate(col.ts.tolist()):
+            ref = semigroup_apply(op, t, e)
+            assert col.values[i].tobytes() == ref.tobytes()
+            assert col.oracle_dev[i] == np.abs(ref - expm_oracle(op, t, e)).max()
+            assert col.mass[i] == float(np.real(np.sum(ref * g.m)))
+        assert col.d.tobytes() == distances_from(g, col.y)[col.window].tobytes()
+        assert col.h_star.tobytes() == h_star(g, col.y, col.window).tobytes()
 
-    def test_h_star_uniform(self, columns):
-        _, _, cols = columns
-        col = cols[0]
+    def test_increments_match_per_time_edge_formula(self, column):
+        g, _, col = column
+        inw = np.zeros(g.n, dtype=bool)
+        inw[col.window] = True
+        mask = inw[g.edge_u] & inw[g.edge_v]
+        assert np.array_equal(col.edge_h, g.edge_h[mask])
+        assert col.increments.shape == (len(col.ts), mask.sum())
+        for values, inc in zip(col.values, col.increments):
+            want = np.abs(values[g.edge_v[mask]] - values[g.edge_u[mask]])
+            assert inc.tobytes() == want.tobytes()
+            assert inc.max() == want.max()
+
+    def test_graph_left_unchanged(self):
+        g = lattice_box(10, 10)
+        op = build_operator(g, uniform_coefficients(g))
+        before = dict(vars(g))
+        kernel_column(op, (0.5, 1.0), 5 * 10 + 5)
+        assert vars(g).keys() == before.keys()
+        assert all(vars(g)[k] is v for k, v in before.items())
+
+    def test_h_star_uniform(self, column):
+        _, _, col = column
         y_in_window = np.nonzero(col.window == col.y)[0]
         hs = col.h_star.copy()
         if len(y_in_window):
@@ -311,35 +336,35 @@ class TestKernelBounds:
             hs = np.delete(hs, y_in_window[0])
         assert np.all(hs == 1.0)
 
-    def test_regime_b_fit(self, columns):
-        _, _, cols = columns
-        fit = kernel_bound_check(cols, c_prime=1.0)
+    def test_regime_b_fit(self, column):
+        _, _, col = column
+        fit = kernel_bound_check(col, c_prime=1.0)
         assert fit.beta > 0
         assert fit.pass_rate_b == 1.0
         assert fit.C > 0
 
-    def test_regime_a_fit(self, columns):
-        _, _, cols = columns
-        fit = kernel_bound_check(cols, c_prime=1.0)
+    def test_regime_a_fit(self, column):
+        _, _, col = column
+        fit = kernel_bound_check(col, c_prime=1.0)
         assert fit.pass_rate_a == 1.0
 
-    def test_diagonal_pairs_set_floor(self, columns):
-        _, _, cols = columns
-        fit = kernel_bound_check(cols, c_prime=1.0)
-        for col in cols:
-            if col.y in set(col.window.tolist()):
-                assert abs(col.values[col.y]) <= fit.C / col.t + 1e-12
+    def test_diagonal_pairs_set_floor(self, column):
+        _, _, col = column
+        fit = kernel_bound_check(col, c_prime=1.0)
+        assert col.y in set(col.window.tolist())
+        for t, values in zip(col.ts, col.values):
+            assert abs(values[col.y]) <= fit.C / t + 1e-12
 
-    def test_c_prime_scan(self, columns):
-        _, _, cols = columns
+    def test_c_prime_scan(self, column):
+        _, _, col = column
         for cp in (0.5, 1.0, 2.0):
-            fit = kernel_bound_check(cols, c_prime=cp)
+            fit = kernel_bound_check(col, c_prime=cp)
             assert fit.c_prime == cp
             assert fit.pass_rate_b == 1.0
 
-    def test_holder_increment_fit(self, columns):
-        _, op, cols = columns
-        cpp, eta, rate = kernel_holder_fit(op, cols)
+    def test_holder_increment_fit(self, column):
+        _, _, col = column
+        cpp, eta, rate = kernel_holder_fit(col)
         assert eta > 0
         assert rate == 1.0
         assert cpp > 0
