@@ -9,8 +9,8 @@ op = ml.build_operator(g, ml.uniform_coefficients(g))
 y = 16 * 32 + 16
 
 print("kernel columns from the sectorial contour (two rays at 3 pi / 4 and")
-print("an arc of radius 1/t, one sparse solve per node), checked against the")
-print("matrix-exponential oracle:")
+print("an arc of radius 1/t, one LU per conjugate node pair for this real")
+print("operator), checked against the matrix-exponential oracle:")
 ts = (0.5, 1.0, 2.0, 4.0)
 col = ml.kernel_column(op, ts, y)
 for t, values, dev, mass in zip(ts, col.values, col.oracle_dev, col.mass):

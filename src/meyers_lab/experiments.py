@@ -145,26 +145,26 @@ def _family(cfg: ExperimentConfig) -> list[tuple[int, mesh.Triangulation]]:
     """(level, mesh) over the red-refinement family of the config's domain;
     level k targets grid spacing 2^-k."""
     levels = _read(cfg, "levels", _ints)
-    if levels != sorted(levels) or len(set(levels)) != len(levels):
-        raise ConfigError("levels must be strictly increasing")
     tris = [mesh.triangulate(_read(cfg, "domain", _domain), 2.0 ** -levels[0])]
-    for prev, cur in zip(levels, levels[1:]):
-        if cur != prev + 1:
-            raise ConfigError("levels must be consecutive for the nested family")
+    for _ in levels[1:]:
         tris.append(mesh.refine_red(tris[-1]))
     return list(zip(levels, tris))
 
 
-def _solve_cell(tri, coeff, f):
-    """Solution, its P1 field, and the max deviation of apply_Lh(u) from -f_h
-    relative to max |f_h|."""
-    system = fem.assemble(tri, coeff)
-    fem.load(system, f)
-    res = fem.solve(system)
-    lh = fem.apply_Lh(system, res.u).values
-    target = -fem.f_h(system).values
-    scale = float(np.abs(target).max()) or 1.0
-    return res, fem.reconstruct(tri, res.u), float(np.abs(lh - target).max() / scale)
+def _solved_family(cfg: ExperimentConfig, coeff, f) -> list[tuple]:
+    """(level, mesh, P1 solution, lhuh_rel) per level, one solve each; lhuh_rel
+    is max |apply_Lh(u) + f_h| relative to max |f_h|."""
+    cells = []
+    for lvl, tri in _family(cfg):
+        system = fem.assemble(tri, coeff)
+        fem.load(system, f)
+        res = fem.solve(system)
+        lh = fem.apply_Lh(system, res.u).values
+        target = -fem.f_h(system).values
+        scale = float(np.abs(target).max()) or 1.0
+        cells.append((lvl, tri, fem.reconstruct(tri, res.u),
+                      float(np.abs(lh - target).max() / scale)))
+    return cells
 
 
 def _verdict(name, value, ok, threshold) -> dict:
@@ -175,22 +175,40 @@ def _verdict(name, value, ok, threshold) -> dict:
 # ---------------------------------------------------------------------------
 # validation
 
-def _validate_p_above_2(cfg: ExperimentConfig) -> None:
+def _validate_family(cfg: ExperimentConfig, min_levels: int) -> None:
+    """A known domain and at least ``min_levels`` consecutive levels."""
+    levels = _read(cfg, "levels", _ints)
+    if len(levels) < min_levels:
+        raise ConfigError(f"{cfg.experiment} needs at least {min_levels} levels")
+    if any(cur != prev + 1 for prev, cur in zip(levels, levels[1:])):
+        raise ConfigError("levels must be consecutive increasing integers")
+    _read(cfg, "domain", _domain)
+
+
+def _validate_sweep(cfg: ExperimentConfig, p_min: float, problem=None) -> None:
+    """p_list above p_min, a family for the slope fits (3 levels), a known load."""
     for p in _read(cfg, "p_list", _floats):
-        if not p > 2:
-            raise ConfigError(f"{cfg.experiment} needs p > 2, got {p}")
+        if not p > p_min:
+            raise ConfigError(f"{cfg.experiment} needs p > {p_min}, got {p}")
+    _validate_family(cfg, 3)
+    _load_spec(cfg.get("f"), problem)
+
+
+def _validate_p_above_2(cfg: ExperimentConfig) -> None:
+    _validate_sweep(cfg, 2)
     _coefficient(cfg)
 
 
 def _validate_counterexample(cfg: ExperimentConfig) -> None:
-    for p in _read(cfg, "p_list", _floats):
-        if not p > 1:
-            raise ConfigError("counterexample needs p > 1")
-    if _coefficient(cfg).eps is None:
+    eps = _coefficient(cfg).eps
+    if eps is None:
         raise ConfigError("counterexample needs a meyers:<eps> coefficient")
+    _validate_sweep(cfg, 1, fem.meyers_problem(eps))
 
 
 def _validate_rate_theta(cfg: ExperimentConfig) -> None:
+    _validate_family(cfg, 3)
+    _load_spec(cfg.get("f"))
     eps = _read(cfg, "eps_probe", float)
     if not 0 < eps < math.inf:
         raise ConfigError("rate_theta needs a finite eps_probe > 0")
@@ -213,17 +231,21 @@ def _rays(cfg: ExperimentConfig) -> list[str]:
     return [s.strip() for s in str(cfg.get("rays")).split(",")]
 
 
-def _validate_lattice(cfg: ExperimentConfig, key: str) -> None:
-    """box >= _MIN_BOX, and ``key`` a list of finite values > 0."""
+def _validate_lattice(cfg: ExperimentConfig, key: str, distinct: int) -> None:
+    """box >= _MIN_BOX, and ``key`` a list of finite values > 0 with at least
+    ``distinct`` distinct ones."""
     if not _read(cfg, "box", int) >= _MIN_BOX:
         raise ConfigError(f"{cfg.experiment} needs box >= {_MIN_BOX}")
-    for v in _read(cfg, key, _floats):
+    vals = _read(cfg, key, _floats)
+    for v in vals:
         if not 0 < v < math.inf:
             raise ConfigError(f"{cfg.experiment} needs finite {key} > 0, got {v}")
+    if len(set(vals)) < distinct:
+        raise ConfigError(f"{cfg.experiment} needs {distinct} distinct values in {key}")
 
 
 def _validate_resolvent(cfg: ExperimentConfig) -> None:
-    _validate_lattice(cfg, "lambda_list")
+    _validate_lattice(cfg, "lambda_list", 3)  # a decay slope per ray over |lambda|
     for ray in _rays(cfg):
         if ray not in _RAY_PHASES:
             raise ConfigError(f"unknown ray {ray!r}; choose from {tuple(_RAY_PHASES)}")
@@ -234,15 +256,14 @@ def _validate_resolvent(cfg: ExperimentConfig) -> None:
 
 
 def _validate_kernel(cfg: ExperimentConfig) -> None:
-    _validate_lattice(cfg, "t_grid")
     # one time gives the increment fit a single abscissa on a unit lattice
-    if len(set(_read(cfg, "t_grid", _floats))) < 2:
-        raise ConfigError("kernel_bounds needs at least two distinct times in t_grid")
+    _validate_lattice(cfg, "t_grid", 2)
     if not 0 < _read(cfg, "c_prime", float) < math.inf:
         raise ConfigError("kernel_bounds needs a finite c_prime > 0")
 
 
 def _validate_geometry(cfg: ExperimentConfig) -> None:
+    _validate_family(cfg, 2)
     if cfg.get("r0") != "auto" and not 0 < _read(cfg, "r0", float) < math.inf:
         raise ConfigError("geometry needs r0 = auto or a finite r0 > 0")
     if cfg.get("sample_count") != "all" and not _read(cfg, "sample_count", int) >= 1:
@@ -250,6 +271,9 @@ def _validate_geometry(cfg: ExperimentConfig) -> None:
 
 
 def _validate_embeddings(cfg: ExperimentConfig) -> None:
+    _validate_family(cfg, 2)
+    if not _read(cfg, "trials", int) >= 1:
+        raise ConfigError("embeddings needs trials >= 1")
     if not 1 <= _read(cfg, "p_sobolev", float) < 2:
         raise ConfigError("embeddings needs 1 <= p_sobolev < 2")
     if not _read(cfg, "p_holder", float) > 2:
@@ -263,10 +287,10 @@ def run_meyers_sweep(cfg: ExperimentConfig):
     coeff = _coefficient(cfg)
     fload = _load_spec(cfg.get("f"))
     f_l2 = math.sqrt(_read(cfg, "domain", _domain).area)  # |f| = 1 on the domain
+    cells = _solved_family(cfg, coeff, fload)
     rows = []
     for p in _read(cfg, "p_list", _floats):
-        for lvl, tri in _family(cfg):
-            res, fld, lhuh = _solve_cell(tri, coeff, fload)
+        for lvl, tri, fld, lhuh in cells:
             w = fld.w1p_norm(p)
             rows.append({"experiment": "meyers_sweep", "p": p, "level": lvl,
                          "h": tri.h, "n_vertices": tri.n_vertices, "w1p": w,
@@ -293,10 +317,10 @@ def verdicts_meyers_sweep(rows):
 def run_counterexample(cfg: ExperimentConfig):
     problem = fem.meyers_problem(_coefficient(cfg).eps)
     fload = _load_spec(cfg.get("f"), problem)
+    cells = _solved_family(cfg, problem.field, fload)
     rows = []
     for p in _read(cfg, "p_list", _floats):
-        for lvl, tri in _family(cfg):
-            res, fld, lhuh = _solve_cell(tri, problem.field, fload)
+        for lvl, tri, fld, lhuh in cells:
             rows.append({"experiment": "counterexample", "p": p, "p_c": problem.p_c,
                          "level": lvl, "h": tri.h, "w1p": fld.w1p_norm(p),
                          "lhuh_rel": lhuh})
@@ -325,23 +349,19 @@ def verdicts_counterexample(rows):
 def run_holder_convergence(cfg: ExperimentConfig):
     coeff = _coefficient(cfg)
     fload = _load_spec(cfg.get("f"))
+    cells = _solved_family(cfg, coeff, fload)
     rows = []
     for p in _read(cfg, "p_list", _floats):
         eta = 1.0 - 2.0 / p
         prev = None
-        for lvl, tri in _family(cfg):
-            res, fld, lhuh = _solve_cell(tri, coeff, fload)
-            hn = fld.holder_seminorm(eta) + float(np.abs(fld.values).max())
-            diff = ""
-            if prev is not None:
-                ptri, pvals = prev
-                dvals = mesh.red_prolong(ptri, pvals) - res.u.values
-                dfld = fem.reconstruct(tri, dvals)
-                diff = dfld.holder_seminorm(eta) + float(np.abs(dvals).max())
+        for lvl, tri, fld, lhuh in cells:
+            hn = fld.holder_norm(eta)
+            diff = "" if prev is None else fem.reconstruct(
+                tri, mesh.red_prolong(*prev) - fld.values).holder_norm(eta)
             rows.append({"experiment": "holder_convergence", "p": p, "eta": eta,
                          "level": lvl, "h": tri.h, "holder_norm": hn,
                          "cauchy_diff": diff, "lhuh_rel": lhuh})
-            prev = (tri, res.u.values)
+            prev = (tri, fld.values)
     return rows, verdicts_holder(rows)
 
 
@@ -371,8 +391,7 @@ def run_rate_theta(cfg: ExperimentConfig):
     theta = (1.0 / p_probe - 1.0 / p_hi) / (0.5 - 1.0 / p_hi)
     center_ref = reference.torsion_center_value()
     rows = []
-    for lvl, tri in _family(cfg):
-        res, fld, lhuh = _solve_cell(tri, coeff, fload)
+    for lvl, tri, fld, lhuh in _solved_family(cfg, coeff, fload):
         # cache the series oracle at the quadrature points of this mesh
         qpts = fld._quad_points().reshape(-1, 2)
         vals = reference.torsion_value(qpts)

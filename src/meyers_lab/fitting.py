@@ -21,11 +21,11 @@ class FitResult:
 def fit_loglog(pairs) -> FitResult:
     """Least-squares slope of log(value) against log(scale).
 
-    Needs at least 3 strictly positive pairs.
+    Needs strictly positive pairs at 3 or more distinct scales.
     """
     arr = np.asarray(list(pairs), dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
-        raise FitError("need at least 3 (scale, value) pairs")
+    if arr.ndim != 2 or arr.shape[1] != 2 or len(np.unique(arr[:, 0])) < 3:
+        raise FitError("need (scale, value) pairs at 3 or more distinct scales")
     if np.any(arr <= 0):
         raise FitError("scales and values must be positive")
     x = np.log(arr[:, 0])

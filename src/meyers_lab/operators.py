@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graph import WeightedGraph, box_window, distances_from, edge_gram, h_star
-from .spaces import _holder_sup
+from .spaces import _ascend, _holder_sup
 
 TWO_PI_I = 2j * math.pi
 # random window-supported data per lambda in the resolvent sweep
@@ -164,52 +164,30 @@ def accretivity_angle(op: GraphOperator, n_probes: int = 1000,
 
     def arg_abs(u):
         z = form_val(u)[1]
-        return abs(cmath.phase(z)) if z != 0 else None
+        return abs(cmath.phase(z)) if z != 0 else -math.inf
+
+    def direction(u):  # the gradient of arg_abs; zero where the form vanishes
+        du, z = form_val(u)
+        if z == 0:
+            return np.zeros_like(u)
+        # packed gradients of Re/Im of the form
+        contrib = 2.0 * w * du
+
+        def scatter(coef):
+            out = np.zeros(g.n, dtype=complex)
+            np.add.at(out, g.edge_v, coef * contrib)
+            np.add.at(out, g.edge_u, -coef * contrib)
+            return out
+        grad_arg = (z.real * scatter(np.imag(cp)) - z.imag * scatter(np.real(cp))) \
+            / abs(z) ** 2
+        return math.copysign(1.0, cmath.phase(z)) * grad_arg
 
     probes = rng.standard_normal((n_probes, g.n)) + 1j * rng.standard_normal((n_probes, g.n))
-    scored = []
-    for u in probes:
-        a = arg_abs(u)
-        if a is not None:
-            scored.append((a, u))
-    scored.sort(key=lambda t: -t[0])
+    scored = sorted(((a, u) for u in probes if (a := arg_abs(u)) > -math.inf),
+                    key=lambda t: -t[0])
     best = scored[0][0] if scored else 0.0
-
-    for a0, u in scored[:_REFINE_PROBES]:
-        u = u.copy()
-        step = 0.5
-        cur = a0
-        for _ in range(_REFINE_STEPS):
-            du, z = form_val(u)
-            if z == 0:
-                break
-            # packed gradients of Re/Im of the form
-            contrib = 2.0 * w * du
-            def scatter(coef):
-                out = np.zeros(g.n, dtype=complex)
-                np.add.at(out, g.edge_v, coef * contrib)
-                np.add.at(out, g.edge_u, -coef * contrib)
-                return out
-            g_re = scatter(np.real(cp))
-            g_im = scatter(np.imag(cp))
-            grad_arg = (z.real * g_im - z.imag * g_re) / abs(z) ** 2
-            direction = math.copysign(1.0, cmath.phase(z)) * grad_arg
-            norm = np.linalg.norm(direction)
-            if norm == 0:
-                break
-            improved = False
-            while step > 1e-12:
-                cand = u + (step * np.linalg.norm(u) / norm) * direction
-                a = arg_abs(cand)
-                if a is not None and a > cur:
-                    u, cur = cand, a
-                    improved = True
-                    step = min(2 * step, 1.0)
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        best = max(best, cur)
+    for _, u in scored[:_REFINE_PROBES]:
+        best = max(best, _ascend(arg_abs, direction, u, 0.5, 1e-12, _REFINE_STEPS)[1])
 
     omega_upper = float(np.abs(np.angle(cp)).max())
     return AccretivityEstimate(

@@ -13,8 +13,9 @@ import numpy as np
 
 
 def _torsion_bands(y: np.ndarray, n_terms: int):
-    """Group points by distance to the y-boundary; the series factors decay
-    like exp(-k pi dist), so far points need few terms."""
+    """Yield (selection, k, k pi) per band of points grouped by distance to the
+    y-boundary; the series factors decay like exp(-k pi dist), so far points
+    need few terms. Callers form the factors, so no band's arrays outlive it."""
     dist = np.minimum(y, 1.0 - y)
     with np.errstate(divide="ignore"):
         needed = np.where(dist > 0, np.log(1e9) / (np.pi * np.maximum(dist, 1e-300)),
@@ -22,8 +23,12 @@ def _torsion_bands(y: np.ndarray, n_terms: int):
     needed = np.clip(needed, 65, n_terms)
     caps = [65, 129, 257, 513, 1025, n_terms]
     caps = sorted({min(c, n_terms) for c in caps})
-    band_of = np.searchsorted(caps, needed, side="left")
-    return dist, caps, np.clip(band_of, 0, len(caps) - 1)
+    band_of = np.clip(np.searchsorted(caps, needed, side="left"), 0, len(caps) - 1)
+    for band, cap in enumerate(caps):
+        sel = band_of == band
+        if np.any(sel):
+            k = np.arange(1, cap + 1, 2, dtype=float)
+            yield sel, k, np.pi * k
 
 
 def torsion_value(points, n_terms: int = 2001) -> np.ndarray:
@@ -35,13 +40,7 @@ def torsion_value(points, n_terms: int = 2001) -> np.ndarray:
     p = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = p[:, 0], p[:, 1]
     out = x * (1.0 - x) / 2.0
-    _, caps, band_of = _torsion_bands(y, n_terms)
-    for band, cap in enumerate(caps):
-        sel = band_of == band
-        if not np.any(sel):
-            continue
-        k = np.arange(1, cap + 1, 2, dtype=float)
-        kpi = np.pi * k
+    for sel, k, kpi in _torsion_bands(y, n_terms):
         # cosh(k pi (y - 1/2)) / cosh(k pi / 2), overflow-free
         ratio = (np.exp(-np.outer(1.0 - y[sel], kpi)) + np.exp(-np.outer(y[sel], kpi))) \
             / (1.0 + np.exp(-kpi))
@@ -54,13 +53,7 @@ def torsion_gradient(points, n_terms: int = 2001) -> np.ndarray:
     x, y = p[:, 0], p[:, 1]
     ux = (1.0 - 2.0 * x) / 2.0
     uy = np.zeros_like(x)
-    _, caps, band_of = _torsion_bands(y, n_terms)
-    for band, cap in enumerate(caps):
-        sel = band_of == band
-        if not np.any(sel):
-            continue
-        k = np.arange(1, cap + 1, 2, dtype=float)
-        kpi = np.pi * k
+    for sel, k, kpi in _torsion_bands(y, n_terms):
         e_top = np.exp(-np.outer(1.0 - y[sel], kpi))
         e_bot = np.exp(-np.outer(y[sel], kpi))
         denom = 1.0 + np.exp(-kpi)

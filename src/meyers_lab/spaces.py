@@ -130,6 +130,41 @@ def _holder_sup(values: np.ndarray, distance_rows, eta: float) -> np.ndarray:
     return best
 
 
+def _ascend(objective, direction, x, step: float, min_step: float, max_iter: int,
+            rel_tol: float = 0.0):
+    """Normalized ascent with step doubling and backtracking.
+
+    Each iteration moves x by ``step * max(|x|, 1e-300) / |d|`` along
+    d = direction(x), halving the step until the objective improves and
+    doubling it (capped at 1) after a success. Stops on a zero direction,
+    when no step above ``min_step`` improves, when the relative gain is below
+    ``rel_tol``, or after ``max_iter`` iterations. Returns
+    ``(x, value, iterations, stopped)``; ``stopped`` is False only when the
+    iteration budget ran out.
+    """
+    best = objective(x)
+    for it in range(1, max_iter + 1):
+        d = direction(x)
+        dnorm = np.linalg.norm(d)
+        if dnorm == 0:
+            return x, best, it, True
+        scale = max(np.linalg.norm(x), 1e-300)
+        while step > min_step:
+            cand = x + (step * scale / dnorm) * d
+            val = objective(cand)
+            if val > best:
+                rel = (val - best) / max(abs(best), 1e-300)
+                x, best = cand, val
+                step = min(2.0 * step, 1.0)
+                break
+            step *= 0.5
+        else:  # no step improves: stationary
+            return x, best, it, True
+        if rel < rel_tol:
+            return x, best, it, True
+    return x, best, max_iter, False
+
+
 def holder_seminorm(f: VertexFunction, eta: float) -> float:
     """Holder seminorm in the path metric of the graph."""
     if not 0 < eta <= 1:
@@ -278,41 +313,14 @@ def dual_norm(f: VertexFunction, p: float, mode: str = "exact_p2") -> DualNormRe
     if pair != 0:
         v_act = v_act * (np.conj(pair) / abs(pair))
 
-    best = objective(v_act)
-    it = 0
-    converged = False
-    step = 1.0
-    while it < _ASCENT_MAX_ITER:
-        it += 1
+    def direction(v_act):
         nrm, gn = sum_norm_and_grad(v_act)
         pairing = float(np.real(np.vdot(fa * m_act, v_act)))
-        grad_J = (grad_lin * nrm - pairing * gn) / (nrm * nrm)
-        gnorm = np.linalg.norm(grad_J)
-        if gnorm == 0:
-            converged = True
-            break
-        scale = max(np.linalg.norm(v_act), 1e-300)
-        improved = False
-        while step > 1e-14:
-            cand = v_act + (step * scale / gnorm) * grad_J
-            val = objective(cand)
-            if val > best:
-                rel = (val - best) / max(abs(best), 1e-300)
-                v_act, best = cand, val
-                improved = True
-                step = min(2.0 * step, 1.0)
-                if rel < _ASCENT_TOL:
-                    converged = True
-                break
-            step *= 0.5
-        if not improved:
-            converged = True  # no ascent direction improves: stationary
-            break
-        if converged:
-            break
-    opt = np.zeros(g.n, dtype=complex)
-    opt[act] = v_act
-    return DualNormResult(float(best), mode, converged, it, optimizer=opt)
+        return (grad_lin * nrm - pairing * gn) / (nrm * nrm)
+
+    v_act, best, it, converged = _ascend(objective, direction, v_act, 1.0, 1e-14,
+                                         _ASCENT_MAX_ITER, _ASCENT_TOL)
+    return DualNormResult(float(best), mode, converged, it, optimizer=embed(v_act))
 
 
 def maximal_function(f: VertexFunction) -> VertexFunction:

@@ -43,6 +43,13 @@ class TestFitLoglog:
         with pytest.raises(FitError):
             fit_loglog([(1.0, 1.0), (2.0, -2.0), (3.0, 1.0)])
 
+    def test_needs_three_distinct_scales(self):
+        # a repeated scale leaves the least-squares slope undetermined
+        with pytest.raises(FitError):
+            fit_loglog([(5.0, 1.0), (5.0, 2.0), (5.0, 3.0)])
+        with pytest.raises(FitError):
+            fit_loglog([(1.0, 1.0), (1.0, 2.0), (2.0, 3.0), (2.0, 1.0)])
+
 
 class TestConfig:
     def test_defaults_and_overrides(self):
@@ -119,6 +126,26 @@ class TestConfig:
         "experiment = geometry\nr0 = nan",
         "experiment = geometry\nsample_count = 0",
         "experiment = geometry\nsample_count = 2.5",
+        "experiment = meyers_sweep\nlevels = 3,4",
+        "experiment = counterexample\nlevels = 3,4",
+        "experiment = holder_convergence\nlevels = 5",
+        "experiment = rate_theta\nlevels = 4,5",
+        "experiment = embeddings\nlevels = 2",
+        "experiment = geometry\nlevels = 3",
+        "experiment = meyers_sweep\nlevels = 3,5,6",
+        "experiment = meyers_sweep\nlevels = 5,4,3",
+        "experiment = geometry\nlevels = 3,3",
+        "experiment = embeddings\nlevels = 2,3.5",
+        "experiment = meyers_sweep\ndomain = disk",
+        "experiment = geometry\ndomain = rect:0:0:1",
+        "experiment = embeddings\ndomain = rect:1:0:0:1",
+        "experiment = meyers_sweep\nf = auto",
+        "experiment = holder_convergence\nf = bogus",
+        "experiment = counterexample\nf = two",
+        "experiment = resolvent_sweep\nlambda_list = 5,5,5",
+        "experiment = resolvent_sweep\nlambda_list = 1,10",
+        "experiment = embeddings\ntrials = -3",
+        "experiment = embeddings\ntrials = 0",
     ])
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):
@@ -225,6 +252,18 @@ class TestRunAndReport:
         a = (tmp_path / "a" / "meyers_sweep_rows.csv").read_bytes()
         b = (tmp_path / "b" / "meyers_sweep_rows.csv").read_bytes()
         assert a == b
+
+    def test_counterexample_solves_each_level_once(self, monkeypatch):
+        # every p reads the same solution of a level
+        from meyers_lab import fem
+        calls = []
+        solve = fem.solve
+        monkeypatch.setattr(fem, "solve", lambda system: calls.append(1) or solve(system))
+        cfg = parse_config("experiment = counterexample\np_list = 2.5,6\nlevels = 3,4,5")
+        rows, _ = experiments.run_counterexample(cfg)
+        assert len(calls) == 3
+        assert [(r["p"], r["level"]) for r in rows] == \
+            [(p, lvl) for p in (2.5, 6.0) for lvl in (3, 4, 5)]
 
     def test_geometry_small(self, tmp_path):
         cfg = parse_config("experiment = geometry\nlevels = 3,4\nsample_count = 25")

@@ -137,6 +137,32 @@ class TestLoad:
         assert np.allclose(b1, b2)
 
 
+class TestTorsionSeries:
+    # y values reaching every band of the series split: near y = 0, near
+    # y = 1 and interior
+    YS = (0.5, 0.07, 0.04, 0.02, 0.01, 0.003, 0.0005,
+          0.93, 0.96, 0.98, 0.99, 0.997, 0.9995)
+
+    def test_gradient_matches_central_differences(self):
+        pts = np.array([(x, y) for x in (0.13, 0.5, 0.81) for y in self.YS])
+        assert len(list(reference._torsion_bands(pts[:, 1], 2001))) == 6
+        grad = reference.torsion_gradient(pts)
+        step = 1e-6
+        for axis in (0, 1):
+            e = np.zeros(2)
+            e[axis] = step
+            fd = (reference.torsion_value(pts + e)
+                  - reference.torsion_value(pts - e)) / (2 * step)
+            assert np.abs(fd - grad[:, axis]).max() <= 1e-8
+
+    def test_value_vanishes_on_the_boundary(self):
+        t = np.linspace(0.0, 1.0, 41)
+        zero, one = np.zeros_like(t), np.ones_like(t)
+        sides = [np.column_stack(c) for c in
+                 ((t, zero), (t, one), (zero, t), (one, t))]
+        assert np.abs(reference.torsion_value(np.concatenate(sides))).max() <= 1e-9
+
+
 class TestSolve:
     def test_zero_load_zero_solution(self, coarse_square_mesh):
         sys = assemble(coarse_square_mesh, identity_field())

@@ -288,6 +288,31 @@ class TestDualNorm:
             tri = refine_red(tri)
         assert max(consts) / min(consts) < 2.0
 
+    @pytest.mark.parametrize("case, p, value, iterations", [
+        ("box6", 1.1, 18.69182920280661, 65),
+        ("square_real", 1.1, 0.31742968392731447, 5),
+        ("square_real", 2.5, 0.2506018285208592, 3),
+        ("square_real", 6.0, 0.24662253195717235, 77),
+        ("square_complex", 1.1, 0.43113677312411414, 8),
+        ("square_complex", 1.2, 0.47654332445706543, 10),
+    ])
+    def test_ascent_pinned(self, unit_square, case, p, value, iterations):
+        # the ascent is deterministic: any change to its steps or its stopping
+        # rules moves these values or iteration counts
+        from meyers_lab import from_triangulation, triangulate
+
+        if case == "box6":
+            g = lattice_box(6, 6)
+            vals = np.random.default_rng(0).standard_normal(g.n)
+        else:
+            g = from_triangulation(triangulate(unit_square, 0.25))
+            rng = np.random.default_rng(9 if case == "square_real" else 4)
+            vals = rng.standard_normal(g.n)
+            if case == "square_complex":
+                vals = vals + 1j * rng.standard_normal(g.n)
+        res = dual_norm(VertexFunction(g, vals), p, mode="ascent")
+        assert (res.value, res.iterations, res.converged) == (value, iterations, True)
+
     def test_mode_and_range_errors(self, small_path):
         f = VertexFunction(small_path, np.ones(small_path.n))
         with pytest.raises(SpaceError):
