@@ -182,14 +182,31 @@ def _validate_family(cfg: ExperimentConfig, min_levels: int) -> None:
         raise ConfigError(f"{cfg.experiment} needs at least {min_levels} levels")
     if any(cur != prev + 1 for prev, cur in zip(levels, levels[1:])):
         raise ConfigError("levels must be consecutive increasing integers")
-    _read(cfg, "domain", _domain)
+    if not _has_interior_vertex(_read(cfg, "domain", _domain), levels[0]):
+        raise ConfigError(f"level {levels[0]} is too coarse for the domain: "
+                          "its mesh has no interior vertex")
+
+
+def _has_interior_vertex(poly: mesh.Polygon, level: int) -> bool:
+    """Whether the level's mesh of ``poly`` (an axis rectangle, as every
+    config domain is) keeps an interior vertex: triangulate needs a spacing
+    2^-level below the diameter, and the criss-cross grid at least two cells
+    along each side. A spacing that underflows to 0 is left to triangulate."""
+    if not level > -math.log2(poly.diameter):
+        return False
+    h = 2.0 ** -level
+    lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
+    return h == 0 or all(mesh._grid_divisions(a, b, h) >= 2 for a, b in zip(lo, hi))
 
 
 def _validate_sweep(cfg: ExperimentConfig, p_min: float, problem=None) -> None:
     """p_list above p_min, a family for the slope fits (3 levels), a known load."""
-    for p in _read(cfg, "p_list", _floats):
+    ps = _read(cfg, "p_list", _floats)
+    for p in ps:
         if not p > p_min:
             raise ConfigError(f"{cfg.experiment} needs p > {p_min}, got {p}")
+    if len(set(ps)) < len(ps):
+        raise ConfigError(f"{cfg.experiment} needs distinct values in p_list")
     _validate_family(cfg, 3)
     _load_spec(cfg.get("f"), problem)
 

@@ -7,6 +7,7 @@ boundary and an interior evaluation window.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ from scipy.sparse import csgraph
 _DENSE_LIMIT = 600
 # Poincare balls are sampled at these fractions of the radius cap r0
 _POINCARE_RADIUS_FRACTIONS = (0.25, 0.5, 1.0)
+# centers per block of range-limited distance rows in geometry_report
+_CENTER_BLOCK = 256
 # the interior window keeps this fraction of the extent off each side of a box
 _WINDOW_MARGIN = 0.25
 
@@ -98,10 +101,12 @@ class WeightedGraph:
 
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
 
-        # adjacency in CSR layout, for per-vertex iteration
+        # adjacency in CSR layout, for per-vertex iteration; each slot also
+        # holds the id of its edge
         order = np.argsort(np.concatenate([lo, hi]), kind="stable")
         ends = np.concatenate([lo, hi])[order]
         self._adj_nbr = np.concatenate([hi, lo])[order]
+        self._adj_edge = np.tile(np.arange(len(lo)), 2)[order]
         self._adj_ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
 
     @property
@@ -165,9 +170,13 @@ def box_window(g: WeightedGraph) -> np.ndarray:
     return np.nonzero(ok)[0]
 
 
-def distances_from(g: WeightedGraph, sources) -> np.ndarray:
-    """Shortest-path distances (edge lengths h) from one or more sources."""
-    return csgraph.dijkstra(g._metric, directed=False, indices=sources)
+def distances_from(g: WeightedGraph, sources, limit=np.inf) -> np.ndarray:
+    """Shortest-path distances (edge lengths h) from one or more sources.
+
+    Distances beyond ``limit`` read inf; those within it are bitwise the
+    distances of the unlimited search.
+    """
+    return csgraph.dijkstra(g._metric, directed=False, indices=sources, limit=limit)
 
 
 def distances_all(g: WeightedGraph) -> np.ndarray:
@@ -196,7 +205,7 @@ def ball(g: WeightedGraph, x: int, r: float):
     """Strict metric ball B(x, r) and its volume V(x, r) = sum of m over the ball."""
     if not r > 0:
         raise GraphError("ball radius must be positive")
-    d = distances_from(g, x)
+    d = distances_from(g, x, limit=r)
     members = np.nonzero(d < r)[0]
     return members, float(g.m[members].sum())
 
@@ -211,7 +220,7 @@ class GeometryReport:
     balls_sampled: int
 
 
-def _poincare_constant(g: WeightedGraph, members: np.ndarray, r: float):
+def _poincare_constant(g: WeightedGraph, members: np.ndarray, r: float, memo=None):
     """Sharp constant of the scaled L2 Poincare inequality on one ball.
 
     Largest generalized Rayleigh quotient of the mean-zero quadratic form on
@@ -220,37 +229,57 @@ def _poincare_constant(g: WeightedGraph, members: np.ndarray, r: float):
     closure (the ball and its neighbors) and vanish on constants, and the
     closure is connected, so grounding its last vertex leaves a definite
     pencil with the same spectrum as the pencil on the quotient by constants.
+
+    ``members`` must be sorted. A ``memo`` dict maps a digest of the inputs
+    the pencil is built from (closure-local edge ends, edge weights, masses
+    and r) to its constant, so equal pencils are built and solved once: equal
+    inputs give the same bytes to the same LAPACK call, so a hit is the value
+    a solve would return.
     """
     if len(members) <= 1:
         return 0.0
-    inside = np.zeros(g.n, dtype=bool)
-    inside[members] = True
-    touch = inside[g.edge_u] | inside[g.edge_v]
-    u, v = g.edge_u[touch], g.edge_v[touch]
+    # the edges at the members: their CSR slots, in ascending edge order
+    starts = g._adj_ptr[members]
+    counts = g._adj_ptr[members + 1] - starts
+    slots = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    edges = np.unique(g._adj_edge[slots])
+    u, v = g.edge_u[edges], g.edge_v[edges]
     closure, local = np.unique(np.concatenate([u, v]), return_inverse=True)
     k = len(closure)
     if k > _DENSE_LIMIT:
         raise GraphError(f"ball closure too large for dense solve ({k})")
     lu, lv = local[:len(u)], local[len(u):]
+    inside = np.zeros(k, dtype=bool)
+    inside[np.searchsorted(closure, members)] = True
 
     # each member y weighs every edge at y by m(y) / h_y^2
-    wy = g.m / g.h_x**2
-    w = inside[u] * wy[u] + inside[v] * wy[v]
-    G = np.zeros((k, k))
-    np.add.at(G, (lu, lu), w)
-    np.add.at(G, (lv, lv), w)
-    np.add.at(G, (lu, lv), -w)
-    np.add.at(G, (lv, lu), -w)
-
-    mloc = np.where(inside[closure], g.m[closure], 0.0)
-    A = np.diag(mloc) - np.outer(mloc, mloc) / mloc.sum()
-    vals = la.eigh(A[:-1, :-1], r * r * G[:-1, :-1], eigvals_only=True)
-    return float(vals[-1])
+    w = inside[lu] * (g.m[u] / g.h_x[u]**2) + inside[lv] * (g.m[v] / g.h_x[v]**2)
+    mloc = np.where(inside, g.m[closure], 0.0)
+    # the pencil is a function of these inputs alone
+    parts = (local, w, mloc, np.float64(r))
+    key = (len(w), k, hashlib.blake2b(b"".join(a.tobytes() for a in parts),
+                                      digest_size=32).digest())
+    memo = {} if memo is None else memo
+    if key not in memo:
+        G = np.zeros((k, k))
+        np.add.at(G, (lu, lu), w)
+        np.add.at(G, (lv, lv), w)
+        np.add.at(G, (lu, lv), -w)
+        np.add.at(G, (lv, lu), -w)
+        A = np.diag(mloc) - np.outer(mloc, mloc) / mloc.sum()
+        memo[key] = float(la.eigh(A[:-1, :-1], r * r * G[:-1, :-1], eigvals_only=True)[-1])
+    return memo[key]
 
 
 def _volume_profile(dist_row: np.ndarray, m: np.ndarray):
-    """Breakpoints and prefix volumes of r -> V(x, r) for one center."""
-    order = np.argsort(dist_row, kind="stable")
+    """Breakpoints and prefix volumes of r -> V(x, r) for one center.
+
+    Only finite entries count: a row limited to some range has inf beyond
+    it, and its profile is the unlimited one cut at that range (the stable
+    sort keeps the order, so the prefix sums are bitwise the same).
+    """
+    near = np.flatnonzero(np.isfinite(dist_row))
+    order = near[np.argsort(dist_row[near], kind="stable")]
     dists = dist_row[order]
     vols = np.cumsum(m[order])
     ends = np.nonzero(np.diff(dists, append=np.inf) > 0)[0]
@@ -271,7 +300,13 @@ def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None
     bound V(x, r)/r^2 are extremized exactly over all radii below r0 (ball
     volumes are piecewise constant in r, so it suffices to look just past
     each breakpoint). The Poincare constant needs one dense eigensolve per
-    ball and is sampled at the radii r0 * _POINCARE_RADIUS_FRACTIONS only.
+    distinct ball pencil and is sampled at the radii r0 *
+    _POINCARE_RADIUS_FRACTIONS only.
+
+    Every quantity reads distances below 2 r0 only (the doubling probe's
+    V(x, 2r) with r < r0), so the centers' distance rows are computed in
+    blocks of _CENTER_BLOCK, each limited to 2 r0 with a relative margin of
+    1e-9; in-range entries are bitwise those of the unlimited rows.
     """
     if not r0 > float(g.edge_h.min()):
         raise GraphError("r0 must exceed the smallest edge length")
@@ -285,14 +320,17 @@ def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None
         centers.sort()
 
     radii = [f * r0 for f in _POINCARE_RADIUS_FRACTIONS]
-    d = distances_from(g, centers)
+    limit = 2.0 * r0 * (1.0 + 1e-9)
     bump = 1.0 + 1e-12
     c_d = 1.0
     c_l = np.inf
     c_p = 0.0
     n_balls = 0
-    for i, x in enumerate(centers):
-        breaks, vols = _volume_profile(d[i], g.m)
+    memo = {}
+    rows = (row for start in range(0, len(centers), _CENTER_BLOCK)
+            for row in distances_from(g, centers[start:start + _CENTER_BLOCK], limit=limit))
+    for row in rows:
+        breaks, vols = _volume_profile(row, g.m)
         # doubling: probe just past every breakpoint of r -> V(r) and V(2r)
         cand = np.concatenate([breaks * bump, breaks * (0.5 * bump), [r0 * 0.999999]])
         cand = cand[(cand > 0) & (cand < r0)]
@@ -309,8 +347,8 @@ def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None
         ends = np.minimum(uppers[ok], r0)
         c_l = min(c_l, float((vols[ok] / ends**2).min()))
         for r in radii:
-            members = np.nonzero(d[i] < r)[0]
-            c_p = max(c_p, _poincare_constant(g, members, r))
+            members = np.nonzero(row < r)[0]
+            c_p = max(c_p, _poincare_constant(g, members, r, memo))
             n_balls += 1
     return GeometryReport(r0=r0, C_D=float(c_d), c_L=float(c_l), C_P=float(c_p),
                           D=float(np.log2(c_d)), balls_sampled=n_balls)

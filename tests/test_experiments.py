@@ -136,6 +136,17 @@ class TestConfig:
         "experiment = meyers_sweep\nlevels = 5,4,3",
         "experiment = geometry\nlevels = 3,3",
         "experiment = embeddings\nlevels = 2,3.5",
+        # the coarsest mesh would have no interior vertex
+        "experiment = meyers_sweep\nlevels = 0,1,2",
+        "experiment = geometry\nlevels = 0,1",
+        "experiment = embeddings\nlevels = 0,1",
+        "experiment = meyers_sweep\nlevels = -3,-2,-1",
+        "experiment = geometry\nlevels = -3,-2,-1",
+        "experiment = counterexample\nlevels = -2,-1,0",
+        # a repeated p would repeat its row block
+        "experiment = meyers_sweep\np_list = 2.2,2.2",
+        "experiment = holder_convergence\np_list = 2.2,2.2",
+        "experiment = counterexample\np_list = 2.5,6,2.5",
         "experiment = meyers_sweep\ndomain = disk",
         "experiment = geometry\ndomain = rect:0:0:1",
         "experiment = embeddings\ndomain = rect:1:0:0:1",
@@ -150,6 +161,15 @@ class TestConfig:
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize("text", [
+        "experiment = meyers_sweep\nlevels = 1,2,3",
+        "experiment = geometry\nlevels = 1,2,3",
+        "experiment = embeddings\nlevels = 1,2",
+        "experiment = counterexample\nlevels = 0,1,2",  # square2: level 0 has the origin
+    ])
+    def test_coarsest_level_with_interior_vertex_accepted(self, text):
+        parse_config(text)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(REGISTRY)),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,12 @@ import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meyers_lab import (GraphError, WeightedGraph, ball, box_window, distance,
-                        distances_from, from_triangulation, geometry_report,
-                        h_star, lattice_box, refine_red, rescale, triangulate)
-from meyers_lab.graph import _poincare_constant
+from meyers_lab import (GraphError, Polygon, WeightedGraph, ball, box_window,
+                        distance, distances_from, from_triangulation,
+                        geometry_report, h_star, lattice_box, refine_red,
+                        rescale, triangulate)
+from meyers_lab import graph
+from meyers_lab.graph import _poincare_constant, _volume_at, _volume_profile
 
 from conftest import path_graph, random_graph
 
@@ -214,6 +217,124 @@ class TestGeometryReport:
     def test_bad_r0(self, coarse_square_graph):
         with pytest.raises(GraphError):
             geometry_report(coarse_square_graph, 1e-9)
+
+
+def dense_geometry_reference(g, r0, sample_count, seed):
+    """geometry_report's algorithm on one dense all-centers distance array,
+    every ball's Poincare pencil solved afresh; returns the report's fields
+    and the number of multi-vertex balls."""
+    if sample_count is None:
+        centers = np.arange(g.n)
+    else:
+        centers = np.sort(np.random.default_rng(seed).choice(g.n, size=sample_count,
+                                                             replace=False))
+    d = distances_from(g, centers)
+    assert np.all(np.isfinite(d))
+    bump = 1.0 + 1e-12
+    c_d, c_l, c_p, n_balls, multi = 1.0, np.inf, 0.0, 0, 0
+    for row in d:
+        order = np.argsort(row, kind="stable")
+        dists, vols = row[order], np.cumsum(g.m[order])
+        ends = np.nonzero(np.diff(dists, append=np.inf) > 0)[0]
+        breaks, vols = dists[ends], vols[ends]
+        cand = np.concatenate([breaks * bump, breaks * (0.5 * bump), [r0 * 0.999999]])
+        cand = cand[(cand > 0) & (cand < r0)]
+        v_r, v_2r = _volume_at(breaks, vols, cand), _volume_at(breaks, vols, 2.0 * cand)
+        pos = v_r > 0
+        if np.any(pos):
+            c_d = max(c_d, float((v_2r[pos] / v_r[pos]).max()))
+        ok = breaks < r0
+        uppers = np.minimum(np.concatenate([breaks[1:], [np.inf]])[ok], r0)
+        c_l = min(c_l, float((vols[ok] / uppers**2).min()))
+        for r in (0.25 * r0, 0.5 * r0, 1.0 * r0):
+            members = np.nonzero(row < r)[0]
+            c_p = max(c_p, _poincare_constant(g, members, r))
+            n_balls += 1
+            multi += len(members) > 1
+    fields = dict(r0=r0, C_D=c_d, c_L=c_l, C_P=c_p, D=float(np.log2(c_d)),
+                  balls_sampled=n_balls)
+    return fields, multi
+
+
+class TestLimitedRowsAndPencilMemo:
+    """geometry_report reads distance rows limited to 2 r0 in center blocks
+    and solves each distinct Poincare pencil once; its report is exactly the
+    dense all-centers one."""
+
+    @pytest.fixture(scope="class")
+    def level4(self):
+        tri = triangulate(Polygon.unit_square(), 2.0**-4)
+        return tri, from_triangulation(tri)
+
+    @pytest.mark.parametrize("r0_over_h, sample_count, seed", [
+        (2.5, None, 0),
+        (2.5, 40, 7),
+        (6.0, 30, 1),  # the 2 r0 limit covers most of the graph
+    ])
+    def test_report_equals_dense_reference(self, level4, r0_over_h, sample_count, seed):
+        tri, g = level4
+        r0 = r0_over_h * tri.h
+        rep = geometry_report(g, r0, sample_count=sample_count, seed=seed)
+        fields, _ = dense_geometry_reference(g, r0, sample_count, seed)
+        for key, want in fields.items():
+            assert getattr(rep, key) == want, key
+
+    def test_doubling_reads_distances_up_to_twice_r0(self):
+        # m = 1, 2, 101, 100; just below r0 = 1, V(0, r) = m(0) while
+        # V(0, 2r) also holds the heavy vertex at distance 1.99
+        g = path_graph([1.0, 0.99, 5.0], mus=[1.0, 1.0, 100.0])
+        rep = geometry_report(g, 1.0)
+        assert rep.C_D == (1.0 + 2.0 + 101.0) / 1.0
+        fields, _ = dense_geometry_reference(g, 1.0, None, 0)
+        assert [getattr(rep, key) for key in fields] == list(fields.values())
+
+    def test_memo_tells_radii_apart(self):
+        g = path_graph([1.0, 10.0, 1.0])
+        members = np.array([0, 1])  # the strict ball B(0, r) for 1 < r <= 11
+        memo = {}
+        wide = _poincare_constant(g, members, 2.0, memo)
+        assert _poincare_constant(g, members, 4.0, memo) == _poincare_constant(g, members, 4.0)
+        assert _poincare_constant(g, members, 4.0, memo) == pytest.approx(wide / 4)
+        assert len(memo) == 2
+
+    def test_limit_leaves_in_range_rows_bitwise(self, level4):
+        tri, g = level4
+        limit = 2.0 * 2.5 * tri.h * (1.0 + 1e-9)
+        dense = distances_from(g, np.arange(g.n))
+        limited = distances_from(g, np.arange(g.n), limit=limit)
+        near = dense <= limit
+        assert limited[near].tobytes() == dense[near].tobytes()
+        assert np.all(np.isinf(limited[~near]))
+
+    def test_one_eigensolve_per_distinct_pencil(self, level4, monkeypatch):
+        tri, g = level4
+        r0 = 2.5 * tri.h
+        pencils = []
+        eigh = graph.la.eigh
+
+        def recording(a, b, **kw):
+            pencils.append((a.shape, a.tobytes() + b.tobytes()))
+            return eigh(a, b, **kw)
+
+        monkeypatch.setattr(graph.la, "eigh", recording)
+        _, multi = dense_geometry_reference(g, r0, None, 0)  # every ball solved
+        assert len(pencils) == multi
+        distinct = set(pencils)
+        pencils.clear()
+        geometry_report(g, r0, sample_count=None, seed=0)
+        assert len(pencils) == len(distinct) < multi
+        assert set(pencils) == distinct
+
+    def test_volume_profile_skips_inf_entries(self):
+        row = np.array([0.0, 1.0, np.inf, 1.0, 2.0, np.inf, 0.5])
+        m = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        finite = np.isfinite(row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            breaks, vols = _volume_profile(row, m)
+            want_breaks, want_vols = _volume_profile(row[finite], m[finite])
+        assert breaks.tolist() == want_breaks.tolist() == [0.0, 0.5, 1.0, 2.0]
+        assert vols.tolist() == want_vols.tolist() == [1.0, 8.0, 14.0, 19.0]
 
 
 class TestRescale:
