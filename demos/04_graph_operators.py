@@ -27,8 +27,8 @@ def sup_slope(sweep):
 
 
 print("\nresolvent decay along the positive ray (rescaled 64 x 64 box):")
-for name, op in (("symmetric", sym), ("perturbed", pert)):
-    sweep = ml.resolvent_bound_sweep(op, [1, 10, 100, 1000], eta=0.5, seed=0)
+sweeps = ml.resolvent_bound_sweep([sym, pert], [1, 10, 100, 1000], eta=0.5, seed=0)
+for name, sweep in zip(("symmetric", "perturbed"), sweeps):
     rows = "  ".join(f"R_inf({abs(r.lam):.0f}) = {r.R_inf:.3f}" for r in sweep.rows)
     print(f"  {name}: {rows}")
     print(f"    sup-norm slope {sup_slope(sweep):+.3f} (the theory says -1/2), "
@@ -37,8 +37,8 @@ for name, op in (("symmetric", sym), ("perturbed", pert)):
 
 print("\nsame sweep along the ray at argument 3 pi / 5:")
 phase = np.exp(1j * 3 * math.pi / 5)
-sweep = ml.resolvent_bound_sweep(pert, [l * phase for l in (1, 10, 100, 1000)],
-                                 eta=0.5, seed=0)
+(sweep,) = ml.resolvent_bound_sweep([pert], [l * phase for l in (1, 10, 100, 1000)],
+                                    eta=0.5, seed=0)
 print(f"  slope {sup_slope(sweep):+.3f}, "
       f"R_inf spread {spread([r.R_inf for r in sweep.rows]):.2f}")
 

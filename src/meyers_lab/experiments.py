@@ -182,21 +182,24 @@ def _validate_family(cfg: ExperimentConfig, min_levels: int) -> None:
         raise ConfigError(f"{cfg.experiment} needs at least {min_levels} levels")
     if any(cur != prev + 1 for prev, cur in zip(levels, levels[1:])):
         raise ConfigError("levels must be consecutive increasing integers")
-    if not _has_interior_vertex(_read(cfg, "domain", _domain), levels[0]):
+    if not _interior_vertices(_read(cfg, "domain", _domain), levels[0]):
         raise ConfigError(f"level {levels[0]} is too coarse for the domain: "
                           "its mesh has no interior vertex")
 
 
-def _has_interior_vertex(poly: mesh.Polygon, level: int) -> bool:
-    """Whether the level's mesh of ``poly`` (an axis rectangle, as every
-    config domain is) keeps an interior vertex: triangulate needs a spacing
-    2^-level below the diameter, and the criss-cross grid at least two cells
-    along each side. A spacing that underflows to 0 is left to triangulate."""
+def _interior_vertices(poly: mesh.Polygon, level: int) -> float:
+    """Interior vertices of the level's mesh of ``poly`` (an axis rectangle,
+    as every config domain is), counted without meshing: triangulate needs a
+    spacing 2^-level below the diameter, and the criss-cross grid of n_x by
+    n_y cells has (n_x - 1)(n_y - 1) interior vertices. A spacing that
+    underflows to 0 is left to triangulate (inf)."""
     if not level > -math.log2(poly.diameter):
-        return False
+        return 0
     h = 2.0 ** -level
+    if h == 0:
+        return math.inf
     lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
-    return h == 0 or all(mesh._grid_divisions(a, b, h) >= 2 for a, b in zip(lo, hi))
+    return math.prod(mesh._grid_divisions(a, b, h) - 1 for a, b in zip(lo, hi))
 
 
 def _validate_sweep(cfg: ExperimentConfig, p_min: float, problem=None) -> None:
@@ -221,6 +224,12 @@ def _validate_counterexample(cfg: ExperimentConfig) -> None:
     if eps is None:
         raise ConfigError("counterexample needs a meyers:<eps> coefficient")
     _validate_sweep(cfg, 1, fem.meyers_problem(eps))
+    # one interior vertex carries one hat function; on square2 it is the
+    # origin, where the P1 solution is 0 and the slope fit has no data
+    coarsest = _read(cfg, "levels", _ints)[0]
+    if _interior_vertices(_read(cfg, "domain", _domain), coarsest) < 2:
+        raise ConfigError(f"counterexample level {coarsest} is too coarse: "
+                          "its mesh needs two interior vertices")
 
 
 def _validate_rate_theta(cfg: ExperimentConfig) -> None:
@@ -459,11 +468,11 @@ def run_resolvent_sweep(cfg: ExperimentConfig):
     variants = [("symmetric", operators.uniform_coefficients(g)),
                 ("perturbed", operators.perturbed_coefficients(g, amp))]
     rays = _rays(cfg)
+    sweeps = operators.resolvent_bound_sweep(
+        [operators.build_operator(g, coeffs) for _, coeffs in variants],
+        [l * _RAY_PHASES[ray] for ray in rays for l in lams], eta=eta, seed=cfg.seed)
     rows = []
-    for vname, coeffs in variants:
-        sweep = operators.resolvent_bound_sweep(
-            operators.build_operator(g, coeffs),
-            [l * _RAY_PHASES[ray] for ray in rays for l in lams], eta=eta, seed=cfg.seed)
+    for (vname, _), sweep in zip(variants, sweeps):
         for i, r in enumerate(sweep.rows):
             rows.append({"experiment": "resolvent_sweep", "variant": vname,
                          "ray": rays[i // len(lams)], "lam_re": r.lam.real,

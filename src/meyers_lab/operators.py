@@ -29,8 +29,10 @@ TWO_PI_I = 2j * math.pi
 _RANDOM_DATA = 3
 # kernel values at or below this are round-off, left out of the decay fits
 _KERNEL_NOISE_FLOOR = 1e-12
-# probe vertices of the resolvent sweep, spread over the window
+# probe vertices of the resolvent sweep, spread over the window, and the
+# Dijkstra sources per block of its window distances
 _SWEEP_PROBES = 5
+_WINDOW_SOURCE_BLOCK = 256
 # accretivity: the best probes refined by gradient ascent, and its steps
 _REFINE_PROBES = 10
 _REFINE_STEPS = 120
@@ -238,9 +240,10 @@ class SweepResult:
     rows: list
 
 
-def resolvent_bound_sweep(op: GraphOperator, lams, eta: float = 0.5,
-                          seed: int = 0) -> SweepResult:
-    """Resolvent decay probe over a lambda list spanning several decades.
+def resolvent_bound_sweep(ops, lams, eta: float = 0.5,
+                          seed: int = 0) -> list[SweepResult]:
+    """Resolvent decay probe over a lambda list spanning several decades,
+    one ``SweepResult`` per operator of ``ops`` (all on one graph).
 
     For each lambda the L2 -> L^inf and L2 -> Holder ratios are maximized
     over random data supported in the interior window plus near-optimal data
@@ -248,12 +251,20 @@ def resolvent_bound_sweep(op: GraphOperator, lams, eta: float = 0.5,
     operator norm at the probed vertices, which fixed smooth data cannot).
     Data is projected onto the mean-zero subspace: the constant eigenmode of
     a finite box is a truncation artifact with no counterpart in L2 of the
-    unbounded graph being modeled.
+    unbounded graph being modeled. Every operator sees the same random data,
+    the one draw of ``seed``, so each result equals a call on that operator
+    alone. The window distances are computed once, and the Holder sups of
+    all operators and lambdas are one pass over them; it forms half the
+    pairs when those distances are bitwise symmetric.
     """
-    g = op.graph
+    if not ops or any(op.graph is not ops[0].graph for op in ops):
+        raise OperatorError("the sweep needs operators on one graph")
+    g = ops[0].graph
+    lams = [complex(lam) for lam in lams]
     rng = np.random.default_rng(seed)
     window = box_window(g)
-    dwin = distances_from(g, window)[:, window]
+    dwin = np.concatenate([distances_from(g, window[s:s + _WINDOW_SOURCE_BLOCK])[:, window]
+                           for s in range(0, len(window), _WINDOW_SOURCE_BLOCK)])
     total_m = float(g.m.sum())
 
     def prep(f):
@@ -269,32 +280,41 @@ def resolvent_bound_sweep(op: GraphOperator, lams, eta: float = 0.5,
         f[window] = rng.standard_normal(len(window))
         fs.append(prep(f))
 
-    rows = []
-    for lam in lams:
-        lam = complex(lam)
-        lu = spla.splu(op.matrix(lam))
-        cands = list(fs)
-        for x in probe_vertices:
-            e = np.zeros(g.n)
-            e[x] = 1.0
-            row = lu.solve(e.astype(complex))  # resolvent row by symmetry of S
-            cands.append(prep(np.conj(row)))
-        uws, fl2s = [], []
-        for f in cands:
-            res = resolvent_solve(op, lam, f, _factor=lu)
-            fl2 = math.sqrt(float(g.m @ np.abs(f) ** 2))
-            if fl2 > 0:
-                uws.append(res.u[window])
-                fl2s.append(fl2)
-        uw, fl2 = np.array(uws).reshape(-1, len(window)), np.array(fl2s)
-        sup_ratio = float((np.abs(uw).max(axis=1) / fl2).max(initial=0.0))
-        hol_ratio = float((_holder_sup(uw, lambda rows: dwin[rows], eta) / fl2).max(initial=0.0))
-        al = abs(lam)
-        rows.append(SweepRow(lam, sup_ratio, hol_ratio,
-                             R_inf=sup_ratio * al**0.5,
-                             R_eta=hol_ratio * al ** ((1.0 - eta) / 2.0)))
+    # per (operator, lambda): the window restrictions and the ||f||_2 > 0
+    blocks = []
+    for op in ops:
+        for lam in lams:
+            lu = spla.splu(op.matrix(lam))
+            cands = list(fs)
+            for x in probe_vertices:
+                e = np.zeros(g.n)
+                e[x] = 1.0
+                row = lu.solve(e.astype(complex))  # resolvent row by symmetry of S
+                cands.append(prep(np.conj(row)))
+            uws, fl2s = [], []
+            for f in cands:
+                res = resolvent_solve(op, lam, f, _factor=lu)
+                fl2 = math.sqrt(float(g.m @ np.abs(f) ** 2))
+                if fl2 > 0:
+                    uws.append(res.u[window])
+                    fl2s.append(fl2)
+            del lu  # freed before the next factorization
+            blocks.append((lam, np.array(uws).reshape(-1, len(window)), np.array(fl2s)))
 
-    return SweepResult(eta, rows)
+    uw_all = np.concatenate([uw for _, uw, _ in blocks] or [np.empty((0, len(window)))])
+    semi = _holder_sup(uw_all, lambda rows, cols: dwin[rows, cols], eta,
+                       symmetric=bool(np.array_equal(dwin, dwin.T)))
+    results = [SweepResult(eta, []) for _ in ops]
+    at = 0
+    for k, (lam, uw, fl2) in enumerate(blocks):
+        sup_ratio = float((np.abs(uw).max(axis=1) / fl2).max(initial=0.0))
+        hol_ratio = float((semi[at:at + len(uw)] / fl2).max(initial=0.0))
+        at += len(uw)
+        al = abs(lam)
+        results[k // len(lams)].rows.append(SweepRow(
+            lam, sup_ratio, hol_ratio, R_inf=sup_ratio * al**0.5,
+            R_eta=hol_ratio * al ** ((1.0 - eta) / 2.0)))
+    return results
 
 
 # ---------------------------------------------------------------------------

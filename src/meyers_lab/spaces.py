@@ -110,23 +110,32 @@ def df_grad_bracket(g: WeightedGraph, p: float) -> float:
     return max(upper, lower_inv)
 
 
-def _holder_sup(values: np.ndarray, distance_rows, eta: float) -> np.ndarray:
+def _holder_sup(values: np.ndarray, distance_rows, eta: float,
+                symmetric: bool = False) -> np.ndarray:
     """sup_{x != y} |v(x) - v(y)| / d(x, y)^eta for each row v of ``values``.
 
-    ``distance_rows(rows)`` returns the distances from the points of the
-    slice ``rows`` to all points; its d^eta serves every row of ``values``,
-    and pairs at distance zero are skipped.
+    ``distance_rows(rows, cols)`` returns the distances from the points of
+    the slice ``rows`` to those of the slice ``cols``; it is not written to.
+    Each row block's d^eta serves every row of ``values``, and pairs at
+    distance zero count as ratio 0. With ``symmetric`` only the pairs with
+    y at or after the block's first row are formed, which is the full sup
+    bit for bit when the distances are bitwise symmetric. A non-finite
+    value fails closed: its row's sup is NaN.
     """
     best = np.zeros(len(values))
     for start in range(0, values.shape[1], _HOLDER_BLOCK):
         rows = slice(start, start + _HOLDER_BLOCK)
-        d_eta = distance_rows(rows) ** eta
+        cols = slice(start, None) if symmetric else slice(None)
+        d_eta = distance_rows(rows, cols) ** eta
+        d_eta[d_eta == 0] = np.inf
+        ratio = np.empty(d_eta.shape)
+        diff = np.empty(d_eta.shape, values.dtype) if np.iscomplexobj(values) else ratio
         for i, v in enumerate(values):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.abs(v[rows, None] - v[None, :]) / d_eta
-            ratio[~np.isfinite(ratio)] = 0.0
-            best[i] = max(best[i], ratio.max())
-        del d_eta  # freed before the next block's distances are formed
+            np.subtract(v[rows, None], v[None, cols], out=diff)
+            np.abs(diff, out=ratio)
+            np.divide(ratio, d_eta, out=ratio)
+            best[i] = np.maximum(best[i], ratio.max())
+        del d_eta, ratio, diff  # freed before the next block's distances are formed
     return best
 
 
@@ -170,8 +179,8 @@ def holder_seminorm(f: VertexFunction, eta: float) -> float:
     if not 0 < eta <= 1:
         raise SpaceError("holder exponent must be in (0, 1]")
     g = f.graph
-    return float(_holder_sup(f.values[None], lambda rows: distances_from(
-        g, np.arange(g.n)[rows]), eta)[0])
+    return float(_holder_sup(f.values[None], lambda rows, cols: distances_from(
+        g, np.arange(g.n)[rows])[:, cols], eta)[0])
 
 
 def holder_norm(f: VertexFunction, eta: float) -> float:
@@ -415,7 +424,7 @@ def embedding_report(g: WeightedGraph, p: float, trials: int = 40,
     w = np.array([w1p_norm(f, p) for f in fs])
     keep = w > 0
     sup = np.array([lp_norm(f, np.inf) for f in fs])[keep]
-    semi = _holder_sup(np.array(cands)[keep], lambda rows: distances_from(
-        g, np.arange(g.n)[rows]), eta)
+    semi = _holder_sup(np.array(cands)[keep], lambda rows, cols: distances_from(
+        g, np.arange(g.n)[rows])[:, cols], eta)
     best = float(((sup + semi) / w[keep]).max(initial=0.0))
     return EmbeddingReport(p=p, trials=trials, eta=eta, holder_ratio_max=best)

@@ -143,6 +143,9 @@ class TestConfig:
         "experiment = meyers_sweep\nlevels = -3,-2,-1",
         "experiment = geometry\nlevels = -3,-2,-1",
         "experiment = counterexample\nlevels = -2,-1,0",
+        # one interior vertex: the P1 solution is 0 and the slope fit refuses it
+        "experiment = counterexample\nlevels = -1,0,1",
+        "experiment = counterexample\nlevels = 0,1,2",
         # a repeated p would repeat its row block
         "experiment = meyers_sweep\np_list = 2.2,2.2",
         "experiment = holder_convergence\np_list = 2.2,2.2",
@@ -166,7 +169,7 @@ class TestConfig:
         "experiment = meyers_sweep\nlevels = 1,2,3",
         "experiment = geometry\nlevels = 1,2,3",
         "experiment = embeddings\nlevels = 1,2",
-        "experiment = counterexample\nlevels = 0,1,2",  # square2: level 0 has the origin
+        "experiment = counterexample\nlevels = 1,2,3",  # square2: level 1 has 9
     ])
     def test_coarsest_level_with_interior_vertex_accepted(self, text):
         parse_config(text)

@@ -7,13 +7,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from meyers_lab import operators
-from meyers_lab import (EdgeCoefficients, OperatorError, accretivity_angle,
-                        build_operator, contour_nodes, df_grad_bracket,
-                        distances_from, expm_oracle, gradient_length, h_star,
-                        kernel_bound_check,
+from meyers_lab import (EdgeCoefficients, OperatorError, Polygon, accretivity_angle,
+                        box_window, build_operator, contour_nodes, df_grad_bracket,
+                        distances_from, expm_oracle, from_triangulation,
+                        gradient_length, h_star, kernel_bound_check,
                         kernel_column, kernel_holder_fit, lattice_box,
-                        perturbed_coefficients, rescale, resolvent_solve,
-                        semigroup_apply, uniform_coefficients, VertexFunction)
+                        perturbed_coefficients, rescale, resolvent_bound_sweep,
+                        resolvent_solve, semigroup_apply, triangulate,
+                        uniform_coefficients, VertexFunction)
 
 @pytest.fixture(scope="module")
 def box16():
@@ -201,6 +202,60 @@ class TestResolvent:
             resolvent_solve(op16, cmath.rect(1.0, 0.9 * math.pi), f, mu_sector=mu)
         res = resolvent_solve(op16, cmath.rect(1.0, 0.6 * math.pi), f, mu_sector=mu)
         assert res.residual <= 1e-10
+
+
+class TestResolventSweep:
+    LAMS = [1.0, 10.0, 100.0 * cmath.exp(0.6j * math.pi)]
+
+    @pytest.fixture(scope="class")
+    def ops(self):
+        g = rescale(lattice_box(16, 16), 1.0 / 16)
+        return (build_operator(g, uniform_coefficients(g)),
+                build_operator(g, perturbed_coefficients(g, 0.3)))
+
+    def test_batched_operators_equal_single_calls(self, ops):
+        both = resolvent_bound_sweep(list(ops), self.LAMS, eta=0.4, seed=2)
+        assert len(both) == 2
+        for op, got in zip(ops, both):
+            (alone,) = resolvent_bound_sweep([op], self.LAMS, eta=0.4, seed=2)
+            assert got.eta == alone.eta
+            assert len(got.rows) == len(alone.rows) == len(self.LAMS)
+            for r, a in zip(got.rows, alone.rows):
+                assert (r.lam, r.sup_ratio, r.holder_ratio, r.R_inf, r.R_eta) == \
+                    (a.lam, a.sup_ratio, a.holder_ratio, a.R_inf, a.R_eta)
+
+    def test_one_lu_per_operator_and_lambda_and_one_window_row_per_source(
+            self, ops, monkeypatch):
+        lus, rows = [], []
+        splu, dist = operators.spla.splu, operators.distances_from
+        monkeypatch.setattr(operators.spla, "splu", lambda *a, **k: lus.append(1) or splu(*a, **k))
+        monkeypatch.setattr(operators, "distances_from",
+                            lambda g, src, **k: rows.append(np.size(src)) or dist(g, src, **k))
+        resolvent_bound_sweep(list(ops), self.LAMS)
+        assert len(lus) == len(ops) * len(self.LAMS)
+        assert sum(rows) == len(box_window(ops[0].graph))
+
+    def test_half_pairs_only_on_bitwise_symmetric_window_distances(self, ops, monkeypatch):
+        seen = []
+        sup = operators._holder_sup
+        monkeypatch.setattr(operators, "_holder_sup",
+                            lambda *a, **k: seen.append(k["symmetric"]) or sup(*a, **k))
+        resolvent_bound_sweep([ops[0]], self.LAMS)
+        # Dijkstra rows on a triangulated graph are not bitwise symmetric
+        g = from_triangulation(triangulate(Polygon.unit_square(), 1.0 / 16))
+        window = box_window(g)
+        dwin = distances_from(g, window)[:, window]
+        assert not np.array_equal(dwin, dwin.T)
+        resolvent_bound_sweep([build_operator(g, uniform_coefficients(g))], self.LAMS)
+        assert seen == [True, False]
+
+    def test_operators_on_different_graphs_refused(self, ops):
+        g = rescale(lattice_box(16, 16), 1.0 / 16)
+        other = build_operator(g, uniform_coefficients(g))
+        with pytest.raises(OperatorError, match="one graph"):
+            resolvent_bound_sweep([ops[0], other], self.LAMS)
+        with pytest.raises(OperatorError, match="one graph"):
+            resolvent_bound_sweep([], self.LAMS)
 
 
 class TestContour:

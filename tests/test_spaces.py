@@ -123,18 +123,55 @@ class TestNorms:
         if case == "graph":
             g = path_graph(rng.uniform(0.5, 2.0, 300))
             values = rng.standard_normal((5, g.n))
-            rows_of = lambda rows: distances_from(g, np.arange(g.n)[rows])
+            rows_of = lambda rows, cols: distances_from(g, np.arange(g.n)[rows])[:, cols]
         else:
             g = lattice_box(40, 40)
             window = box_window(g)
             dwin = distances_from(g, window)[:, window]
             values = rng.standard_normal((4, len(window))) \
                 + 1j * rng.standard_normal((4, len(window)))
-            rows_of = lambda rows: dwin[rows]
+            rows_of = lambda rows, cols: dwin[rows, cols]
         assert values.shape[1] % _HOLDER_BLOCK != 0
         block = _holder_sup(values, rows_of, 0.3)
         singles = [_holder_sup(v[None], rows_of, 0.3)[0] for v in values]
         assert block.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize("case", ["window", "euclidean"])
+    def test_holder_sup_half_pairs_equal_full_square(self, case):
+        # on bitwise symmetric distances the pairs (x, y) with y at or after
+        # the row block's start give the full-square sup bit for bit
+        rng = np.random.default_rng(11)
+        if case == "window":
+            g = lattice_box(40, 40)
+            window = box_window(g)
+            dist = distances_from(g, window)[:, window]
+            values = rng.standard_normal((4, len(window))) \
+                + 1j * rng.standard_normal((4, len(window)))
+        else:
+            pts = rng.uniform(size=(700, 2))
+            dist = np.hypot(pts[:, None, 0] - pts[None, :, 0],
+                            pts[:, None, 1] - pts[None, :, 1])
+            values = rng.standard_normal((3, len(pts)))
+        assert np.array_equal(dist, dist.T)
+        assert values.shape[1] % _HOLDER_BLOCK != 0
+        before = dist.copy()
+        rows_of = lambda rows, cols: dist[rows, cols]
+        full = _holder_sup(values, rows_of, 0.4)
+        half = _holder_sup(values, rows_of, 0.4, symmetric=True)
+        assert half.tobytes() == full.tobytes()
+        assert dist.tobytes() == before.tobytes()  # the caller's matrix is not written
+
+    def test_holder_sup_fails_closed_on_nan(self):
+        # a NaN value makes its own field's sup NaN; the other fields of the
+        # block keep their sups bit for bit
+        g = path_graph(np.random.default_rng(3).uniform(0.5, 2.0, 300))
+        values = np.random.default_rng(4).standard_normal((3, g.n))
+        rows_of = lambda rows, cols: distances_from(g, np.arange(g.n)[rows])[:, cols]
+        clean = _holder_sup(values, rows_of, 0.5)
+        values[1, 270] = np.nan  # in the second row block
+        got = _holder_sup(values, rows_of, 0.5)
+        assert np.isnan(got[1])
+        assert got[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
 
     def test_holder_queries_leave_graph_unchanged(self, coarse_square_graph):
         g = coarse_square_graph
