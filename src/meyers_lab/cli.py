@@ -22,7 +22,9 @@ def _epilog() -> str:
         "",
         "config files are flat `key = value` lines; `#` starts a comment. Every",
         "experiment ships defaults matching the acceptance setups; summaries are",
-        "recomputable from the row CSVs via `meyers-lab report`.",
+        "recomputable from the row CSVs via `meyers-lab report`. Besides seed and",
+        "out, a config may set only the keys its experiment lists above; any other",
+        "key is refused.",
     ]
     return "\n".join(lines) + "\n"
 

@@ -5,9 +5,11 @@ deterministic given the seed, CSV cells are written with round-trip float
 repr, and each summary verdict is recomputable from the emitted row files
 alone (the ``report`` command does exactly that).
 
-Each experiment is one ``Experiment`` record in ``REGISTRY``: its config
-defaults, validation, runner, verdict recomputation and the row files it
-writes with their headers.
+Each experiment is one ``Experiment`` record in ``REGISTRY``: the config keys
+it reads, each with its default text and the one parser of that text, a check
+of the rules that span keys, the runner, the verdict recomputation and the
+row files it writes with their headers. A key the experiment does not read is
+refused.
 
 Mesh families are red-refinement families: the coarsest level comes from
 ``triangulate`` and each further level halves h exactly, so consecutive
@@ -53,17 +55,22 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """``params`` holds each key's text (defaults plus overrides) and
+    ``values`` the same keys parsed by the record's parsers."""
+
     experiment: str
     params: dict = dc_field(default_factory=dict)
     seed: int = 0
     out: str = "results"
+    values: dict = dc_field(default_factory=dict)
 
     def get(self, key, default=None):
         return self.params.get(key, default)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat key = value lines; unknown keys are kept as strings."""
+    """Parse flat key = value lines. Each key the experiment reads is parsed
+    once, by its record's parser; a key it does not read is refused."""
     raw = {}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -77,18 +84,22 @@ def parse_config(text: str) -> ExperimentConfig:
         raw[key] = val
     if "experiment" not in raw:
         raise ConfigError("missing 'experiment' key")
-    exp = raw.pop("experiment")
-    if exp not in REGISTRY:
-        raise ConfigError(f"unknown experiment {exp!r}; choose from {tuple(REGISTRY)}")
+    name = raw.pop("experiment")
+    if name not in REGISTRY:
+        raise ConfigError(f"unknown experiment {name!r}; choose from {tuple(REGISTRY)}")
+    exp = REGISTRY[name]
     seed = _parse("seed", raw.pop("seed", "0"), int)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     out = raw.pop("out", "results")
-    params = dict(REGISTRY[exp].defaults)
-    params.update(raw)
-    cfg = ExperimentConfig(exp, params, seed, out)
-    REGISTRY[exp].validate(cfg)
-    return cfg
+    for key in raw:
+        if key not in exp.keys:
+            raise ConfigError(f"{name} reads no key {key!r}; its keys are "
+                              f"{('seed', 'out', *exp.keys)}")
+    params = {**exp.defaults, **raw}
+    values = {key: _parse(key, params[key], parse) for key, (_, parse) in exp.keys.items()}
+    exp.check(name, values)
+    return ExperimentConfig(name, params, seed, out, values)
 
 
 def _parse(key: str, text: str, parse):
@@ -99,8 +110,18 @@ def _parse(key: str, text: str, parse):
         raise ConfigError(f"{key} = {text!r}: {exc}") from None
 
 
-def _read(cfg: ExperimentConfig, key: str, parse):
-    return _parse(key, str(cfg.get(key)), parse)
+# ---------------------------------------------------------------------------
+# key parsers: text to value, raising ValueError on malformed or out-of-range
+# text; parse_config names the key in the ConfigError it raises instead
+
+def _where(parse, ok, need: str):
+    """``parse``, refusing a value for which ``ok`` is false."""
+    def parser(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"needs {need}")
+        return value
+    return parser
 
 
 def _floats(text: str) -> list[float]:
@@ -114,6 +135,26 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
+def _positive_list(distinct: int):
+    """Finite values > 0, at least ``distinct`` of them distinct."""
+    return _where(_floats, lambda vs: all(0 < v < math.inf for v in vs)
+                  and len(set(vs)) >= distinct, f"{distinct} distinct finite values > 0")
+
+
+def _p_list(p_min: float):
+    """Distinct exponents p > p_min: a repeated p would repeat its row block."""
+    return _where(_floats, lambda ps: all(p > p_min for p in ps)
+                  and len(set(ps)) == len(ps), f"distinct values p > {p_min}")
+
+
+def _levels(at_least: int):
+    """At least ``at_least`` consecutive increasing integers; level k targets
+    grid spacing 2^-k."""
+    return _where(_ints, lambda ls: len(ls) >= at_least
+                  and all(cur == prev + 1 for prev, cur in zip(ls, ls[1:])),
+                  f"at least {at_least} consecutive increasing levels")
+
+
 def _domain(name: str) -> mesh.Polygon:
     if name == "unit_square":
         return mesh.Polygon.unit_square()
@@ -122,30 +163,96 @@ def _domain(name: str) -> mesh.Polygon:
     if name.startswith("rect:"):
         x0, y0, x1, y1 = (float(t) for t in name.split(":")[1:])
         return mesh.Polygon.rectangle(x0, y0, x1, y1)
-    raise ConfigError(f"unknown domain {name!r}")
+    raise ValueError("choose from unit_square, square2, rect:x0:y0:x1:y1")
 
 
-def _coefficient(cfg: ExperimentConfig) -> fem.CoefficientField:
-    return _read(cfg, "coefficient", fem.coefficient_field)
+def _choice(table: dict):
+    """The value ``table`` holds for the text."""
+    def parser(text):
+        if text not in table:
+            raise ValueError(f"choose from {tuple(table)}")
+        return table[text]
+    return parser
 
 
-def _load_spec(name: str, problem=None):
-    if name == "one":
-        return lambda pts: np.ones(len(pts))
-    if name == "minus_one":
-        return lambda pts: -np.ones(len(pts))
-    if name == "auto":
-        if problem is None:
-            raise ConfigError("f = auto needs a manufactured problem")
-        return problem.f
-    raise ConfigError(f"unknown load {name!r}")
+_LOADS = {"one": lambda pts: np.ones(len(pts)), "minus_one": lambda pts: -np.ones(len(pts))}
+_positive = _where(float, lambda v: 0 < v < math.inf, "a finite value > 0")
+_count = _where(int, lambda v: v >= 1, "an integer >= 1")
+_above_2 = _where(float, lambda v: v > 2, "a value > 2")
+
+# smallest lattice box whose interior window (graph.box_window: coordinates in
+# [(box-1)/4, 3(box-1)/4]) holds an edge; smaller boxes leave no increments
+_MIN_BOX = 4
+_box = _where(int, lambda v: v >= _MIN_BOX, f"box >= {_MIN_BOX}")
+
+# resolvent rays: the positive reals and the ray at angle 3 pi / 5
+_RAY_PHASES = {"real": 1.0, "sector": np.exp(1j * 3 * math.pi / 5)}
+_rays = _where(lambda text: [s.strip() for s in text.split(",")],
+               lambda rays: set(rays) <= set(_RAY_PHASES), f"rays among {tuple(_RAY_PHASES)}")
+
+
+def _r0(text: str):
+    """The ball radius cap as a function of the mesh size h: auto is 2.5 h, a
+    lattice-relative cap that keeps the probed ball patterns self-similar
+    across the refinement family; otherwise a fixed finite r0 > 0."""
+    if text == "auto":
+        return lambda h: 2.5 * h
+    r0 = _positive(text)
+    return lambda h: r0
+
+
+def _sample_count(text: str) -> int | None:
+    """all (None: every center) or an integer >= 1."""
+    return None if text == "all" else _count(text)
+
+
+# ---------------------------------------------------------------------------
+# checks of the rules that span keys
+
+def _check_family(name: str, values: dict, need: int = 1) -> None:
+    """The coarsest mesh of the domain has ``need`` interior vertices."""
+    lvl = values["levels"][0]
+    if _interior_vertices(values["domain"], lvl) < need:
+        raise ConfigError(f"level {lvl} is too coarse for the domain: {name} needs "
+                          f"{need} or more interior vertices in its mesh")
+
+
+def _interior_vertices(poly: mesh.Polygon, level: int) -> float:
+    """Interior vertices of the level's mesh of ``poly`` (an axis rectangle,
+    as every config domain is), counted without meshing: triangulate needs a
+    spacing 2^-level below the diameter, and the criss-cross grid of n_x by
+    n_y cells has (n_x - 1)(n_y - 1) interior vertices. A spacing that
+    underflows to 0 is left to triangulate (inf)."""
+    if not level > -math.log2(poly.diameter):
+        return 0
+    h = 2.0 ** -level
+    if h == 0:
+        return math.inf
+    lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
+    return math.prod(mesh._grid_divisions(a, b, h) - 1 for a, b in zip(lo, hi))
+
+
+def _check_counterexample(name: str, values: dict) -> None:
+    if values["coefficient"].eps is None:
+        raise ConfigError("counterexample needs a meyers:<eps> coefficient")
+    # one interior vertex carries one hat function; on square2 it is the
+    # origin, where the P1 solution is 0 and the slope fit has no data
+    _check_family(name, values, need=2)
+
+
+def _check_rate_theta(name: str, values: dict) -> None:
+    _check_family(name, values)
+    # theta in (0, 1): p_probe strictly between the endpoints 2 and 2 + eps
+    if not 2 < values["p_probe"] < 2 + values["eps_probe"]:
+        raise ConfigError("rate_theta needs 2 < p_probe < 2 + eps_probe")
+    if values["center_level"] not in values["levels"]:
+        raise ConfigError("rate_theta needs center_level among the levels")
 
 
 def _family(cfg: ExperimentConfig) -> list[tuple[int, mesh.Triangulation]]:
-    """(level, mesh) over the red-refinement family of the config's domain;
-    level k targets grid spacing 2^-k."""
-    levels = _read(cfg, "levels", _ints)
-    tris = [mesh.triangulate(_read(cfg, "domain", _domain), 2.0 ** -levels[0])]
+    """(level, mesh) over the red-refinement family of the config's domain."""
+    levels = cfg.values["levels"]
+    tris = [mesh.triangulate(cfg.values["domain"], 2.0 ** -levels[0])]
     for _ in levels[1:]:
         tris.append(mesh.refine_red(tris[-1]))
     return list(zip(levels, tris))
@@ -173,149 +280,14 @@ def _verdict(name, value, ok, threshold) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# validation
-
-def _validate_family(cfg: ExperimentConfig, min_levels: int) -> None:
-    """A known domain and at least ``min_levels`` consecutive levels."""
-    levels = _read(cfg, "levels", _ints)
-    if len(levels) < min_levels:
-        raise ConfigError(f"{cfg.experiment} needs at least {min_levels} levels")
-    if any(cur != prev + 1 for prev, cur in zip(levels, levels[1:])):
-        raise ConfigError("levels must be consecutive increasing integers")
-    if not _interior_vertices(_read(cfg, "domain", _domain), levels[0]):
-        raise ConfigError(f"level {levels[0]} is too coarse for the domain: "
-                          "its mesh has no interior vertex")
-
-
-def _interior_vertices(poly: mesh.Polygon, level: int) -> float:
-    """Interior vertices of the level's mesh of ``poly`` (an axis rectangle,
-    as every config domain is), counted without meshing: triangulate needs a
-    spacing 2^-level below the diameter, and the criss-cross grid of n_x by
-    n_y cells has (n_x - 1)(n_y - 1) interior vertices. A spacing that
-    underflows to 0 is left to triangulate (inf)."""
-    if not level > -math.log2(poly.diameter):
-        return 0
-    h = 2.0 ** -level
-    if h == 0:
-        return math.inf
-    lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
-    return math.prod(mesh._grid_divisions(a, b, h) - 1 for a, b in zip(lo, hi))
-
-
-def _validate_sweep(cfg: ExperimentConfig, p_min: float, problem=None) -> None:
-    """p_list above p_min, a family for the slope fits (3 levels), a known load."""
-    ps = _read(cfg, "p_list", _floats)
-    for p in ps:
-        if not p > p_min:
-            raise ConfigError(f"{cfg.experiment} needs p > {p_min}, got {p}")
-    if len(set(ps)) < len(ps):
-        raise ConfigError(f"{cfg.experiment} needs distinct values in p_list")
-    _validate_family(cfg, 3)
-    _load_spec(cfg.get("f"), problem)
-
-
-def _validate_p_above_2(cfg: ExperimentConfig) -> None:
-    _validate_sweep(cfg, 2)
-    _coefficient(cfg)
-
-
-def _validate_counterexample(cfg: ExperimentConfig) -> None:
-    eps = _coefficient(cfg).eps
-    if eps is None:
-        raise ConfigError("counterexample needs a meyers:<eps> coefficient")
-    _validate_sweep(cfg, 1, fem.meyers_problem(eps))
-    # one interior vertex carries one hat function; on square2 it is the
-    # origin, where the P1 solution is 0 and the slope fit has no data
-    coarsest = _read(cfg, "levels", _ints)[0]
-    if _interior_vertices(_read(cfg, "domain", _domain), coarsest) < 2:
-        raise ConfigError(f"counterexample level {coarsest} is too coarse: "
-                          "its mesh needs two interior vertices")
-
-
-def _validate_rate_theta(cfg: ExperimentConfig) -> None:
-    _validate_family(cfg, 3)
-    _load_spec(cfg.get("f"))
-    eps = _read(cfg, "eps_probe", float)
-    if not 0 < eps < math.inf:
-        raise ConfigError("rate_theta needs a finite eps_probe > 0")
-    # theta in (0, 1): p_probe strictly between the endpoints 2 and 2 + eps
-    if not 2 < _read(cfg, "p_probe", float) < 2 + eps:
-        raise ConfigError("rate_theta needs 2 < p_probe < 2 + eps_probe")
-    if _read(cfg, "center_level", int) not in _read(cfg, "levels", _ints):
-        raise ConfigError("rate_theta needs center_level among the levels")
-    _coefficient(cfg)
-
-
-# resolvent rays: the positive reals and the ray at angle 3 pi / 5
-_RAY_PHASES = {"real": 1.0, "sector": np.exp(1j * 3 * math.pi / 5)}
-# smallest lattice box whose interior window (graph.box_window: coordinates in
-# [(box-1)/4, 3(box-1)/4]) holds an edge; smaller boxes leave no increments
-_MIN_BOX = 4
-
-
-def _rays(cfg: ExperimentConfig) -> list[str]:
-    return [s.strip() for s in str(cfg.get("rays")).split(",")]
-
-
-def _validate_lattice(cfg: ExperimentConfig, key: str, distinct: int) -> None:
-    """box >= _MIN_BOX, and ``key`` a list of finite values > 0 with at least
-    ``distinct`` distinct ones."""
-    if not _read(cfg, "box", int) >= _MIN_BOX:
-        raise ConfigError(f"{cfg.experiment} needs box >= {_MIN_BOX}")
-    vals = _read(cfg, key, _floats)
-    for v in vals:
-        if not 0 < v < math.inf:
-            raise ConfigError(f"{cfg.experiment} needs finite {key} > 0, got {v}")
-    if len(set(vals)) < distinct:
-        raise ConfigError(f"{cfg.experiment} needs {distinct} distinct values in {key}")
-
-
-def _validate_resolvent(cfg: ExperimentConfig) -> None:
-    _validate_lattice(cfg, "lambda_list", 3)  # a decay slope per ray over |lambda|
-    for ray in _rays(cfg):
-        if ray not in _RAY_PHASES:
-            raise ConfigError(f"unknown ray {ray!r}; choose from {tuple(_RAY_PHASES)}")
-    if not _read(cfg, "eta_p", float) > 2:
-        raise ConfigError("resolvent_sweep needs eta_p > 2")
-    if not math.isfinite(_read(cfg, "perturbation", float)):
-        raise ConfigError("resolvent_sweep needs a finite perturbation")
-
-
-def _validate_kernel(cfg: ExperimentConfig) -> None:
-    # one time gives the increment fit a single abscissa on a unit lattice
-    _validate_lattice(cfg, "t_grid", 2)
-    if not 0 < _read(cfg, "c_prime", float) < math.inf:
-        raise ConfigError("kernel_bounds needs a finite c_prime > 0")
-
-
-def _validate_geometry(cfg: ExperimentConfig) -> None:
-    _validate_family(cfg, 2)
-    if cfg.get("r0") != "auto" and not 0 < _read(cfg, "r0", float) < math.inf:
-        raise ConfigError("geometry needs r0 = auto or a finite r0 > 0")
-    if cfg.get("sample_count") != "all" and not _read(cfg, "sample_count", int) >= 1:
-        raise ConfigError("geometry needs sample_count = all or an integer >= 1")
-
-
-def _validate_embeddings(cfg: ExperimentConfig) -> None:
-    _validate_family(cfg, 2)
-    if not _read(cfg, "trials", int) >= 1:
-        raise ConfigError("embeddings needs trials >= 1")
-    if not 1 <= _read(cfg, "p_sobolev", float) < 2:
-        raise ConfigError("embeddings needs 1 <= p_sobolev < 2")
-    if not _read(cfg, "p_holder", float) > 2:
-        raise ConfigError("embeddings needs p_holder > 2")
-
-
-# ---------------------------------------------------------------------------
 # experiments
 
 def run_meyers_sweep(cfg: ExperimentConfig):
-    coeff = _coefficient(cfg)
-    fload = _load_spec(cfg.get("f"))
-    f_l2 = math.sqrt(_read(cfg, "domain", _domain).area)  # |f| = 1 on the domain
-    cells = _solved_family(cfg, coeff, fload)
+    v = cfg.values
+    f_l2 = math.sqrt(v["domain"].area)  # |f| = 1 on the domain
+    cells = _solved_family(cfg, v["coefficient"], v["f"])
     rows = []
-    for p in _read(cfg, "p_list", _floats):
+    for p in v["p_list"]:
         for lvl, tri, fld, lhuh in cells:
             w = fld.w1p_norm(p)
             rows.append({"experiment": "meyers_sweep", "p": p, "level": lvl,
@@ -341,11 +313,11 @@ def verdicts_meyers_sweep(rows):
 
 
 def run_counterexample(cfg: ExperimentConfig):
-    problem = fem.meyers_problem(_coefficient(cfg).eps)
-    fload = _load_spec(cfg.get("f"), problem)
-    cells = _solved_family(cfg, problem.field, fload)
+    v = cfg.values
+    problem = fem.meyers_problem(v["coefficient"].eps)
+    cells = _solved_family(cfg, problem.field, problem.f if v["f"] is None else v["f"])
     rows = []
-    for p in _read(cfg, "p_list", _floats):
+    for p in v["p_list"]:
         for lvl, tri, fld, lhuh in cells:
             rows.append({"experiment": "counterexample", "p": p, "p_c": problem.p_c,
                          "level": lvl, "h": tri.h, "w1p": fld.w1p_norm(p),
@@ -373,11 +345,10 @@ def verdicts_counterexample(rows):
 
 
 def run_holder_convergence(cfg: ExperimentConfig):
-    coeff = _coefficient(cfg)
-    fload = _load_spec(cfg.get("f"))
-    cells = _solved_family(cfg, coeff, fload)
+    v = cfg.values
+    cells = _solved_family(cfg, v["coefficient"], v["f"])
     rows = []
-    for p in _read(cfg, "p_list", _floats):
+    for p in v["p_list"]:
         eta = 1.0 - 2.0 / p
         prev = None
         for lvl, tri, fld, lhuh in cells:
@@ -408,11 +379,8 @@ def verdicts_holder(rows):
 
 
 def run_rate_theta(cfg: ExperimentConfig):
-    coeff = _coefficient(cfg)
-    fload = _load_spec(cfg.get("f"))
-    p_probe = _read(cfg, "p_probe", float)
-    eps = _read(cfg, "eps_probe", float)
-    center_level = _read(cfg, "center_level", int)
+    p_probe, eps, center_level, coeff, fload = (
+        cfg.values[key] for key in ("p_probe", "eps_probe", "center_level", "coefficient", "f"))
     p_hi = 2.0 + eps
     theta = (1.0 / p_probe - 1.0 / p_hi) / (0.5 - 1.0 / p_hi)
     center_ref = reference.torsion_center_value()
@@ -459,15 +427,12 @@ def verdicts_rate_theta(rows):
 
 
 def run_resolvent_sweep(cfg: ExperimentConfig):
-    box = _read(cfg, "box", int)
-    lams = _read(cfg, "lambda_list", _floats)
-    eta_p = _read(cfg, "eta_p", float)
-    eta = 1.0 - 2.0 / eta_p
-    amp = _read(cfg, "perturbation", float)
+    v = cfg.values
+    box, lams, rays = v["box"], v["lambda_list"], v["rays"]
+    eta = 1.0 - 2.0 / v["eta_p"]
     g = graph.rescale(graph.lattice_box(box, box), 1.0 / box)
     variants = [("symmetric", operators.uniform_coefficients(g)),
-                ("perturbed", operators.perturbed_coefficients(g, amp))]
-    rays = _rays(cfg)
+                ("perturbed", operators.perturbed_coefficients(g, v["perturbation"]))]
     sweeps = operators.resolvent_bound_sweep(
         [operators.build_operator(g, coeffs) for _, coeffs in variants],
         [l * _RAY_PHASES[ray] for ray in rays for l in lams], eta=eta, seed=cfg.seed)
@@ -505,9 +470,7 @@ def verdicts_resolvent(rows):
 
 
 def run_kernel_bounds(cfg: ExperimentConfig):
-    box = _read(cfg, "box", int)
-    ts = _read(cfg, "t_grid", _floats)
-    c_prime = _read(cfg, "c_prime", float)
+    box, ts, c_prime = (cfg.values[key] for key in ("box", "t_grid", "c_prime"))
     g = graph.lattice_box(box, box)
     op = operators.build_operator(g, operators.uniform_coefficients(g))
     y = (box // 2) * box + box // 2
@@ -552,8 +515,7 @@ def verdicts_kernel(meta_rows):
 
 
 def run_embeddings(cfg: ExperimentConfig):
-    trials = _read(cfg, "trials", int)
-    ps, ph = _read(cfg, "p_sobolev", float), _read(cfg, "p_holder", float)
+    trials, ps, ph = (cfg.values[key] for key in ("trials", "p_sobolev", "p_holder"))
     rows = []
     for lvl, tri in _family(cfg):
         g = graph.from_triangulation(tri)
@@ -583,14 +545,11 @@ def verdicts_embeddings(rows):
 
 
 def run_geometry(cfg: ExperimentConfig):
-    count = None if cfg.get("sample_count") == "all" else _read(cfg, "sample_count", int)
     rows = []
     for lvl, tri in _family(cfg):
         g = graph.from_triangulation(tri)
-        # lattice-relative radius cap keeps the probed ball patterns
-        # self-similar across the refinement family
-        r0 = 2.5 * tri.h if cfg.get("r0") == "auto" else _read(cfg, "r0", float)
-        rep = graph.geometry_report(g, r0, sample_count=count, seed=cfg.seed)
+        rep = graph.geometry_report(g, cfg.values["r0"](tri.h),
+                                    sample_count=cfg.values["sample_count"], seed=cfg.seed)
         rows.append({"experiment": "geometry", "level": lvl, "h": tri.h,
                      "r0": rep.r0, "C_D": rep.C_D, "c_L": rep.c_L, "C_P": rep.C_P,
                      "D": rep.D, "balls": rep.balls_sampled})
@@ -606,89 +565,107 @@ def verdicts_geometry(rows):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: config defaults, validation, runner, verdicts and the
-    row files it writes as (file name, comma-joined header) pairs.
+    """One experiment: the config keys it reads, each as ``key: (default
+    text, parser)``, the runner, the verdicts, the row files it writes as
+    (file name, comma-joined header) pairs, and ``check(name, values)`` for
+    the rules that span keys.
 
-    ``run(cfg)`` returns ``(rows, verdicts)``, with ``rows`` a tuple of one
-    row list per file when the experiment writes several files.
-    ``verdicts(rows)`` recomputes the verdicts from the rows of the first
-    file alone.
+    A parser turns the text into the value ``run`` reads from ``cfg.values``
+    and raises ValueError on malformed or out-of-range text. ``run(cfg)``
+    returns ``(rows, verdicts)``, with ``rows`` a tuple of one row list per
+    file when the experiment writes several files. ``verdicts(rows)``
+    recomputes the verdicts from the rows of the first file alone.
     """
 
     name: str
-    defaults: dict
+    keys: dict
     run: Callable
     verdicts: Callable
     files: tuple
-    validate: Callable = lambda cfg: None
+    check: Callable = lambda name, values: None
+
+    @property
+    def defaults(self) -> dict:
+        return {key: text for key, (text, _) in self.keys.items()}
 
 
 REGISTRY = {exp.name: exp for exp in (
     Experiment(
         "meyers_sweep",
-        dict(domain="unit_square", coefficient="checkerboard:1:4", f="one",
-             levels="3,4,5,6", p_list="2.2"),
+        dict(domain=("unit_square", _domain),
+             coefficient=("checkerboard:1:4", fem.coefficient_field),
+             f=("one", _choice(_LOADS)), levels=("3,4,5,6", _levels(3)),
+             p_list=("2.2", _p_list(2))),
         run_meyers_sweep, verdicts_meyers_sweep,
         (("meyers_sweep_rows.csv",
           "experiment,p,level,h,n_vertices,w1p,f_l2,ratio,lhuh_rel"),),
-        _validate_p_above_2),
+        _check_family),
     Experiment(
         "counterexample",
-        dict(domain="square2", coefficient="meyers:0.5", f="auto",
-             levels="3,4,5,6", p_list="2.5,6"),
+        # f = auto: the load of the coefficient's manufactured problem
+        dict(domain=("square2", _domain), coefficient=("meyers:0.5", fem.coefficient_field),
+             f=("auto", _choice({**_LOADS, "auto": None})), levels=("3,4,5,6", _levels(3)),
+             p_list=("2.5,6", _p_list(1))),
         run_counterexample, verdicts_counterexample,
         (("counterexample_rows.csv", "experiment,p,p_c,level,h,w1p,lhuh_rel"),),
-        _validate_counterexample),
+        _check_counterexample),
     Experiment(
         "holder_convergence",
-        dict(domain="unit_square", coefficient="checkerboard:1:4", f="one",
-             levels="3,4,5,6", p_list="2.2"),
+        dict(domain=("unit_square", _domain),
+             coefficient=("checkerboard:1:4", fem.coefficient_field),
+             f=("one", _choice(_LOADS)), levels=("3,4,5,6", _levels(3)),
+             p_list=("2.2", _p_list(2))),
         run_holder_convergence, verdicts_holder,
         (("holder_convergence_rows.csv",
           "experiment,p,eta,level,h,holder_norm,cauchy_diff,lhuh_rel"),),
-        _validate_p_above_2),
+        _check_family),
     Experiment(
         "rate_theta",
-        dict(domain="unit_square", coefficient="constant:1", f="minus_one",
-             levels="3,4,5,6", p_probe="2.2", eps_probe="0.5", center_level="5"),
+        dict(domain=("unit_square", _domain), coefficient=("constant:1", fem.coefficient_field),
+             f=("minus_one", _choice(_LOADS)), levels=("3,4,5,6", _levels(3)),
+             p_probe=("2.2", float), eps_probe=("0.5", _positive), center_level=("5", int)),
         run_rate_theta, verdicts_rate_theta,
         (("rate_theta_rows.csv",
           "experiment,level,h,p,w1p_error,center_value,center_ref,center_level,"
           "theta,p_probe,p_hi,lhuh_rel"),),
-        _validate_rate_theta),
+        _check_rate_theta),
     Experiment(
         "resolvent_sweep",
-        dict(box="64", lambda_list="1,10,100,1000", rays="real,sector", eta_p="4",
-             perturbation="0.3"),
+        # three distinct |lambda| give a decay slope per ray
+        dict(box=("64", _box), lambda_list=("1,10,100,1000", _positive_list(3)),
+             rays=("real,sector", _rays), eta_p=("4", _above_2),
+             perturbation=("0.3", _where(float, math.isfinite, "a finite value"))),
         run_resolvent_sweep, verdicts_resolvent,
         (("resolvent_sweep_rows.csv",
           "experiment,variant,ray,lam_re,lam_im,abs_lam,sup_ratio,holder_ratio,"
-          "R_inf,R_eta,eta"),),
-        _validate_resolvent),
+          "R_inf,R_eta,eta"),)),
     Experiment(
         "kernel_bounds",
-        dict(box="48", t_grid="0.5,1,2,4,8", c_prime="1"),
+        # one time gives the increment fit a single abscissa on a unit lattice
+        dict(box=("48", _box), t_grid=("0.5,1,2,4,8", _positive_list(2)),
+             c_prime=("1", _positive)),
         run_kernel_bounds, verdicts_kernel,
         (("kernel_bounds_rows.csv",
           "experiment,t,y,oracle_dev,mass,neighbor_d,max_neighbor_increment,C,beta,"
           "pass_rate_b,pass_rate_a,C_holder,eta_increment,pass_rate_holder,c_prime"),
-         ("kernel_table.csv", "t,y,x,d,h_star,regime,K_re,K_im,bound_value")),
-        _validate_kernel),
+         ("kernel_table.csv", "t,y,x,d,h_star,regime,K_re,K_im,bound_value"))),
     Experiment(
         "embeddings",
-        dict(domain="unit_square", levels="2,3,4,5", p_sobolev="1.5", p_holder="4",
-             trials="20"),
+        dict(domain=("unit_square", _domain), levels=("2,3,4,5", _levels(2)),
+             p_sobolev=("1.5", _where(float, lambda v: 1 <= v < 2, "1 <= p_sobolev < 2")),
+             p_holder=("4", _above_2), trials=("20", _count)),
         run_embeddings, verdicts_embeddings,
         (("embeddings_rows.csv",
           "experiment,level,h,n_vertices,p_sobolev,p_star,sobolev_ratio_max,"
           "p_holder,eta,holder_ratio_max"),),
-        _validate_embeddings),
+        _check_family),
     Experiment(
         "geometry",
-        dict(domain="unit_square", levels="3,4,5,6", r0="auto", sample_count="all"),
+        dict(domain=("unit_square", _domain), levels=("3,4,5,6", _levels(2)),
+             r0=("auto", _r0), sample_count=("all", _sample_count)),
         run_geometry, verdicts_geometry,
         (("geometry_rows.csv", "experiment,level,h,r0,C_D,c_L,C_P,D,balls"),),
-        _validate_geometry),
+        _check_family),
 )}
 
 

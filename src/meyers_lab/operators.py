@@ -204,25 +204,31 @@ class ResolventResult:
     residual: float
 
 
-def resolvent_solve(op: GraphOperator, lam, f, mu_sector: float | None = None,
-                    _factor=None) -> ResolventResult:
+def resolvent_solve(op: GraphOperator, lam, f,
+                    mu_sector: float | None = None) -> ResolventResult:
     """Solve L u + lambda u = f, i.e. (S + lambda diag(m)) u = m f."""
     lam = complex(lam)
     if mu_sector is not None and lam != 0 and not abs(cmath.phase(lam)) < mu_sector:
         raise OperatorError(f"lambda {lam} outside the sector of half-angle {mu_sector}")
-    fv = np.asarray(getattr(f, "values", f))
-    rhs = op.m * fv
     a = op.matrix(lam)
-    lu = _factor if _factor is not None else spla.splu(a)
-    u = lu.solve(rhs.astype(complex))
-    res = np.linalg.norm(a @ u - rhs)
-    scale = np.linalg.norm(rhs)
-    rel = float(res / scale) if scale > 0 else float(res)
-    if not rel <= _RESOLVENT_RTOL:
-        raise OperatorError(f"resolvent residual {rel:.2e} above {_RESOLVENT_RTOL:.0e}")
+    u, rel = _checked_solve(a, spla.splu(a), op.m * np.asarray(getattr(f, "values", f)))
     if np.all(np.abs(u.imag) == 0):
         u = u.real
-    return ResolventResult(u, rel)
+    return ResolventResult(u, rel[0])
+
+
+def _checked_solve(a, lu, rhs) -> tuple[np.ndarray, list[float]]:
+    """``lu.solve`` of one right-hand side or a block of columns, with each
+    column's residual in ``a``, relative to the column's norm (absolute for a
+    zero column); a residual above _RESOLVENT_RTOL or NaN fails."""
+    u = lu.solve(np.asarray(rhs, dtype=complex))
+    n = len(rhs)
+    rel = [float(np.linalg.norm(r) / (np.linalg.norm(b) or 1.0))
+           for r, b in zip((a @ u - rhs).reshape(n, -1).T, rhs.reshape(n, -1).T)]
+    for r in rel:
+        if not r <= _RESOLVENT_RTOL:
+            raise OperatorError(f"resolvent residual {r:.2e} above {_RESOLVENT_RTOL:.0e}")
+    return u, rel
 
 
 @dataclass
@@ -280,36 +286,40 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5,
         f[window] = rng.standard_normal(len(window))
         fs.append(prep(f))
 
-    # per (operator, lambda): the window restrictions and the ||f||_2 > 0
-    blocks = []
+    # per (operator, lambda): the ||f||_2 > 0 of its candidates, and their
+    # solutions' window restrictions as rows of uw_all. uw_all is allocated
+    # once and each block's temporaries are freed before the next factorization:
+    # rows kept between the freed block temporaries raised the peak RSS of a
+    # box-64 sweep by about 8 MiB
+    units = np.zeros((g.n, len(probe_vertices)), dtype=complex)
+    units[probe_vertices, np.arange(len(probe_vertices))] = 1.0
+    uw_all = np.empty((len(ops) * len(lams) * (len(fs) + len(probe_vertices)), len(window)),
+                      dtype=complex)
+    blocks, at = [], 0
     for op in ops:
         for lam in lams:
-            lu = spla.splu(op.matrix(lam))
-            cands = list(fs)
-            for x in probe_vertices:
-                e = np.zeros(g.n)
-                e[x] = 1.0
-                row = lu.solve(e.astype(complex))  # resolvent row by symmetry of S
-                cands.append(prep(np.conj(row)))
-            uws, fl2s = [], []
-            for f in cands:
-                res = resolvent_solve(op, lam, f, _factor=lu)
-                fl2 = math.sqrt(float(g.m @ np.abs(f) ** 2))
-                if fl2 > 0:
-                    uws.append(res.u[window])
-                    fl2s.append(fl2)
-            del lu  # freed before the next factorization
-            blocks.append((lam, np.array(uws).reshape(-1, len(window)), np.array(fl2s)))
+            a = op.matrix(lam)
+            lu = spla.splu(a)
+            # resolvent rows by symmetry of S, one per probe vertex
+            cands = fs + [prep(np.conj(row)) for row in lu.solve(units).T]
+            u, _ = _checked_solve(a, lu, np.column_stack([op.m * f for f in cands]))
+            fl2 = np.array([math.sqrt(float(g.m @ np.abs(f) ** 2)) for f in cands])
+            keep = fl2 > 0
+            uw_all[at:at + keep.sum()] = u[window][:, keep].T
+            at += keep.sum()
+            blocks.append((lam, fl2[keep]))
+            del a, lu, u, cands
 
-    uw_all = np.concatenate([uw for _, uw, _ in blocks] or [np.empty((0, len(window)))])
+    uw_all = uw_all[:at]
     semi = _holder_sup(uw_all, lambda rows, cols: dwin[rows, cols], eta,
                        symmetric=bool(np.array_equal(dwin, dwin.T)))
     results = [SweepResult(eta, []) for _ in ops]
     at = 0
-    for k, (lam, uw, fl2) in enumerate(blocks):
+    for k, (lam, fl2) in enumerate(blocks):
+        uw = uw_all[at:at + len(fl2)]
         sup_ratio = float((np.abs(uw).max(axis=1) / fl2).max(initial=0.0))
-        hol_ratio = float((semi[at:at + len(uw)] / fl2).max(initial=0.0))
-        at += len(uw)
+        hol_ratio = float((semi[at:at + len(fl2)] / fl2).max(initial=0.0))
+        at += len(fl2)
         al = abs(lam)
         results[k // len(lams)].rows.append(SweepRow(
             lam, sup_ratio, hol_ratio, R_inf=sup_ratio * al**0.5,

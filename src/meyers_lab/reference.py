@@ -12,6 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 
+# terms of the torsion series (odd k up to this cap)
+_TORSION_TERMS = 2001
+
+
 def _torsion_bands(y: np.ndarray, n_terms: int):
     """Yield (selection, k, k pi) per band of points grouped by distance to the
     y-boundary; the series factors decay like exp(-k pi dist), so far points
@@ -31,7 +35,7 @@ def _torsion_bands(y: np.ndarray, n_terms: int):
             yield sel, k, np.pi * k
 
 
-def torsion_value(points, n_terms: int = 2001) -> np.ndarray:
+def torsion_value(points) -> np.ndarray:
     """Series solution of the unit-square torsion problem at given points.
 
     Solves div(grad u) = -1 with zero boundary values: u = x(1-x)/2 minus the
@@ -40,7 +44,7 @@ def torsion_value(points, n_terms: int = 2001) -> np.ndarray:
     p = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = p[:, 0], p[:, 1]
     out = x * (1.0 - x) / 2.0
-    for sel, k, kpi in _torsion_bands(y, n_terms):
+    for sel, k, kpi in _torsion_bands(y, _TORSION_TERMS):
         # cosh(k pi (y - 1/2)) / cosh(k pi / 2), overflow-free
         ratio = (np.exp(-np.outer(1.0 - y[sel], kpi)) + np.exp(-np.outer(y[sel], kpi))) \
             / (1.0 + np.exp(-kpi))
@@ -48,12 +52,12 @@ def torsion_value(points, n_terms: int = 2001) -> np.ndarray:
     return out
 
 
-def torsion_gradient(points, n_terms: int = 2001) -> np.ndarray:
+def torsion_gradient(points) -> np.ndarray:
     p = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = p[:, 0], p[:, 1]
     ux = (1.0 - 2.0 * x) / 2.0
     uy = np.zeros_like(x)
-    for sel, k, kpi in _torsion_bands(y, n_terms):
+    for sel, k, kpi in _torsion_bands(y, _TORSION_TERMS):
         e_top = np.exp(-np.outer(1.0 - y[sel], kpi))
         e_bot = np.exp(-np.outer(y[sel], kpi))
         denom = 1.0 + np.exp(-kpi)
@@ -63,8 +67,8 @@ def torsion_gradient(points, n_terms: int = 2001) -> np.ndarray:
     return np.column_stack([ux, uy])
 
 
-def torsion_center_value(n_terms: int = 2001) -> float:
-    return float(torsion_value([(0.5, 0.5)], n_terms)[0])
+def torsion_center_value() -> float:
+    return float(torsion_value([(0.5, 0.5)])[0])
 
 
 # ---------------------------------------------------------------------------

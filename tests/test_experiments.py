@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,14 +192,52 @@ class TestConfig:
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(sorted(REGISTRY)),
            st.dictionaries(st.from_regex(r"x_[a-z0-9_]{1,8}", fullmatch=True),
-                           SAFE_VALUE, max_size=4),
+                           SAFE_VALUE, min_size=1, max_size=4),
            st.integers(0, 2**32), SAFE_VALUE)
     def test_rendered_config_parses_back(self, exp, extra, seed, out):
-        cfg = parse_config(render(exp, seed, out, extra))
-        assert cfg.params == {**REGISTRY[exp].defaults, **extra}
+        # keys the experiment does not read are refused; its own keys round-trip
+        with pytest.raises(ConfigError, match=next(iter(extra))):
+            parse_config(render(exp, seed, out, {**REGISTRY[exp].defaults, **extra}))
+        cfg = parse_config(render(exp, seed, out, {}))
+        assert cfg.params == REGISTRY[exp].defaults
         again = parse_config(render(cfg.experiment, cfg.seed, cfg.out, cfg.params))
         assert (again.experiment, again.seed, again.out, again.params) == \
             (exp, seed, out, cfg.params)
+
+    @pytest.mark.parametrize("text, key", [
+        ("experiment = meyers_sweep\nlevles = 2,3", "levles"),
+        ("experiment = geometry\nbox = 16", "box"),
+        ("experiment = kernel_bounds\nx_foo = 1", "x_foo"),
+    ])
+    def test_unknown_key_refused(self, tmp_path, text, key):
+        with pytest.raises(ConfigError, match=f"reads no key '{key}'"):
+            parse_config(text)
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(f"{text}\nout = {tmp_path / 'out'}\n")
+        assert cli.main(["run", str(cfgfile)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_values_are_parsed_once_per_key(self, monkeypatch):
+        parsed = []
+        parse = experiments._parse
+        monkeypatch.setattr(experiments, "_parse",
+                            lambda key, text, p: parsed.append(key) or parse(key, text, p))
+        cfg = parse_config("experiment = rate_theta\nlevels = 3,4,5")
+        assert parsed == ["seed", *REGISTRY["rate_theta"].keys]
+        assert cfg.values["levels"] == [3, 4, 5]
+        assert cfg.get("levels") == "3,4,5"
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_benchmark_workload_configs_parse(self, tmp_path, seed):
+        # every override key of a benchmark workload is one its experiment reads
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name, runs in workloads.WORKLOADS.items():
+            for exp, overrides in runs:
+                cfg = parse_config(workloads.config_text(exp, overrides, seed, str(tmp_path)))
+                assert cfg.experiment == exp and set(overrides) <= set(cfg.values), name
 
 
 # text cells exclude carriage returns, which no config value can carry
@@ -328,7 +368,8 @@ SMALL = {
 
 @pytest.fixture(scope="module", params=sorted(SMALL))
 def small_run(request, tmp_path_factory):
-    """One small run per experiment, with the rows handed to write_csv."""
+    """One small run per experiment, with the rows handed to write_csv; the
+    run reads only the values parse_config parsed, and calls no parser."""
     name = request.param
     cfg = parse_config(f"experiment = {name}\n{SMALL[name]}\n")
     cfg.out = str(tmp_path_factory.mktemp(name))
@@ -339,8 +380,12 @@ def small_run(request, tmp_path_factory):
         written[os.path.basename(path)] = rows
         write_csv(path, header, rows)
 
+    def refuse(key, text, parse):
+        raise AssertionError(f"run() parsed {key} = {text!r}")
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "write_csv", capture)
+        mp.setattr(experiments, "_parse", refuse)
         summary = run(cfg)
     return name, summary, written
 

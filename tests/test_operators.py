@@ -235,6 +235,25 @@ class TestResolventSweep:
         assert len(lus) == len(ops) * len(self.LAMS)
         assert sum(rows) == len(box_window(ops[0].graph))
 
+    def test_one_shifted_matrix_per_operator_and_lambda(self, ops, monkeypatch):
+        builds = []
+        matrix = operators.GraphOperator.matrix
+        monkeypatch.setattr(operators.GraphOperator, "matrix",
+                            lambda op, lam: builds.append(lam) or matrix(op, lam))
+        resolvent_bound_sweep(list(ops), self.LAMS)
+        assert len(builds) == len(ops) * len(self.LAMS)
+
+    def test_checked_solve_checks_every_column_of_a_block(self, ops):
+        a = ops[1].matrix(self.LAMS[2])
+        lu = spla.splu(a)
+        rhs = np.random.default_rng(3).standard_normal((a.shape[0], 3)).astype(complex)
+        u, rel = operators._checked_solve(a, lu, rhs)
+        assert len(rel) == 3 and max(rel) <= 1e-10
+        assert u.tobytes() == np.column_stack([lu.solve(col) for col in rhs.T]).tobytes()
+        rhs[0, 2] = np.nan
+        with pytest.raises(OperatorError, match="residual"):
+            operators._checked_solve(a, lu, rhs)
+
     def test_half_pairs_only_on_bitwise_symmetric_window_distances(self, ops, monkeypatch):
         seen = []
         sup = operators._holder_sup
