@@ -352,13 +352,11 @@ class P1Field:
 
     def holder_seminorm(self, eta: float) -> float:
         """Euclidean Holder seminorm over the vertices; for P1 fields the
-        vertex sup is the working assumption, audited by ``holder_audit``.
-        The hypot of exactly negated differences is bitwise symmetric, so
-        half the pairs give the full sup."""
+        vertex sup is the working assumption, audited by ``holder_audit``."""
         pts = self.tri.points
         return float(_holder_sup(self.values[None], lambda rows, cols: np.hypot(
             pts[rows, None, 0] - pts[None, cols, 0], pts[rows, None, 1] - pts[None, cols, 1]),
-            eta, symmetric=True)[0])
+            eta)[0])
 
     def holder_norm(self, eta: float) -> float:
         return float(np.abs(self.values).max()) + self.holder_seminorm(eta)

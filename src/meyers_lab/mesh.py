@@ -389,16 +389,14 @@ def regularity_report(tri: Triangulation) -> RegularityReport:
     for k, (u, v) in enumerate(edges):
         mid = 0.5 * (pts[u] + pts[v])
         egrid.setdefault((int(mid[0] // cell), int(mid[1] // cell)), []).append(k)
-    seen = set()
     for k, (u, v) in enumerate(edges):
         mid = 0.5 * (pts[u] + pts[v])
         gx0, gy0 = int(mid[0] // cell), int(mid[1] // cell)
         for gx in range(gx0 - 1, gx0 + 2):
             for gy in range(gy0 - 1, gy0 + 2):
                 for k2 in egrid.get((gx, gy), ()):
-                    if k2 <= k or (k, k2) in seen:
+                    if k2 <= k:
                         continue
-                    seen.add((k, k2))
                     u2, v2 = edges[k2]
                     if len({int(u), int(v), int(u2), int(v2)}) < 4:
                         continue

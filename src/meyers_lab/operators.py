@@ -29,10 +29,8 @@ TWO_PI_I = 2j * math.pi
 _RANDOM_DATA = 3
 # kernel values at or below this are round-off, left out of the decay fits
 _KERNEL_NOISE_FLOOR = 1e-12
-# probe vertices of the resolvent sweep, spread over the window, and the
-# Dijkstra sources per block of its window distances
+# probe vertices of the resolvent sweep, spread over the window
 _SWEEP_PROBES = 5
-_WINDOW_SOURCE_BLOCK = 256
 # accretivity: the best probes refined by gradient ascent, and its steps
 _REFINE_PROBES = 10
 _REFINE_STEPS = 120
@@ -259,9 +257,8 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5,
     a finite box is a truncation artifact with no counterpart in L2 of the
     unbounded graph being modeled. Every operator sees the same random data,
     the one draw of ``seed``, so each result equals a call on that operator
-    alone. The window distances are computed once, and the Holder sups of
-    all operators and lambdas are one pass over them; it forms half the
-    pairs when those distances are bitwise symmetric.
+    alone. The Holder sups of all operators and lambdas are one pass over
+    the window distances, which reads each window row once.
     """
     if not ops or any(op.graph is not ops[0].graph for op in ops):
         raise OperatorError("the sweep needs operators on one graph")
@@ -269,8 +266,6 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5,
     lams = [complex(lam) for lam in lams]
     rng = np.random.default_rng(seed)
     window = box_window(g)
-    dwin = np.concatenate([distances_from(g, window[s:s + _WINDOW_SOURCE_BLOCK])[:, window]
-                           for s in range(0, len(window), _WINDOW_SOURCE_BLOCK)])
     total_m = float(g.m.sum())
 
     def prep(f):
@@ -311,8 +306,8 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5,
             del a, lu, u, cands
 
     uw_all = uw_all[:at]
-    semi = _holder_sup(uw_all, lambda rows, cols: dwin[rows, cols], eta,
-                       symmetric=bool(np.array_equal(dwin, dwin.T)))
+    semi = _holder_sup(uw_all, lambda rows, cols: distances_from(
+        g, window[rows])[:, window[cols]], eta)
     results = [SweepResult(eta, []) for _ in ops]
     at = 0
     for k, (lam, fl2) in enumerate(blocks):

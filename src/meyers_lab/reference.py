@@ -80,37 +80,18 @@ _CUT_LO = 0.25
 _CUT_HI = 0.75
 
 
-def _chi(r):
-    s = np.clip((np.asarray(r, dtype=float) - _CUT_LO) / (_CUT_HI - _CUT_LO), 0.0, 1.0)
-    return 1.0 - (10.0 * s**3 - 15.0 * s**4 + 6.0 * s**5)
-
-
-def _chi_d1(r):
-    r = np.asarray(r, dtype=float)
-    w = _CUT_HI - _CUT_LO
-    s = (r - _CUT_LO) / w
-    inside = (s > 0) & (s < 1)
-    out = np.zeros_like(r)
-    si = s[inside]
-    out[inside] = -(30.0 * si**2 * (1.0 - si) ** 2) / w
-    return out
-
-
-def _chi_d2(r):
-    r = np.asarray(r, dtype=float)
-    w = _CUT_HI - _CUT_LO
-    s = (r - _CUT_LO) / w
-    inside = (s > 0) & (s < 1)
-    out = np.zeros_like(r)
-    si = s[inside]
-    out[inside] = -(60.0 * si * (1.0 - si) * (1.0 - 2.0 * si)) / w**2
-    return out
-
-
 def _radial_profile(r, eps):
     """g = chi r^eps with first and second derivatives (r > 0)."""
     r = np.asarray(r, dtype=float)
-    chi, d1, d2 = _chi(r), _chi_d1(r), _chi_d2(r)
+    w = _CUT_HI - _CUT_LO
+    s = (r - _CUT_LO) / w
+    sc = np.clip(s, 0.0, 1.0)
+    chi = 1.0 - (10.0 * sc**3 - 15.0 * sc**4 + 6.0 * sc**5)
+    inside = (s > 0) & (s < 1)
+    si = s[inside]
+    d1, d2 = np.zeros_like(r), np.zeros_like(r)
+    d1[inside] = -(30.0 * si**2 * (1.0 - si) ** 2) / w
+    d2[inside] = -(60.0 * si * (1.0 - si) * (1.0 - 2.0 * si)) / w**2
     re = r**eps
     re1 = eps * r ** (eps - 1.0)
     re2 = eps * (eps - 1.0) * r ** (eps - 2.0)

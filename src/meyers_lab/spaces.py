@@ -110,22 +110,23 @@ def df_grad_bracket(g: WeightedGraph, p: float) -> float:
     return max(upper, lower_inv)
 
 
-def _holder_sup(values: np.ndarray, distance_rows, eta: float,
-                symmetric: bool = False) -> np.ndarray:
-    """sup_{x != y} |v(x) - v(y)| / d(x, y)^eta for each row v of ``values``.
+def _holder_sup(values: np.ndarray, distance_rows, eta: float) -> np.ndarray:
+    """sup over unordered pairs {x, y} of |v(x) - v(y)| / d(x, y)^eta for
+    each row v of ``values``.
 
-    ``distance_rows(rows, cols)`` returns the distances from the points of
-    the slice ``rows`` to those of the slice ``cols``; it is not written to.
-    Each row block's d^eta serves every row of ``values``, and pairs at
-    distance zero count as ratio 0. With ``symmetric`` only the pairs with
-    y at or after the block's first row are formed, which is the full sup
-    bit for bit when the distances are bitwise symmetric. A non-finite
-    value fails closed: its row's sup is NaN.
+    Points are taken in row blocks, and each block is paired with the
+    points from its own first row on: a pair across blocks is formed once,
+    with the distance row of its point in the earlier block, and a pair
+    within a block both ways. ``distance_rows(rows, cols)`` returns the
+    distances from the points of the slice ``rows`` to those of the slice
+    ``cols``; it is not written to. Each row block's d^eta serves every row
+    of ``values``, and pairs at distance zero count as ratio 0. A
+    non-finite value fails closed: its row's sup is NaN.
     """
     best = np.zeros(len(values))
     for start in range(0, values.shape[1], _HOLDER_BLOCK):
         rows = slice(start, start + _HOLDER_BLOCK)
-        cols = slice(start, None) if symmetric else slice(None)
+        cols = slice(start, None)
         d_eta = distance_rows(rows, cols) ** eta
         d_eta[d_eta == 0] = np.inf
         ratio = np.empty(d_eta.shape)

@@ -7,14 +7,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from meyers_lab import operators
-from meyers_lab import (EdgeCoefficients, OperatorError, Polygon, accretivity_angle,
+from meyers_lab import (EdgeCoefficients, OperatorError, accretivity_angle,
                         box_window, build_operator, contour_nodes, df_grad_bracket,
-                        distances_from, expm_oracle, from_triangulation,
-                        gradient_length, h_star, kernel_bound_check,
-                        kernel_column, kernel_holder_fit, lattice_box,
-                        perturbed_coefficients, rescale, resolvent_bound_sweep,
-                        resolvent_solve, semigroup_apply, triangulate,
+                        distances_from, expm_oracle, gradient_length, h_star,
+                        kernel_bound_check, kernel_column, kernel_holder_fit,
+                        lattice_box, perturbed_coefficients, rescale,
+                        resolvent_bound_sweep, resolvent_solve, semigroup_apply,
                         uniform_coefficients, VertexFunction)
+from meyers_lab.spaces import _HOLDER_BLOCK
 
 @pytest.fixture(scope="module")
 def box16():
@@ -254,19 +254,20 @@ class TestResolventSweep:
         with pytest.raises(OperatorError, match="residual"):
             operators._checked_solve(a, lu, rhs)
 
-    def test_half_pairs_only_on_bitwise_symmetric_window_distances(self, ops, monkeypatch):
-        seen = []
-        sup = operators._holder_sup
-        monkeypatch.setattr(operators, "_holder_sup",
-                            lambda *a, **k: seen.append(k["symmetric"]) or sup(*a, **k))
-        resolvent_bound_sweep([ops[0]], self.LAMS)
-        # Dijkstra rows on a triangulated graph are not bitwise symmetric
-        g = from_triangulation(triangulate(Polygon.unit_square(), 1.0 / 16))
+    def test_window_rows_fetched_per_holder_block(self, monkeypatch):
+        # the Holder sup fetches the window rows one row block at a time:
+        # no call asks for more than _HOLDER_BLOCK sources, and every window
+        # vertex is a source once
+        g = rescale(lattice_box(40, 40), 1.0 / 40)
         window = box_window(g)
-        dwin = distances_from(g, window)[:, window]
-        assert not np.array_equal(dwin, dwin.T)
+        assert len(window) > _HOLDER_BLOCK
+        rows = []
+        dist = operators.distances_from
+        monkeypatch.setattr(operators, "distances_from",
+                            lambda g, src, **k: rows.append(np.size(src)) or dist(g, src, **k))
         resolvent_bound_sweep([build_operator(g, uniform_coefficients(g))], self.LAMS)
-        assert seen == [True, False]
+        assert max(rows) <= _HOLDER_BLOCK
+        assert sum(rows) == len(window)
 
     def test_operators_on_different_graphs_refused(self, ops):
         g = rescale(lattice_box(16, 16), 1.0 / 16)

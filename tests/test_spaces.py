@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meyers_lab import (SpaceError, VertexFunction, WeightedGraph, box_window,
-                        df_grad_bracket, differential, distances_from,
-                        dual_norm, edge_lp_norm, embedding_report,
-                        gradient_length, holder_norm, holder_seminorm,
-                        lattice_box, lp_norm, maximal_function, norm_report,
-                        w1p_norm)
+from meyers_lab import (Polygon, SpaceError, VertexFunction, WeightedGraph,
+                        box_window, df_grad_bracket, differential,
+                        distances_from, dual_norm, edge_lp_norm,
+                        embedding_report, from_triangulation, gradient_length,
+                        holder_norm, holder_seminorm, lattice_box, lp_norm,
+                        maximal_function, norm_report, triangulate, w1p_norm)
 from meyers_lab.spaces import _HOLDER_BLOCK, _candidate_functions, _holder_sup
 
 from conftest import path_graph, random_graph
@@ -136,10 +136,12 @@ class TestNorms:
         singles = [_holder_sup(v[None], rows_of, 0.3)[0] for v in values]
         assert block.tobytes() == np.array(singles).tobytes()
 
-    @pytest.mark.parametrize("case", ["window", "euclidean"])
+    @pytest.mark.parametrize("case", ["window", "euclidean", "mesh"])
     def test_holder_sup_half_pairs_equal_full_square(self, case):
-        # on bitwise symmetric distances the pairs (x, y) with y at or after
-        # the row block's start give the full-square sup bit for bit
+        # each unordered pair is formed once, with the distance row of its
+        # first point; on bitwise symmetric distances that is the dense
+        # full-square sup bit for bit, and on Dijkstra rows of a mesh, which
+        # differ from their transposes at round-off, it agrees to 1e-12
         rng = np.random.default_rng(11)
         if case == "window":
             g = lattice_box(40, 40)
@@ -147,19 +149,28 @@ class TestNorms:
             dist = distances_from(g, window)[:, window]
             values = rng.standard_normal((4, len(window))) \
                 + 1j * rng.standard_normal((4, len(window)))
-        else:
+        elif case == "euclidean":
             pts = rng.uniform(size=(700, 2))
             dist = np.hypot(pts[:, None, 0] - pts[None, :, 0],
                             pts[:, None, 1] - pts[None, :, 1])
             values = rng.standard_normal((3, len(pts)))
-        assert np.array_equal(dist, dist.T)
-        assert values.shape[1] % _HOLDER_BLOCK != 0
+        else:
+            g = from_triangulation(triangulate(Polygon.unit_square(), 1.0 / 20))
+            dist = distances_from(g, np.arange(g.n))
+            values = rng.standard_normal((3, g.n))
+        assert values.shape[1] > _HOLDER_BLOCK and values.shape[1] % _HOLDER_BLOCK != 0
+        d_eta = dist**0.4
+        d_eta[d_eta == 0] = np.inf
+        full = np.array([(np.abs(v[:, None] - v[None, :]) / d_eta).max() for v in values])
         before = dist.copy()
-        rows_of = lambda rows, cols: dist[rows, cols]
-        full = _holder_sup(values, rows_of, 0.4)
-        half = _holder_sup(values, rows_of, 0.4, symmetric=True)
-        assert half.tobytes() == full.tobytes()
+        half = _holder_sup(values, lambda rows, cols: dist[rows, cols], 0.4)
         assert dist.tobytes() == before.tobytes()  # the caller's matrix is not written
+        if case == "mesh":
+            assert not np.array_equal(dist, dist.T)
+            np.testing.assert_allclose(half, full, rtol=1e-12, atol=0)
+        else:
+            assert np.array_equal(dist, dist.T)
+            assert half.tobytes() == full.tobytes()
 
     def test_holder_sup_fails_closed_on_nan(self):
         # a NaN value makes its own field's sup NaN; the other fields of the
