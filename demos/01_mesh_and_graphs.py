@@ -1,8 +1,7 @@
 """Meshes of convex polygons and the weighted graphs they induce.
 
 Walks through the structured criss-cross family of the unit square, red
-refinement, the admissibility audit, and the graph constants that stay fixed
-along the family.
+refinement, and the graph constants that stay fixed along the family.
 """
 import numpy as np
 
@@ -13,9 +12,6 @@ tri = ml.triangulate(poly, 0.5)
 print("unit square at grid spacing 1/2:")
 print(f"  {tri.n_triangles} congruent right triangles, h = {tri.h:.6f} "
       f"(the cell diagonal), sigma = {tri.sigma:.6f}")
-
-rep = ml.regularity_report(tri)
-print(f"  admissible: {rep.admissible}")
 
 print("\nred refinement halves h and preserves shape regularity:")
 fam = [tri]

@@ -1,43 +1,26 @@
-"""Discrete differential calculus: norms, duals, maximal function, embeddings."""
+"""Discrete differential calculus: norms, Holder seminorms, embeddings."""
 import numpy as np
 
 import meyers_lab as ml
 
 tri = ml.triangulate(ml.Polygon.unit_square(), 2.0**-3)
 g = ml.from_triangulation(tri)
-rng = np.random.default_rng(1)
 
 vals = np.sin(2 * np.pi * tri.points[:, 0]) * tri.points[:, 1]
 f = ml.VertexFunction(g, vals)
-df = ml.differential(f)
-grad = ml.gradient_length(f)
+lp = ml.lp_norm(f, 2.2)
+grad_lp = ml.lp_norm(ml.gradient_length(f), 2.2)
+df_lp = ml.edge_lp_norm(ml.differential(f), 2.2)
 
 print("one function, every norm (eta = 1/2):")
-rep = ml.norm_report(f, 2.2, 0.5)
-print(f"  ||f||_2.2 = {rep.lp:.5f}   ||grad f||_2.2 = {rep.grad_lp:.5f}")
-print(f"  ||f||_W1p = {rep.w1p:.5f}  ||df||_(edges) = {rep.df_lp:.5f}")
-print(f"  Holder seminorm = {rep.holder_semi:.5f}, full norm = {rep.holder_norm:.5f}")
-print("  as a CSV row:", rep.csv_row("square-h8"))
+print(f"  ||f||_2.2 = {lp:.5f}   ||grad f||_2.2 = {grad_lp:.5f}")
+print(f"  ||f||_W1p = {ml.w1p_norm(f, 2.2):.5f}  ||df||_(edges) = {df_lp:.5f}")
+print(f"  Holder seminorm = {ml.holder_seminorm(f, 0.5):.5f}, "
+      f"full norm = {ml.holder_norm(f, 0.5):.5f}")
 
 K = ml.df_grad_bracket(g, 2.2)
 print(f"\nedge vs vertex gradient bracket from (N, C_W, C_mu): K = {K:.3f}; "
-      f"observed ratio = {rep.df_lp / rep.grad_lp:.3f}")
-
-print("\nnegative-order norms (pairing against m):")
-exact = ml.dual_norm(f, 2.0, mode="exact_p2")
-asc2 = ml.dual_norm(f, 2.0, mode="ascent")
-asc = ml.dual_norm(f, 2.2, mode="ascent")
-print(f"  p = 2 Hilbertian solve: {exact.value:.6f}")
-print(f"  p = 2 ascent (sum-norm variant, within the sqrt(2) bracket): "
-      f"{asc2.value:.6f} after {asc2.iterations} steps")
-print(f"  p = 2.2 ascent lower bound: {asc.value:.6f} "
-      f"(converged: {asc.converged})")
-
-spike = np.zeros(g.n)
-spike[g.interior[7]] = 1.0
-mf = ml.maximal_function(ml.VertexFunction(g, spike))
-print(f"\nmaximal function of a spike: peak {mf.values.max():.3f}, "
-      f"support spreads over {np.count_nonzero(mf.values > 0.05)} vertices")
+      f"observed ratio = {df_lp / grad_lp:.3f}")
 
 print("\nembedding ratios across a refinement family (volume exponent 2):")
 tri_k = ml.triangulate(ml.Polygon.unit_square(), 2.0**-2)

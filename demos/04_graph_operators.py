@@ -1,5 +1,5 @@
-"""Elliptic operators on lattice boxes: accretivity, resolvent decay,
-and the exact rescaling identity."""
+"""Elliptic operators on lattice boxes: resolvent decay and the exact
+rescaling identity."""
 import math
 
 import numpy as np
@@ -10,13 +10,6 @@ g = ml.rescale(ml.lattice_box(64, 64), 1.0 / 64)
 sym = ml.build_operator(g, ml.uniform_coefficients(g))
 pert = ml.build_operator(g, ml.perturbed_coefficients(g, 0.3))
 
-est = ml.accretivity_angle(pert, n_probes=300, seed=0)
-print("numerical-range angle of the perturbed operator:")
-print(f"  probe lower bound {est.omega_hat:.5f}, edge-argument upper bound "
-      f"{est.omega_upper:.5f} (atan 0.3 = {math.atan(0.3):.5f})")
-print(f"  working sector half-angle: {est.mu_sector:.4f} rad")
-
-
 
 def spread(values):
     return max(values) / min(values)
@@ -26,7 +19,7 @@ def sup_slope(sweep):
     return ml.fit_loglog([(abs(r.lam), r.sup_ratio) for r in sweep.rows]).slope
 
 
-print("\nresolvent decay along the positive ray (rescaled 64 x 64 box):")
+print("resolvent decay along the positive ray (rescaled 64 x 64 box):")
 sweeps = ml.resolvent_bound_sweep([sym, pert], [1, 10, 100, 1000], eta=0.5, seed=0)
 for name, sweep in zip(("symmetric", "perturbed"), sweeps):
     rows = "  ".join(f"R_inf({abs(r.lam):.0f}) = {r.R_inf:.3f}" for r in sweep.rows)

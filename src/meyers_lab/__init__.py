@@ -1,24 +1,21 @@
 """Numerical laboratory for uniform W^{1,p} bounds of P1 Galerkin schemes
 and for second-order elliptic operators on weighted graphs."""
 
-from .mesh import (MeshError, Polygon, RegularityReport, Triangulation,
-                   refine_red, regularity_report, triangulate)
+from .mesh import MeshError, Polygon, Triangulation, refine_red, triangulate
 from .graph import (GeometryReport, GraphError, WeightedGraph, ball, box_window,
                     distance, distances_from, from_triangulation, geometry_report,
                     h_star, lattice_box, rescale)
-from .spaces import (DualNormResult, EdgeFunction, EmbeddingReport, NormReport,
-                     SpaceError, VertexFunction, df_grad_bracket, differential,
-                     dual_norm, edge_lp_norm, embedding_report, gradient_length,
-                     holder_norm, holder_seminorm, lp_norm, maximal_function,
-                     norm_report, w1p_norm)
+from .spaces import (EdgeFunction, EmbeddingReport, SpaceError, VertexFunction,
+                     df_grad_bracket, differential, edge_lp_norm, embedding_report,
+                     gradient_length, holder_norm, holder_seminorm, lp_norm,
+                     w1p_norm)
 from .fem import (CoefficientField, FemError, MeyersProblem, P1Field, P1System,
                   SolveResult, apply_Lh, assemble, checkerboard_field,
                   coefficient_field, constant_field, f_h, identity_field, load,
                   meyers_field, meyers_problem, reconstruct, smooth_field, solve)
-from .operators import (AccretivityEstimate, EdgeCoefficients, GraphOperator,
-                        KernelBoundFit, KernelColumn, OperatorError,
-                        ResolventResult, SweepResult,
-                        accretivity_angle, build_operator, contour_nodes,
+from .operators import (EdgeCoefficients, GraphOperator, KernelBoundFit,
+                        KernelColumn, OperatorError, ResolventResult, SweepResult,
+                        build_operator, contour_nodes,
                         expm_oracle, kernel_bound_check, kernel_column,
                         kernel_holder_fit, perturbed_coefficients,
                         resolvent_bound_sweep, resolvent_solve, semigroup_apply,

@@ -135,10 +135,12 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
-def _positive_list(distinct: int):
-    """Finite values > 0, at least ``distinct`` of them distinct."""
+def _positive_list(at_least: int):
+    """At least ``at_least`` distinct finite values > 0: a repeated value
+    would repeat its row block."""
     return _where(_floats, lambda vs: all(0 < v < math.inf for v in vs)
-                  and len(set(vs)) >= distinct, f"{distinct} distinct finite values > 0")
+                  and len(set(vs)) == len(vs) >= at_least,
+                  f"{at_least} or more distinct finite values > 0")
 
 
 def _p_list(p_min: float):
@@ -188,7 +190,8 @@ _box = _where(int, lambda v: v >= _MIN_BOX, f"box >= {_MIN_BOX}")
 # resolvent rays: the positive reals and the ray at angle 3 pi / 5
 _RAY_PHASES = {"real": 1.0, "sector": np.exp(1j * 3 * math.pi / 5)}
 _rays = _where(lambda text: [s.strip() for s in text.split(",")],
-               lambda rays: set(rays) <= set(_RAY_PHASES), f"rays among {tuple(_RAY_PHASES)}")
+               lambda rays: set(rays) <= set(_RAY_PHASES) and len(set(rays)) == len(rays),
+               f"distinct rays among {tuple(_RAY_PHASES)}")
 
 
 def _r0(text: str):

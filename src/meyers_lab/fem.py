@@ -48,9 +48,8 @@ _Q4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 
 _MID_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
-# point pairs of the Holder audit, the relative residual a solve must meet,
-# and the round-off allowance of the coefficient spot check
-_AUDIT_PAIRS = 20000
+# the relative residual a solve must meet, and the round-off allowance of the
+# coefficient spot check
 _SOLVE_RTOL = 1e-10
 _VALIDATE_SLACK = 1e-9
 
@@ -352,7 +351,7 @@ class P1Field:
 
     def holder_seminorm(self, eta: float) -> float:
         """Euclidean Holder seminorm over the vertices; for P1 fields the
-        vertex sup is the working assumption, audited by ``holder_audit``."""
+        vertex sup stands in for the sup over the domain."""
         pts = self.tri.points
         return float(_holder_sup(self.values[None], lambda rows, cols: np.hypot(
             pts[rows, None, 0] - pts[None, cols, 0], pts[rows, None, 1] - pts[None, cols, 1]),
@@ -360,24 +359,6 @@ class P1Field:
 
     def holder_norm(self, eta: float) -> float:
         return float(np.abs(self.values).max()) + self.holder_seminorm(eta)
-
-    def holder_audit(self, eta: float) -> float:
-        """Random intra-triangle pairs; returns the sampled seminorm."""
-        rng = np.random.default_rng(0)
-        t1 = rng.integers(0, self.tri.n_triangles, _AUDIT_PAIRS)
-        t2 = rng.integers(0, self.tri.n_triangles, _AUDIT_PAIRS)
-
-        def sample(ts):
-            lam = rng.dirichlet(np.ones(3), len(ts))
-            pts = np.einsum("nk,nkd->nd", lam, self.tri.points[self.tri.triangles[ts]])
-            vals = np.einsum("nk,nk->n", lam, self.values[self.tri.triangles[ts]])
-            return pts, vals
-
-        p1, v1 = sample(t1)
-        p2, v2 = sample(t2)
-        d = np.hypot(*(p1 - p2).T)
-        ok = d > 0
-        return float((np.abs(v1 - v2)[ok] / d[ok] ** eta).max())
 
 
 def reconstruct(tri: Triangulation, u) -> P1Field:

@@ -10,8 +10,6 @@ grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -305,14 +303,6 @@ def red_prolong(tri: Triangulation, values) -> np.ndarray:
     return np.concatenate([vals, 0.5 * (vals[e[:, 0]] + vals[e[:, 1]])])
 
 
-@dataclass
-class RegularityReport:
-    h: float
-    sigma: float
-    admissible: bool
-    violations: list = field(default_factory=list)
-
-
 # a point whose barycentric coordinates are all >= -_INSIDE_TOL is inside
 _INSIDE_TOL = 1e-12
 # point-triangle pairs per block of the containment scan
@@ -333,78 +323,18 @@ def barycentric(p, a, b, c):
     return l1, l2, 1.0 - l1 - l2
 
 
-def _containment(tri: Triangulation, pts: np.ndarray):
-    """Yield (rows, inside) over blocks of points: inside[i, t] is True when
-    point rows.start + i lies in triangle t."""
-    a, b, c = (tri.points[tri.triangles[:, k]] for k in range(3))
-    step = max(1, _LOCATE_PAIRS // tri.n_triangles)
-    for start in range(0, len(pts), step):
-        rows = slice(start, min(start + step, len(pts)))
-        l1, l2, l3 = barycentric(pts[rows, None], a, b, c)
-        yield rows, np.minimum(np.minimum(l1, l2), l3) >= -_INSIDE_TOL
-
-
 def locate(tri: Triangulation, points):
     """Lowest-index triangle containing each point (-1 for none) and the
     point's barycentric coordinates (l1, l2, l3) in it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     found = np.full(len(pts), -1, dtype=np.int64)
-    for rows, inside in _containment(tri, pts):
+    a, b, c = (tri.points[tri.triangles[:, k]] for k in range(3))
+    step = max(1, _LOCATE_PAIRS // tri.n_triangles)
+    for start in range(0, len(pts), step):
+        rows = slice(start, min(start + step, len(pts)))
+        l1, l2, l3 = barycentric(pts[rows, None], a, b, c)
+        inside = np.minimum(np.minimum(l1, l2), l3) >= -_INSIDE_TOL
         found[rows] = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
     corners = tri.points[tri.triangles[np.maximum(found, 0)]]
     return found, barycentric(pts, corners[:, 0], corners[:, 1], corners[:, 2])
 
-
-def _orient(a, b, c):
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def regularity_report(tri: Triangulation) -> RegularityReport:
-    """Exact h and sigma plus a pairwise admissibility audit.
-
-    Violations are reported, not raised: over-shared edges, vertices lying on
-    a foreign triangle (hanging nodes and overlaps), and proper edge
-    crossings. Candidate edge pairs come from a spatial hash over midpoints.
-    """
-    violations = []
-    over = tri.edge_counts > 2
-    for (a, b), cnt in zip(tri.edge_array[over], tri.edge_counts[over]):
-        violations.append(("edge_incidence", int(a), int(b), int(cnt)))
-
-    pts = tri.points
-    on_foreign = []
-    for rows, inside in _containment(tri, pts):
-        for corner in tri.triangles.T:  # a vertex lies on its own triangles
-            own = (corner >= rows.start) & (corner < rows.stop)
-            inside[corner[own] - rows.start, np.nonzero(own)[0]] = False
-        vs, ts = np.nonzero(inside)
-        on_foreign += zip(ts.tolist(), (vs + rows.start).tolist())
-    violations += [("vertex_on_triangle", v, t) for t, v in sorted(on_foreign)]
-
-    cell = max(tri.h, 1e-300)
-
-    # proper crossings between mesh edges sharing no endpoint
-    edges = tri.edge_array
-    egrid: dict[tuple[int, int], list[int]] = {}
-    for k, (u, v) in enumerate(edges):
-        mid = 0.5 * (pts[u] + pts[v])
-        egrid.setdefault((int(mid[0] // cell), int(mid[1] // cell)), []).append(k)
-    for k, (u, v) in enumerate(edges):
-        mid = 0.5 * (pts[u] + pts[v])
-        gx0, gy0 = int(mid[0] // cell), int(mid[1] // cell)
-        for gx in range(gx0 - 1, gx0 + 2):
-            for gy in range(gy0 - 1, gy0 + 2):
-                for k2 in egrid.get((gx, gy), ()):
-                    if k2 <= k:
-                        continue
-                    u2, v2 = edges[k2]
-                    if len({int(u), int(v), int(u2), int(v2)}) < 4:
-                        continue
-                    a, b, c, d = pts[u], pts[v], pts[u2], pts[v2]
-                    if (_orient(a, b, c) * _orient(a, b, d) < 0
-                            and _orient(c, d, a) * _orient(c, d, b) < 0):
-                        violations.append(("edge_crossing", int(k), int(k2)))
-
-    return RegularityReport(
-        h=tri.h, sigma=tri.sigma, admissible=not violations, violations=violations
-    )

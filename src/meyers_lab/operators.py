@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graph import WeightedGraph, box_window, distances_from, edge_gram, h_star
-from .spaces import _ascend, _holder_sup
+from .spaces import _holder_sup
 
 TWO_PI_I = 2j * math.pi
 # random window-supported data per lambda in the resolvent sweep
@@ -31,9 +31,6 @@ _RANDOM_DATA = 3
 _KERNEL_NOISE_FLOOR = 1e-12
 # probe vertices of the resolvent sweep, spread over the window
 _SWEEP_PROBES = 5
-# accretivity: the best probes refined by gradient ascent, and its steps
-_REFINE_PROBES = 10
-_REFINE_STEPS = 120
 # failure thresholds: the relative residual of a resolvent solve, and the
 # deviation of a kernel column from the matrix-exponential oracle
 _RESOLVENT_RTOL = 1e-10
@@ -140,75 +137,14 @@ def build_operator(g: WeightedGraph, c: EdgeCoefficients) -> GraphOperator:
 
 
 @dataclass
-class AccretivityEstimate:
-    omega_hat: float      # certified lower bound from probes
-    omega_upper: float    # max |arg(c_xy + c_yx)|, a true upper bound
-    mu_sector: float      # pi/2 + (pi/2 - omega_hat)/2
-
-
-def accretivity_angle(op: GraphOperator, n_probes: int = 1000,
-                      seed: int = 0) -> AccretivityEstimate:
-    """Estimate the numerical-range angle sup |arg <L u, u>_m|.
-
-    Random complex probes, then gradient ascent on |arg| from the worst ones.
-    The reported omega_hat is a lower bound attained by explicit probes.
-    """
-    g = op.graph
-    rng = np.random.default_rng(seed)
-    cp = op.coefficients.c_plus
-    w = g.edge_mu / g.edge_h**2
-
-    def form_val(u):
-        du = u[g.edge_v] - u[g.edge_u]
-        return du, np.sum(cp * w * np.abs(du) ** 2)
-
-    def arg_abs(u):
-        z = form_val(u)[1]
-        return abs(cmath.phase(z)) if z != 0 else -math.inf
-
-    def direction(u):  # the gradient of arg_abs; zero where the form vanishes
-        du, z = form_val(u)
-        if z == 0:
-            return np.zeros_like(u)
-        # packed gradients of Re/Im of the form
-        contrib = 2.0 * w * du
-
-        def scatter(coef):
-            out = np.zeros(g.n, dtype=complex)
-            np.add.at(out, g.edge_v, coef * contrib)
-            np.add.at(out, g.edge_u, -coef * contrib)
-            return out
-        grad_arg = (z.real * scatter(np.imag(cp)) - z.imag * scatter(np.real(cp))) \
-            / abs(z) ** 2
-        return math.copysign(1.0, cmath.phase(z)) * grad_arg
-
-    probes = rng.standard_normal((n_probes, g.n)) + 1j * rng.standard_normal((n_probes, g.n))
-    scored = sorted(((a, u) for u in probes if (a := arg_abs(u)) > -math.inf),
-                    key=lambda t: -t[0])
-    best = scored[0][0] if scored else 0.0
-    for _, u in scored[:_REFINE_PROBES]:
-        best = max(best, _ascend(arg_abs, direction, u, 0.5, 1e-12, _REFINE_STEPS)[1])
-
-    omega_upper = float(np.abs(np.angle(cp)).max())
-    return AccretivityEstimate(
-        omega_hat=float(best), omega_upper=omega_upper,
-        mu_sector=0.5 * math.pi + 0.5 * (0.5 * math.pi - best),
-    )
-
-
-@dataclass
 class ResolventResult:
     u: np.ndarray
     residual: float
 
 
-def resolvent_solve(op: GraphOperator, lam, f,
-                    mu_sector: float | None = None) -> ResolventResult:
+def resolvent_solve(op: GraphOperator, lam, f) -> ResolventResult:
     """Solve L u + lambda u = f, i.e. (S + lambda diag(m)) u = m f."""
-    lam = complex(lam)
-    if mu_sector is not None and lam != 0 and not abs(cmath.phase(lam)) < mu_sector:
-        raise OperatorError(f"lambda {lam} outside the sector of half-angle {mu_sector}")
-    a = op.matrix(lam)
+    a = op.matrix(complex(lam))
     u, rel = _checked_solve(a, spla.splu(a), op.m * np.asarray(getattr(f, "values", f)))
     if np.all(np.abs(u.imag) == 0):
         u = u.real

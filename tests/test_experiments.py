@@ -160,6 +160,10 @@ class TestConfig:
         "experiment = counterexample\nf = two",
         "experiment = resolvent_sweep\nlambda_list = 5,5,5",
         "experiment = resolvent_sweep\nlambda_list = 1,10",
+        # a repeated value would repeat its row block
+        "experiment = resolvent_sweep\nrays = real,real",
+        "experiment = resolvent_sweep\nlambda_list = 1,1,10,100",
+        "experiment = kernel_bounds\nt_grid = 1,1,2",
         "experiment = embeddings\ntrials = -3",
         "experiment = embeddings\ntrials = 0",
     ])

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meyers_lab import (MeshError, Polygon, Triangulation, refine_red,
-                        regularity_report, triangulate)
+from meyers_lab import MeshError, Polygon, Triangulation, refine_red, triangulate
 from meyers_lab.mesh import red_prolong
 
 SQRT2 = math.sqrt(2.0)
@@ -63,7 +62,18 @@ class TestTriangulate:
         tri = triangulate(poly, 0.4)
         assert tri.h <= 0.4
         assert math.fsum(tri.areas.tolist()) == pytest.approx(poly.area, rel=1e-12)
-        assert regularity_report(tri).admissible
+        # conforming: no edge is shared by more than two triangles, and the
+        # edges of only one triangle trace exactly the polygon's boundary
+        assert tri.edge_counts.max() <= 2
+        v = poly.vertices
+        perimeter = math.fsum(np.hypot(*(np.roll(v, -1, axis=0) - v).T).tolist())
+        e = tri.edge_array[tri.edge_counts == 1]
+        boundary = math.fsum(np.hypot(*(tri.points[e[:, 1]] - tri.points[e[:, 0]]).T).tolist())
+        assert boundary == pytest.approx(perimeter, rel=1e-12)
+
+    def test_equilateral_sigma(self):
+        tri = Triangulation([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)], [(0, 1, 2)])
+        assert tri.sigma == pytest.approx(math.sqrt(3))
 
     def test_bad_h_target(self, unit_square):
         with pytest.raises(MeshError):
@@ -147,41 +157,6 @@ class TestRefineRed:
         fine = refine_red(tri)
         expect = 2.0 * fine.points[:, 0] - 0.7 * fine.points[:, 1] + 0.3
         assert np.allclose(red_prolong(tri, vals), expect, atol=1e-15)
-
-
-class TestRegularityReport:
-    def test_structured_admissible(self, coarse_square_mesh):
-        rep = regularity_report(coarse_square_mesh)
-        assert rep.admissible
-        assert rep.violations == []
-        assert rep.h == pytest.approx(SQRT2 / 2)
-
-    def test_hanging_node_one_violation(self):
-        pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
-        tris = [(0, 1, 2), (0, 4, 3), (4, 2, 3)]
-        rep = regularity_report(Triangulation(pts, tris))
-        assert not rep.admissible
-        assert len(rep.violations) == 1
-        assert rep.violations[0][0] == "vertex_on_triangle"
-
-    def test_equilateral_sigma(self):
-        tri = Triangulation([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)], [(0, 1, 2)])
-        rep = regularity_report(tri)
-        assert rep.sigma == pytest.approx(math.sqrt(3))
-
-    def test_crossing_edges_flagged(self):
-        pts = [(0, 0), (1, 0), (0.5, 1), (0.5, -0.4), (1.5, 0.6), (-0.5, 0.6)]
-        tris = [(0, 1, 2), (3, 4, 5)]
-        rep = regularity_report(Triangulation(pts, tris))
-        assert not rep.admissible
-        kinds = {v[0] for v in rep.violations}
-        assert "edge_crossing" in kinds or "vertex_on_triangle" in kinds
-
-    def test_overused_edge_flagged(self):
-        pts = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (2, 0.5)]
-        tris = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
-        rep = regularity_report(Triangulation(pts, tris))
-        assert any(v[0] == "edge_incidence" for v in rep.violations)
 
 
 class TestExport:

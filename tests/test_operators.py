@@ -7,8 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from meyers_lab import operators
-from meyers_lab import (EdgeCoefficients, OperatorError, accretivity_angle,
-                        box_window, build_operator, contour_nodes, df_grad_bracket,
+from meyers_lab import (EdgeCoefficients, OperatorError, box_window,
+                        build_operator, contour_nodes, df_grad_bracket,
                         distances_from, expm_oracle, gradient_length, h_star,
                         kernel_bound_check, kernel_column, kernel_holder_fit,
                         lattice_box, perturbed_coefficients, rescale,
@@ -120,35 +120,6 @@ class TestShiftedMatrix:
         assert np.array_equal(op16.matrix(1.0).data, b.data)
 
 
-class TestAccretivity:
-    def test_symmetric_real_zero(self, op16):
-        est = accretivity_angle(op16, n_probes=100, seed=0)
-        assert est.omega_hat <= 1e-12
-        assert est.omega_upper == 0.0
-
-    def test_uniform_rotation(self, box16):
-        c = EdgeCoefficients(box16, np.full(box16.n_edges, cmath.exp(1j * math.pi / 6)))
-        op = build_operator(box16, c)
-        est = accretivity_angle(op, n_probes=50, seed=0)
-        assert est.omega_hat == pytest.approx(math.pi / 6, abs=1e-12)
-
-    def test_perturbed_in_open_sector(self, box16):
-        op = build_operator(box16, perturbed_coefficients(box16, 0.3))
-        est = accretivity_angle(op, n_probes=300, seed=0)
-        assert 0 < est.omega_hat < math.pi / 2
-        assert est.omega_hat <= est.omega_upper + 1e-12
-        assert est.omega_hat == pytest.approx(math.atan(0.3), abs=5e-3)
-        assert 0.5 * math.pi < est.mu_sector < math.pi - est.omega_hat
-
-    def test_perturbed_angle_pinned(self):
-        # the probe ascent is deterministic: any change to its steps or its
-        # stopping rules moves this value
-        g = lattice_box(12, 12)
-        est = accretivity_angle(build_operator(g, perturbed_coefficients(g, 0.3)),
-                                n_probes=300, seed=0)
-        assert est.omega_hat == 0.29145675238984287
-
-
 class TestResolvent:
     def test_zero_data(self, op16):
         res = resolvent_solve(op16, 1.0, np.zeros(op16.graph.n))
@@ -194,14 +165,6 @@ class TestResolvent:
         f = np.full(op16.graph.n, np.nan)
         with pytest.raises(OperatorError, match="residual"):
             resolvent_solve(op16, 1.0, f)
-
-    def test_sector_membership_enforced(self, op16):
-        mu = 0.75 * math.pi
-        f = np.ones(op16.graph.n)
-        with pytest.raises(OperatorError, match="outside the sector"):
-            resolvent_solve(op16, cmath.rect(1.0, 0.9 * math.pi), f, mu_sector=mu)
-        res = resolvent_solve(op16, cmath.rect(1.0, 0.6 * math.pi), f, mu_sector=mu)
-        assert res.residual <= 1e-10
 
 
 class TestResolventSweep:

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -8,10 +7,10 @@ from hypothesis import strategies as st
 
 from meyers_lab import (Polygon, SpaceError, VertexFunction, WeightedGraph,
                         box_window, df_grad_bracket, differential,
-                        distances_from, dual_norm, edge_lp_norm,
-                        embedding_report, from_triangulation, gradient_length,
-                        holder_norm, holder_seminorm, lattice_box, lp_norm,
-                        maximal_function, norm_report, triangulate, w1p_norm)
+                        distances_from, edge_lp_norm, embedding_report,
+                        from_triangulation, gradient_length, holder_norm,
+                        holder_seminorm, lattice_box, lp_norm, triangulate,
+                        w1p_norm)
 from meyers_lab.spaces import _HOLDER_BLOCK, _candidate_functions, _holder_sup
 
 from conftest import path_graph, random_graph
@@ -213,23 +212,6 @@ class TestNorms:
         assert w1p_norm(scaled, p) == pytest.approx(3.0 * w1p_norm(f1, p), rel=1e-12)
         assert w1p_norm(both, p) <= w1p_norm(f1, p) + w1p_norm(f2, p) + 1e-12
 
-    def test_norm_report(self, coarse_square_graph):
-        g = coarse_square_graph
-        rng = np.random.default_rng(2)
-        f = VertexFunction(g, rng.standard_normal(g.n))
-        rep = norm_report(f, 2.0, 0.5)
-        assert rep.w1p == pytest.approx(w1p_norm(f, 2.0))
-        assert rep.holder_norm == pytest.approx(holder_norm(f, 0.5))
-        assert rep.w1p == pytest.approx(rep.lp + rep.grad_lp)
-        row = rep.csv_row("g0")
-        assert row.startswith("g0,2.0,0.5,")
-        assert len(row.split(",")) == len(rep.csv_header.split(","))
-        graph_id = 'mesh "a", level 3'
-        cells, = csv.reader([rep.csv_row(graph_id)])
-        assert len(cells) == len(rep.csv_header.split(","))
-        assert cells[0] == graph_id
-        assert cells[1:] == row.split(",")[1:]
-
     def test_antisymmetric_reads(self, coarse_square_graph):
         g = coarse_square_graph
         rng = np.random.default_rng(3)
@@ -240,178 +222,6 @@ class TestNorms:
         for k in range(0, g.n_edges, 3):
             u, v = int(g.edge_u[k]), int(g.edge_v[k])
             assert df.values[k] == (f[v] - f[u]) / g.edge_h[k]
-
-
-class TestDualNorm:
-    def test_zero(self, coarse_square_graph):
-        f = VertexFunction(coarse_square_graph, np.zeros(coarse_square_graph.n))
-        assert dual_norm(f, 2.0, mode="exact_p2").value == 0.0
-        assert dual_norm(f, 2.2, mode="ascent").value == 0.0
-
-    def test_single_interior_vertex_closed_form(self):
-        # one interior vertex surrounded by boundary: 1x1 Hilbertian solve
-        g = star_graph(3, h=0.5, mu=0.25)
-        g2 = WeightedGraph(g.n, g.edge_u, g.edge_v, g.edge_h, g.edge_mu,
-                           boundary=[1, 2, 3])
-        f = np.zeros(g2.n)
-        f[0] = 1.0
-        res = dual_norm(VertexFunction(g2, f), 2.0, mode="exact_p2")
-        m0 = g2.m[0]
-        H = m0 + 2.0 * np.sum(g2.edge_mu / g2.edge_h**2)
-        assert res.value == pytest.approx(m0 / math.sqrt(H))
-        # equals m(x) |v*(x)| for the H-normalized optimizer
-        w = res.optimizer[0]
-        v_hat = w / (abs(w) * math.sqrt(H))
-        assert res.value == pytest.approx(m0 * abs(v_hat))
-
-    def test_exact_vs_ascent_at_p2(self):
-        rng = np.random.default_rng(7)
-        g = random_graph(rng, n=8)
-        for _ in range(3):
-            f = VertexFunction(g, rng.standard_normal(g.n))
-            exact = dual_norm(f, 2.0, mode="exact_p2").value
-            asc = dual_norm(f, 2.0, mode="ascent")
-            # sum norm >= quadratic norm >= sum/sqrt(2): duals within [1/sqrt2, 1]
-            assert asc.value <= exact * 1.02
-            assert asc.value >= exact / math.sqrt(2) * 0.98
-
-    def test_ascent_monotone_certificate(self, coarse_square_graph):
-        g = coarse_square_graph
-        rng = np.random.default_rng(9)
-        f = VertexFunction(g, rng.standard_normal(g.n))
-        res = dual_norm(f, 2.5, mode="ascent")
-        # the reported value is the objective of the returned optimizer, a
-        # certified lower bound for the dual norm against the conjugate index
-        v = res.optimizer
-        q = 2.5 / 1.5
-        pair = float(np.real(np.sum(f.values * np.conj(v) * g.m)))
-        vf = VertexFunction(g, v)
-        denom = lp_norm(vf, q) + edge_lp_norm(differential(vf), q)
-        assert res.value == pytest.approx(pair / denom, rel=1e-9)
-
-    def test_dual_is_a_norm(self):
-        rng = np.random.default_rng(21)
-        g = random_graph(rng, n=7)
-        f1 = VertexFunction(g, rng.standard_normal(g.n))
-        f2 = VertexFunction(g, rng.standard_normal(g.n))
-        d1 = dual_norm(f1, 2.0, mode="exact_p2").value
-        d2 = dual_norm(f2, 2.0, mode="exact_p2").value
-        scaled = dual_norm(VertexFunction(g, -2.5 * f1.values), 2.0,
-                           mode="exact_p2").value
-        both = dual_norm(VertexFunction(g, f1.values + f2.values), 2.0,
-                         mode="exact_p2").value
-        assert scaled == pytest.approx(2.5 * d1, rel=1e-10)
-        assert both <= d1 + d2 + 1e-10
-
-    def test_duality_pairing_bound(self):
-        rng = np.random.default_rng(11)
-        g = random_graph(rng, n=7)
-        f = VertexFunction(g, rng.standard_normal(g.n))
-        dual = dual_norm(f, 2.0, mode="exact_p2").value
-        for _ in range(20):
-            v = VertexFunction(g, rng.standard_normal(g.n))
-            pair = abs(np.sum(f.values * v.values * g.m))
-            w = lp_norm(v, 2.0) + edge_lp_norm(differential(v), 2.0)
-            assert pair <= dual * w * (1 + 1e-9)
-
-    def test_l2_embedding_stability(self, unit_square):
-        # dual-norm control by the L2 norm, h-stable along the family; the
-        # estimate is probed with fixed smooth data (the supremum over L2 is
-        # approached by low-frequency functions, not by lattice noise)
-        from meyers_lab import from_triangulation, refine_red, triangulate
-
-        probes = [lambda p: np.ones(len(p)),
-                  lambda p: p[:, 0] + 0.5 * p[:, 1],
-                  lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])]
-        tri = triangulate(unit_square, 2.0**-2)
-        consts = []
-        for _ in range(3):
-            g = from_triangulation(tri)
-            ratios = []
-            for probe in probes:
-                f = VertexFunction(g, probe(tri.points))
-                ratios.append(dual_norm(f, 2.2, mode="ascent").value
-                              / lp_norm(f, 2.0))
-            consts.append(max(ratios))
-            tri = refine_red(tri)
-        assert max(consts) / min(consts) < 2.0
-
-    @pytest.mark.parametrize("case, p, value, iterations", [
-        ("box6", 1.1, 18.69182920280661, 65),
-        ("square_real", 1.1, 0.31742968392731447, 5),
-        ("square_real", 2.5, 0.2506018285208592, 3),
-        ("square_real", 6.0, 0.24662253195717235, 77),
-        ("square_complex", 1.1, 0.43113677312411414, 8),
-        ("square_complex", 1.2, 0.47654332445706543, 10),
-    ])
-    def test_ascent_pinned(self, unit_square, case, p, value, iterations):
-        # the ascent is deterministic: any change to its steps or its stopping
-        # rules moves these values or iteration counts
-        from meyers_lab import from_triangulation, triangulate
-
-        if case == "box6":
-            g = lattice_box(6, 6)
-            vals = np.random.default_rng(0).standard_normal(g.n)
-        else:
-            g = from_triangulation(triangulate(unit_square, 0.25))
-            rng = np.random.default_rng(9 if case == "square_real" else 4)
-            vals = rng.standard_normal(g.n)
-            if case == "square_complex":
-                vals = vals + 1j * rng.standard_normal(g.n)
-        res = dual_norm(VertexFunction(g, vals), p, mode="ascent")
-        assert (res.value, res.iterations, res.converged) == (value, iterations, True)
-
-    def test_mode_and_range_errors(self, small_path):
-        f = VertexFunction(small_path, np.ones(small_path.n))
-        with pytest.raises(SpaceError):
-            dual_norm(f, 1.0)
-        with pytest.raises(SpaceError):
-            dual_norm(f, 3.0, mode="exact_p2")
-        with pytest.raises(SpaceError):
-            dual_norm(f, 2.0, mode="bogus")
-
-
-class TestMaximalFunction:
-    def test_constant(self, coarse_square_graph):
-        g = coarse_square_graph
-        mf = maximal_function(VertexFunction(g, np.full(g.n, 2.5)))
-        assert np.allclose(mf.values, 2.5)
-
-    def test_spike_value_at_peak(self, small_path):
-        g = small_path
-        f = np.zeros(g.n)
-        f[2] = -4.0
-        mf = maximal_function(VertexFunction(g, f))
-        assert mf.values[2] == pytest.approx(4.0)
-
-    def test_pointwise_domination_and_homogeneity(self):
-        rng = np.random.default_rng(13)
-        g = random_graph(rng, n=7)
-        f = rng.standard_normal(g.n)
-        m1 = maximal_function(VertexFunction(g, f)).values
-        m2 = maximal_function(VertexFunction(g, -3.0 * f)).values
-        assert np.all(m1 >= np.abs(f) - 1e-14)
-        assert np.allclose(m2, 3.0 * m1, atol=1e-12)
-        assert m1.max() == pytest.approx(np.abs(f).max())
-
-    def test_matches_exhaustive_oracle(self):
-        from meyers_lab import lattice_box
-
-        rng = np.random.default_rng(17)
-        graphs = [random_graph(rng) for _ in range(5)]
-        graphs.append(lattice_box(5, 6))  # 30 vertices
-        for g in graphs:
-            f = rng.standard_normal(g.n)
-            got = maximal_function(VertexFunction(g, f)).values
-            d = distances_from(g, np.arange(g.n))
-            expect = np.zeros(g.n)
-            radii = np.unique(d[np.isfinite(d)]) + 1e-9
-            for z in range(g.n):
-                for r in radii:
-                    members = d[z] < r
-                    avg = (np.abs(f[members]) * g.m[members]).sum() / g.m[members].sum()
-                    expect[members] = np.maximum(expect[members], avg)
-            assert np.allclose(got, expect, atol=1e-12)
 
 
 class TestEmbeddings:
