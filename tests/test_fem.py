@@ -306,6 +306,25 @@ class TestReconstruct:
         got = reconstruct(tri, vals).holder_seminorm(0.4)
         assert got == ratio[np.isfinite(ratio)].max()
 
+    @pytest.mark.parametrize("p", [2.2, 3.0, 4.0])
+    def test_holder_seminorm_close_to_sampled_pairs(self, coarse_square_mesh, p):
+        # the vertex sup stands in for the sup over the domain: pairs of
+        # random points in random triangles, evaluated through the field,
+        # come within 10 % of it and exceed it by at most 1 %
+        tri = refine_red(refine_red(coarse_square_mesh))
+        sys = assemble(tri, identity_field())
+        load(sys, lambda pts: -np.ones(len(pts)))
+        fld = reconstruct(tri, solve(sys).u)
+        eta = 1.0 - 2.0 / p
+        rng = np.random.default_rng(0)
+        t = rng.integers(0, tri.n_triangles, (2, 4000))
+        lam = rng.dirichlet(np.ones(3), (2, 4000))
+        pts = np.einsum("snk,snkd->snd", lam, tri.points[tri.triangles[t]])
+        vals = fld(pts.reshape(-1, 2)).reshape(2, -1)
+        sampled = (np.abs(vals[0] - vals[1]) / np.hypot(*(pts[0] - pts[1]).T) ** eta).max()
+        semin = fld.holder_seminorm(eta)
+        assert 0.9 * semin <= sampled <= 1.01 * semin
+
     def test_point_outside_mesh(self, coarse_square_mesh):
         fld = reconstruct(coarse_square_mesh, np.zeros(9))
         with pytest.raises(FemError):

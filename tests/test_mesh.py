@@ -7,6 +7,20 @@ from meyers_lab import MeshError, Polygon, Triangulation, refine_red, triangulat
 from meyers_lab.mesh import red_prolong
 
 SQRT2 = math.sqrt(2.0)
+PENTAGON = Polygon([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)])
+
+
+def perimeter(poly):
+    v = poly.vertices
+    return math.fsum(np.hypot(*(np.roll(v, -1, axis=0) - v).T).tolist())
+
+
+def conformity(tri):
+    """(largest edge count, length of the one-triangle edges, V - E + T)."""
+    e = tri.edge_array[tri.edge_counts == 1]
+    boundary = math.fsum(np.hypot(*(tri.points[e[:, 1]] - tri.points[e[:, 0]]).T).tolist())
+    euler = tri.n_vertices - len(tri.edge_array) + tri.n_triangles
+    return int(tri.edge_counts.max()), boundary, euler
 
 
 class TestPolygon:
@@ -58,18 +72,14 @@ class TestTriangulate:
             assert math.fsum(tri.areas.tolist()) == pytest.approx(1.0, rel=1e-12)
 
     def test_generic_polygon_meets_target(self):
-        poly = Polygon([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)])
-        tri = triangulate(poly, 0.4)
+        tri = triangulate(PENTAGON, 0.4)
         assert tri.h <= 0.4
-        assert math.fsum(tri.areas.tolist()) == pytest.approx(poly.area, rel=1e-12)
+        assert math.fsum(tri.areas.tolist()) == pytest.approx(PENTAGON.area, rel=1e-12)
         # conforming: no edge is shared by more than two triangles, and the
         # edges of only one triangle trace exactly the polygon's boundary
-        assert tri.edge_counts.max() <= 2
-        v = poly.vertices
-        perimeter = math.fsum(np.hypot(*(np.roll(v, -1, axis=0) - v).T).tolist())
-        e = tri.edge_array[tri.edge_counts == 1]
-        boundary = math.fsum(np.hypot(*(tri.points[e[:, 1]] - tri.points[e[:, 0]]).T).tolist())
-        assert boundary == pytest.approx(perimeter, rel=1e-12)
+        most, boundary, _ = conformity(tri)
+        assert most <= 2
+        assert boundary == pytest.approx(perimeter(PENTAGON), rel=1e-12)
 
     def test_equilateral_sigma(self):
         tri = Triangulation([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)], [(0, 1, 2)])
@@ -157,6 +167,67 @@ class TestRefineRed:
         fine = refine_red(tri)
         expect = 2.0 * fine.points[:, 0] - 0.7 * fine.points[:, 1] + 0.3
         assert np.allclose(red_prolong(tri, vals), expect, atol=1e-15)
+
+
+class TestConformity:
+    @pytest.mark.parametrize("poly, h, levels", [
+        (Polygon.unit_square(), 0.5, 0),
+        (Polygon.unit_square(), 0.5, 1),
+        (Polygon.unit_square(), 0.5, 2),
+        (Polygon.symmetric_square(1.0), 0.5, 0),
+        (Polygon.symmetric_square(1.0), 0.5, 1),
+        (PENTAGON, 0.4, 0),
+        (PENTAGON, 0.4, 1),
+    ], ids=["square-0", "square-1", "square-2", "symmetric-0", "symmetric-1",
+            "pentagon-0", "pentagon-1"])
+    def test_family_meshes_conform(self, poly, h, levels):
+        # a conforming mesh of a convex polygon (a disk): no edge in more than
+        # two triangles, the one-triangle edges trace the boundary, V - E + T
+        # = 1, and exactly the boundary vertices lie on the polygon's boundary
+        tri = triangulate(poly, h)
+        for _ in range(levels):
+            tri = refine_red(tri)
+        most, boundary, euler = conformity(tri)
+        assert most == 2
+        assert boundary == pytest.approx(perimeter(poly), rel=1e-12)
+        assert euler == 1
+        on_boundary = poly.boundary_distance(tri.points) <= 1e-12 * poly.diameter
+        assert np.array_equal(np.flatnonzero(on_boundary), tri.boundary_vertices)
+
+    @pytest.mark.parametrize("points, triangles, most, boundary, euler", [
+        # the centre is a vertex of two triangles and lies on the third's side
+        ([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)],
+         [(0, 1, 2), (0, 4, 3), (4, 2, 3)], 2, 4 + 2 * SQRT2, 0),
+        # three triangles on the side (0, 1)
+        ([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (2, 0.5)],
+         [(0, 1, 2), (0, 1, 3), (0, 1, 4)], 3, 5 * math.sqrt(1.25) + math.sqrt(4.25), 1),
+        # two triangles whose sides cross
+        ([(0, 0), (1, 0), (0.5, 1), (0.5, -0.4), (1.5, 0.6), (-0.5, 0.6)],
+         [(0, 1, 2), (3, 4, 5)], 1, 3 + 2 * math.sqrt(1.25) + 2 * SQRT2, 2),
+    ], ids=["hanging_node", "overused_edge", "crossing_edges"])
+    def test_nonconforming_input_shows_in_edge_counts(self, points, triangles,
+                                                       most, boundary, euler):
+        got = conformity(Triangulation(points, triangles))
+        assert got[0] == most and got[2] == euler
+        assert got[1] == pytest.approx(boundary, rel=1e-12)
+        assert most > 2 or euler != 1
+
+    @pytest.mark.parametrize("poly, h", [
+        (Polygon.unit_square(), 0.5),
+        (Polygon.symmetric_square(1.0), 1.0),
+        (PENTAGON, 1.0),
+    ], ids=["square", "symmetric", "pentagon"])
+    def test_refine_red_counts(self, poly, h):
+        # each edge gains a midpoint and splits in two, each triangle gains
+        # three inner edges, and the boundary edges double
+        tri = triangulate(poly, h)
+        fine = refine_red(tri)
+        n_edges = len(tri.edge_array)
+        assert fine.n_vertices == tri.n_vertices + n_edges
+        assert fine.n_triangles == 4 * tri.n_triangles
+        assert len(fine.edge_array) == 2 * n_edges + 3 * tri.n_triangles
+        assert np.count_nonzero(fine.edge_counts == 1) == \
+            2 * np.count_nonzero(tri.edge_counts == 1)
 
 
 class TestExport:

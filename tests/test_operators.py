@@ -84,6 +84,48 @@ class TestBuildOperator:
         assert (op.S - base.S).nnz == 0 or np.abs((op.S - base.S).data).max() == 0
 
 
+class TestSector:
+    @pytest.mark.parametrize("amplitude", [0.0, 0.1, 0.3, 1.0])
+    def test_numerical_range_in_sector(self, box16, amplitude):
+        # c_xy = c_yx = 1 + i a s with s = +-1: Re <Lu, u> = 2 sum |du|^2 mu
+        # and |Im <Lu, u>| <= a Re <Lu, u>, i.e. the angle is at most atan(a)
+        op = build_operator(box16, perturbed_coefficients(box16, amplitude))
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            u = rng.standard_normal(box16.n) + 1j * rng.standard_normal(box16.n)
+            du = (u[box16.edge_v] - u[box16.edge_u]) / box16.edge_h
+            form = op.form(u, u)
+            assert form.real == pytest.approx(2.0 * np.sum(np.abs(du) ** 2 * box16.edge_mu),
+                                              rel=1e-12)
+            assert abs(form.imag) <= (amplitude + 1e-12) * form.real
+
+    def test_uniform_rotation(self, box16):
+        c = EdgeCoefficients(box16, np.full(box16.n_edges, cmath.exp(1j * math.pi / 6)))
+        op = build_operator(box16, c)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            u = rng.standard_normal(box16.n) + 1j * rng.standard_normal(box16.n)
+            assert cmath.phase(op.form(u, u)) == pytest.approx(math.pi / 6, abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 0.6, 0.7])
+    def test_resolvent_bound_on_rays(self, box16, theta):
+        # the numerical range lies in the sector of angle w = atan(0.3), so
+        # |lam| ||u||_m <= ||f||_m / s with s = 1 when arg lam + w <= pi/2
+        # and s = sin(pi - arg lam - w) beyond
+        op = build_operator(box16, perturbed_coefficients(box16, 0.3))
+        omega = math.atan(0.3)
+        arg = theta * math.pi
+        s = 1.0 if arg + omega <= math.pi / 2 else math.sin(math.pi - arg - omega)
+        f = np.random.default_rng(10).standard_normal(box16.n)
+        norm_f = math.sqrt(box16.m @ f**2)
+        for r in (0.1, 1.0, 10.0, 100.0):
+            lam = cmath.rect(r, arg)
+            res = resolvent_solve(op, lam, f)
+            assert res.residual <= 1e-10
+            norm_u = math.sqrt(box16.m @ np.abs(res.u) ** 2)
+            assert r * norm_u <= norm_f / s
+
+
 class TestShiftedMatrix:
     LAMS = (0.0, 1.0, 2 - 5j, 7 * cmath.exp(0.6j * math.pi))
 

@@ -212,6 +212,18 @@ class TestNorms:
         assert w1p_norm(scaled, p) == pytest.approx(3.0 * w1p_norm(f1, p), rel=1e-12)
         assert w1p_norm(both, p) <= w1p_norm(f1, p) + w1p_norm(f2, p) + 1e-12
 
+    @pytest.mark.parametrize("call", [
+        lambda f: holder_seminorm(f, 0.0),
+        lambda f: holder_seminorm(f, 1.5),
+        lambda f: lp_norm(f, 0.5),
+        lambda f: edge_lp_norm(differential(f), 0.5),
+        lambda f: df_grad_bracket(f.graph, np.inf),
+    ], ids=["holder_eta_0", "holder_eta_1.5", "lp_below_1", "edge_lp_below_1",
+            "bracket_at_inf"])
+    def test_range_errors(self, small_path, call):
+        with pytest.raises(SpaceError):
+            call(VertexFunction(small_path, np.ones(small_path.n)))
+
     def test_antisymmetric_reads(self, coarse_square_graph):
         g = coarse_square_graph
         rng = np.random.default_rng(3)
