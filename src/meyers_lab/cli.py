@@ -20,6 +20,10 @@ def _epilog() -> str:
     lines += [
         f"every run also writes <experiment>_summary.csv: {experiments.SUMMARY_HEADER}",
         "",
+        "fixed problems: meyers_sweep and holder_convergence load f = 1; rate_theta",
+        "is the torsion problem -div grad u = 1 on the unit square; counterexample",
+        "is the manufactured radial/tangential problem of scale eps on [-1, 1]^2.",
+        "",
         "config files are flat `key = value` lines; `#` starts a comment. Every",
         "experiment ships defaults matching the acceptance setups; summaries are",
         "recomputable from the row CSVs via `meyers-lab report`. Besides seed and",

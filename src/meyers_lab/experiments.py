@@ -168,16 +168,6 @@ def _domain(name: str) -> mesh.Polygon:
     raise ValueError("choose from unit_square, square2, rect:x0:y0:x1:y1")
 
 
-def _choice(table: dict):
-    """The value ``table`` holds for the text."""
-    def parser(text):
-        if text not in table:
-            raise ValueError(f"choose from {tuple(table)}")
-        return table[text]
-    return parser
-
-
-_LOADS = {"one": lambda pts: np.ones(len(pts)), "minus_one": lambda pts: -np.ones(len(pts))}
 _positive = _where(float, lambda v: 0 < v < math.inf, "a finite value > 0")
 _count = _where(int, lambda v: v >= 1, "an integer >= 1")
 _above_2 = _where(float, lambda v: v > 2, "a value > 2")
@@ -212,17 +202,16 @@ def _sample_count(text: str) -> int | None:
 # ---------------------------------------------------------------------------
 # checks of the rules that span keys
 
-def _check_family(name: str, values: dict, need: int = 1) -> None:
-    """The coarsest mesh of the domain has ``need`` interior vertices."""
-    lvl = values["levels"][0]
-    if _interior_vertices(values["domain"], lvl) < need:
-        raise ConfigError(f"level {lvl} is too coarse for the domain: {name} needs "
+def _check_family(name: str, poly: mesh.Polygon, level: int, need: int = 1) -> None:
+    """The coarsest mesh, at ``level``, of ``poly`` has ``need`` interior vertices."""
+    if _interior_vertices(poly, level) < need:
+        raise ConfigError(f"level {level} is too coarse for the domain: {name} needs "
                           f"{need} or more interior vertices in its mesh")
 
 
 def _interior_vertices(poly: mesh.Polygon, level: int) -> float:
     """Interior vertices of the level's mesh of ``poly`` (an axis rectangle,
-    as every config domain is), counted without meshing: triangulate needs a
+    as every experiment's domain is), counted without meshing: triangulate needs a
     spacing 2^-level below the diameter, and the criss-cross grid of n_x by
     n_y cells has (n_x - 1)(n_y - 1) interior vertices. A spacing that
     underflows to 0 is left to triangulate (inf)."""
@@ -235,16 +224,18 @@ def _interior_vertices(poly: mesh.Polygon, level: int) -> float:
     return math.prod(mesh._grid_divisions(a, b, h) - 1 for a, b in zip(lo, hi))
 
 
+def _check_domain_family(name: str, values: dict) -> None:
+    _check_family(name, values["domain"], values["levels"][0])
+
+
 def _check_counterexample(name: str, values: dict) -> None:
-    if values["coefficient"].eps is None:
-        raise ConfigError("counterexample needs a meyers:<eps> coefficient")
     # one interior vertex carries one hat function; on square2 it is the
     # origin, where the P1 solution is 0 and the slope fit has no data
-    _check_family(name, values, need=2)
+    _check_family(name, _domain("square2"), values["levels"][0], need=2)
 
 
 def _check_rate_theta(name: str, values: dict) -> None:
-    _check_family(name, values)
+    _check_family(name, _domain("unit_square"), values["levels"][0])
     # theta in (0, 1): p_probe strictly between the endpoints 2 and 2 + eps
     if not 2 < values["p_probe"] < 2 + values["eps_probe"]:
         raise ConfigError("rate_theta needs 2 < p_probe < 2 + eps_probe")
@@ -252,20 +243,19 @@ def _check_rate_theta(name: str, values: dict) -> None:
         raise ConfigError("rate_theta needs center_level among the levels")
 
 
-def _family(cfg: ExperimentConfig) -> list[tuple[int, mesh.Triangulation]]:
-    """(level, mesh) over the red-refinement family of the config's domain."""
-    levels = cfg.values["levels"]
-    tris = [mesh.triangulate(cfg.values["domain"], 2.0 ** -levels[0])]
+def _family(poly: mesh.Polygon, levels: list[int]) -> list[tuple[int, mesh.Triangulation]]:
+    """(level, mesh) over the red-refinement family of ``poly``."""
+    tris = [mesh.triangulate(poly, 2.0 ** -levels[0])]
     for _ in levels[1:]:
         tris.append(mesh.refine_red(tris[-1]))
     return list(zip(levels, tris))
 
 
-def _solved_family(cfg: ExperimentConfig, coeff, f) -> list[tuple]:
+def _solved_family(poly: mesh.Polygon, levels: list[int], coeff, f) -> list[tuple]:
     """(level, mesh, P1 solution, lhuh_rel) per level, one solve each; lhuh_rel
     is max |apply_Lh(u) + f_h| relative to max |f_h|."""
     cells = []
-    for lvl, tri in _family(cfg):
+    for lvl, tri in _family(poly, levels):
         system = fem.assemble(tri, coeff)
         fem.load(system, f)
         res = fem.solve(system)
@@ -288,7 +278,7 @@ def _verdict(name, value, ok, threshold) -> dict:
 def run_meyers_sweep(cfg: ExperimentConfig):
     v = cfg.values
     f_l2 = math.sqrt(v["domain"].area)  # |f| = 1 on the domain
-    cells = _solved_family(cfg, v["coefficient"], v["f"])
+    cells = _solved_family(v["domain"], v["levels"], v["coefficient"], lambda pts: 1.0)
     rows = []
     for p in v["p_list"]:
         for lvl, tri, fld, lhuh in cells:
@@ -317,8 +307,8 @@ def verdicts_meyers_sweep(rows):
 
 def run_counterexample(cfg: ExperimentConfig):
     v = cfg.values
-    problem = fem.meyers_problem(v["coefficient"].eps)
-    cells = _solved_family(cfg, problem.field, problem.f if v["f"] is None else v["f"])
+    problem = v["eps"]  # the radial/tangential family's manufactured problem
+    cells = _solved_family(_domain("square2"), v["levels"], problem.field, problem.f)
     rows = []
     for p in v["p_list"]:
         for lvl, tri, fld, lhuh in cells:
@@ -349,7 +339,7 @@ def verdicts_counterexample(rows):
 
 def run_holder_convergence(cfg: ExperimentConfig):
     v = cfg.values
-    cells = _solved_family(cfg, v["coefficient"], v["f"])
+    cells = _solved_family(v["domain"], v["levels"], v["coefficient"], lambda pts: 1.0)
     rows = []
     for p in v["p_list"]:
         eta = 1.0 - 2.0 / p
@@ -382,13 +372,16 @@ def verdicts_holder(rows):
 
 
 def run_rate_theta(cfg: ExperimentConfig):
-    p_probe, eps, center_level, coeff, fload = (
-        cfg.values[key] for key in ("p_probe", "eps_probe", "center_level", "coefficient", "f"))
+    # the torsion problem: identity coefficient and f = -1 on the unit square
+    levels, p_probe, eps, center_level = (
+        cfg.values[key] for key in ("levels", "p_probe", "eps_probe", "center_level"))
     p_hi = 2.0 + eps
     theta = (1.0 / p_probe - 1.0 / p_hi) / (0.5 - 1.0 / p_hi)
     center_ref = reference.torsion_center_value()
     rows = []
-    for lvl, tri, fld, lhuh in _solved_family(cfg, coeff, fload):
+    cells = _solved_family(_domain("unit_square"), levels, fem.identity_field(),
+                           lambda pts: -1.0)
+    for lvl, tri, fld, lhuh in cells:
         # cache the series oracle at the quadrature points of this mesh
         qpts = fld._quad_points().reshape(-1, 2)
         vals = reference.torsion_value(qpts)
@@ -520,7 +513,7 @@ def verdicts_kernel(meta_rows):
 def run_embeddings(cfg: ExperimentConfig):
     trials, ps, ph = (cfg.values[key] for key in ("trials", "p_sobolev", "p_holder"))
     rows = []
-    for lvl, tri in _family(cfg):
+    for lvl, tri in _family(cfg.values["domain"], cfg.values["levels"]):
         g = graph.from_triangulation(tri)
         r_s = spaces.embedding_report(g, ps, trials=trials, seed=cfg.seed)
         r_h = spaces.embedding_report(g, ph, trials=trials, seed=cfg.seed)
@@ -549,7 +542,7 @@ def verdicts_embeddings(rows):
 
 def run_geometry(cfg: ExperimentConfig):
     rows = []
-    for lvl, tri in _family(cfg):
+    for lvl, tri in _family(cfg.values["domain"], cfg.values["levels"]):
         g = graph.from_triangulation(tri)
         rep = graph.geometry_report(g, cfg.values["r0"](tri.h),
                                     sample_count=cfg.values["sample_count"], seed=cfg.seed)
@@ -597,18 +590,16 @@ REGISTRY = {exp.name: exp for exp in (
         "meyers_sweep",
         dict(domain=("unit_square", _domain),
              coefficient=("checkerboard:1:4", fem.coefficient_field),
-             f=("one", _choice(_LOADS)), levels=("3,4,5,6", _levels(3)),
-             p_list=("2.2", _p_list(2))),
+             levels=("3,4,5,6", _levels(3)), p_list=("2.2", _p_list(2))),
         run_meyers_sweep, verdicts_meyers_sweep,
         (("meyers_sweep_rows.csv",
           "experiment,p,level,h,n_vertices,w1p,f_l2,ratio,lhuh_rel"),),
-        _check_family),
+        _check_domain_family),
     Experiment(
         "counterexample",
-        # f = auto: the load of the coefficient's manufactured problem
-        dict(domain=("square2", _domain), coefficient=("meyers:0.5", fem.coefficient_field),
-             f=("auto", _choice({**_LOADS, "auto": None})), levels=("3,4,5,6", _levels(3)),
-             p_list=("2.5,6", _p_list(1))),
+        # eps: the radial/tangential family's manufactured problem, on square2
+        dict(eps=("0.5", lambda text: fem.meyers_problem(float(text))),
+             levels=("3,4,5,6", _levels(3)), p_list=("2.5,6", _p_list(1))),
         run_counterexample, verdicts_counterexample,
         (("counterexample_rows.csv", "experiment,p,p_c,level,h,w1p,lhuh_rel"),),
         _check_counterexample),
@@ -616,16 +607,14 @@ REGISTRY = {exp.name: exp for exp in (
         "holder_convergence",
         dict(domain=("unit_square", _domain),
              coefficient=("checkerboard:1:4", fem.coefficient_field),
-             f=("one", _choice(_LOADS)), levels=("3,4,5,6", _levels(3)),
-             p_list=("2.2", _p_list(2))),
+             levels=("3,4,5,6", _levels(3)), p_list=("2.2", _p_list(2))),
         run_holder_convergence, verdicts_holder,
         (("holder_convergence_rows.csv",
           "experiment,p,eta,level,h,holder_norm,cauchy_diff,lhuh_rel"),),
-        _check_family),
+        _check_domain_family),
     Experiment(
         "rate_theta",
-        dict(domain=("unit_square", _domain), coefficient=("constant:1", fem.coefficient_field),
-             f=("minus_one", _choice(_LOADS)), levels=("3,4,5,6", _levels(3)),
+        dict(levels=("3,4,5,6", _levels(3)),
              p_probe=("2.2", float), eps_probe=("0.5", _positive), center_level=("5", int)),
         run_rate_theta, verdicts_rate_theta,
         (("rate_theta_rows.csv",
@@ -661,14 +650,14 @@ REGISTRY = {exp.name: exp for exp in (
         (("embeddings_rows.csv",
           "experiment,level,h,n_vertices,p_sobolev,p_star,sobolev_ratio_max,"
           "p_holder,eta,holder_ratio_max"),),
-        _check_family),
+        _check_domain_family),
     Experiment(
         "geometry",
         dict(domain=("unit_square", _domain), levels=("3,4,5,6", _levels(2)),
              r0=("auto", _r0), sample_count=("all", _sample_count)),
         run_geometry, verdicts_geometry,
         (("geometry_rows.csv", "experiment,level,h,r0,C_D,c_L,C_P,D,balls"),),
-        _check_family),
+        _check_domain_family),
 )}
 
 
@@ -684,11 +673,16 @@ def _format_cell(v) -> str:
 
 
 def write_csv(path: str, header: list[str], rows: list[dict]) -> None:
+    """Write the rows under the header; every row holds exactly its keys."""
+    cols = set(header)
+    for row in rows:
+        if row.keys() != cols:
+            raise ValueError(f"{path}: row keys missing {sorted(cols - row.keys())}, "
+                             f"unknown {sorted(row.keys() - cols)}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_format_cell(row.get(col, "")) for col in header]
-                         for row in rows)
+        writer.writerows([_format_cell(row[col]) for col in header] for row in rows)
 
 
 @dataclass

@@ -62,7 +62,6 @@ class CoefficientField:
     ellipticity: float
     bound: float
     kind: str
-    eps: float | None = None  # tangential scale of the meyers family
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.matrix(np.atleast_2d(np.asarray(points, dtype=float)))
@@ -117,7 +116,7 @@ def meyers_field(eps: float) -> CoefficientField:
         raise FemError("eps must lie in (0, 1)")
     return CoefficientField(
         lambda pts: reference.radial_tangential_matrix(pts, eps),
-        ellipticity=eps * eps, bound=1.0, kind=f"meyers({eps})", eps=eps,
+        ellipticity=eps * eps, bound=1.0, kind=f"meyers({eps})",
     )
 
 
@@ -131,8 +130,7 @@ def smooth_field() -> CoefficientField:
 
 def coefficient_field(spec: str) -> CoefficientField:
     """Field from a config spec: ``checkerboard:a1:a2``, ``meyers:eps``,
-    ``constant[:scale]`` or ``identity[:scale]`` (scale times the identity),
-    or ``smooth``."""
+    ``constant[:scale]`` (scale times the identity) or ``smooth``."""
     kind, *args = str(spec).split(":")
     try:
         nums = [float(a) for a in args]
@@ -142,7 +140,7 @@ def coefficient_field(spec: str) -> CoefficientField:
         return checkerboard_field(*nums)
     if kind == "meyers" and len(nums) == 1:
         return meyers_field(nums[0])
-    if kind in ("constant", "identity") and len(nums) <= 1:
+    if kind == "constant" and len(nums) <= 1:
         return constant_field((nums[0] if nums else 1.0) * np.eye(2))
     if kind == "smooth" and not nums:
         return smooth_field()
@@ -152,14 +150,13 @@ def coefficient_field(spec: str) -> CoefficientField:
 @dataclass
 class MeyersProblem:
     field: CoefficientField
-    eps: float
     p_c: float
     f: Callable
 
 
 def meyers_problem(eps: float) -> MeyersProblem:
     return MeyersProblem(
-        field=meyers_field(eps), eps=eps, p_c=2.0 / (1.0 - eps),
+        field=meyers_field(eps), p_c=2.0 / (1.0 - eps),
         f=lambda pts: reference.singular_load(pts, eps),
     )
 

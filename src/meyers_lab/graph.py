@@ -184,14 +184,13 @@ def distances_all(g: WeightedGraph) -> np.ndarray:
     return csgraph.dijkstra(g._metric, directed=False)
 
 
-def edge_gram(g: WeightedGraph, edge_weights) -> sp.csr_matrix:
-    """sum_e w_e (e_u - e_v)(e_u - e_v)^T as a sparse matrix."""
-    u, v = g.edge_u, g.edge_v
-    w = np.asarray(edge_weights)
+def edge_gram(n: int, u, v, w) -> sp.coo_matrix:
+    """sum_e w_e (e_u - e_v)(e_u - e_v)^T over the edges (u_e, v_e), n x n;
+    ``toarray`` sums its entries in order, as ``np.add.at`` would."""
     rows = np.concatenate([u, v, u, v])
     cols = np.concatenate([u, v, v, u])
     data = np.concatenate([w, w, -w, -w])
-    return sp.coo_matrix((data, (rows, cols)), shape=(g.n, g.n)).tocsr()
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def distance(g: WeightedGraph, x: int, y: int) -> float:
@@ -261,11 +260,7 @@ def _poincare_constant(g: WeightedGraph, members: np.ndarray, r: float, memo=Non
                                       digest_size=32).digest())
     memo = {} if memo is None else memo
     if key not in memo:
-        G = np.zeros((k, k))
-        np.add.at(G, (lu, lu), w)
-        np.add.at(G, (lv, lv), w)
-        np.add.at(G, (lu, lv), -w)
-        np.add.at(G, (lv, lu), -w)
+        G = edge_gram(k, lu, lv, w).toarray()
         A = np.diag(mloc) - np.outer(mloc, mloc) / mloc.sum()
         memo[key] = float(la.eigh(A[:-1, :-1], r * r * G[:-1, :-1], eigvals_only=True)[-1])
     return memo[key]

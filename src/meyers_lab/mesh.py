@@ -115,6 +115,7 @@ class Triangulation:
 
     Triangles are stored counterclockwise. Boundary vertices are derived
     combinatorially: endpoints of edges incident to exactly one triangle.
+    A mesh of a given ``polygon`` must cover it conformingly (checked).
     Instances are immutable after construction.
     """
 
@@ -168,6 +169,14 @@ class Triangulation:
                 raise MeshError(
                     f"triangles do not cover the polygon: area {cover!r} vs {polygon.area!r}"
                 )
+            # conforming: no edge in three triangles, and the one-triangle
+            # edges trace the polygon's boundary (a hanging node's join them)
+            sides = [pts[boundary_edges[:, 1]] - pts[boundary_edges[:, 0]],
+                     np.roll(polygon.vertices, -1, axis=0) - polygon.vertices]
+            rim, perimeter = (math.fsum(np.hypot(*d.T).tolist()) for d in sides)
+            if counts.max() > 2 or abs(rim - perimeter) > 1e-12 * perimeter:
+                raise MeshError(f"non-conforming mesh: {counts.max()} triangles on an edge, "
+                                f"one-triangle edges of length {rim!r}, perimeter {perimeter!r}")
 
     @property
     def n_vertices(self) -> int:

@@ -92,7 +92,7 @@ class GraphOperator:
         self.graph = graph
         self.coefficients = coefficients
         w = coefficients.c_plus * graph.edge_mu / graph.edge_h**2
-        self.S = edge_gram(graph, w)
+        self.S = edge_gram(graph.n, graph.edge_u, graph.edge_v, w).tocsr()
         if np.all(np.abs(self.S.data.imag) == 0):
             self.S = sp.csr_matrix((self.S.data.real, self.S.indices, self.S.indptr),
                                    shape=self.S.shape)

@@ -91,7 +91,11 @@ class TestConfig:
         "experiment = rate_theta\np_probe = 2.x",
         "experiment = meyers_sweep\ncoefficient = checkerboard:1",
         "experiment = holder_convergence\ncoefficient = bogus",
-        "experiment = counterexample\ncoefficient = checkerboard:1:4",
+        # eps of the radial/tangential family lies in (0, 1)
+        "experiment = counterexample\neps = 0",
+        "experiment = counterexample\neps = 1",
+        "experiment = counterexample\neps = nan",
+        "experiment = counterexample\neps = x",
         "experiment = rate_theta\ncenter_level = 9\nlevels = 2,3,4",
         "experiment = resolvent_sweep\nrays = real,bogus",
         "experiment = resolvent_sweep\nlambda_list = -1,1,10",
@@ -155,9 +159,6 @@ class TestConfig:
         "experiment = meyers_sweep\ndomain = disk",
         "experiment = geometry\ndomain = rect:0:0:1",
         "experiment = embeddings\ndomain = rect:1:0:0:1",
-        "experiment = meyers_sweep\nf = auto",
-        "experiment = holder_convergence\nf = bogus",
-        "experiment = counterexample\nf = two",
         "experiment = resolvent_sweep\nlambda_list = 5,5,5",
         "experiment = resolvent_sweep\nlambda_list = 1,10",
         # a repeated value would repeat its row block
@@ -212,6 +213,16 @@ class TestConfig:
         ("experiment = meyers_sweep\nlevles = 2,3", "levles"),
         ("experiment = geometry\nbox = 16", "box"),
         ("experiment = kernel_bounds\nx_foo = 1", "x_foo"),
+        # the Galerkin experiments fix their load, and rate_theta and
+        # counterexample their domain and coefficient too
+        ("experiment = meyers_sweep\nf = one", "f"),
+        ("experiment = holder_convergence\nf = one", "f"),
+        ("experiment = rate_theta\nf = minus_one", "f"),
+        ("experiment = rate_theta\ndomain = rect:0:0:1:2", "domain"),
+        ("experiment = rate_theta\ncoefficient = constant:2", "coefficient"),
+        ("experiment = counterexample\nf = auto", "f"),
+        ("experiment = counterexample\ndomain = unit_square", "domain"),
+        ("experiment = counterexample\ncoefficient = meyers:0.5", "coefficient"),
     ])
     def test_unknown_key_refused(self, tmp_path, text, key):
         with pytest.raises(ConfigError, match=f"reads no key '{key}'"):
@@ -281,6 +292,16 @@ class TestCsv:
             assert _same(back["b"], row["b"])
             assert all(_same(back[k], _read_back(row[k])) for k in ("a", "c"))
 
+    @pytest.mark.parametrize("row, match", [
+        ({"a": "x", "b": 1.0}, r"missing \['c'\]"),
+        ({"a": "x", "b": 1.0, "c": "y", "d": 2.0}, r"unknown \['d'\]"),
+    ], ids=["missing_key", "extra_key"])
+    def test_row_keys_must_match_the_header(self, tmp_path, row, match):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=match):
+            experiments.write_csv(str(path), ["a", "b", "c"], [{"a": "", "b": 0.0, "c": ""}, row])
+        assert not path.exists()
+
 
 SMALL_SWEEP = """
 experiment = meyers_sweep
@@ -331,6 +352,12 @@ class TestRunAndReport:
         assert len(calls) == 3
         assert [(r["p"], r["level"]) for r in rows] == \
             [(p, lvl) for p in (2.5, 6.0) for lvl in (3, 4, 5)]
+
+    def test_counterexample_eps_sets_the_critical_exponent(self):
+        cfg = parse_config("experiment = counterexample\neps = 0.3\nlevels = 3,4,5")
+        rows, verdicts = experiments.run_counterexample(cfg)
+        assert {r["p_c"] for r in rows} == {2.0 / (1.0 - 0.3)}
+        assert len(verdicts) == 2
 
     def test_geometry_small(self, tmp_path):
         cfg = parse_config("experiment = geometry\nlevels = 3,4\nsample_count = 25")

@@ -334,12 +334,12 @@ class TestReconstruct:
 class TestCoefficientBuilders:
     def test_dispatch(self):
         assert coefficient_field("constant").kind == "constant"
-        assert coefficient_field("identity:2").bound == 2.0
+        assert coefficient_field("constant:2").bound == 2.0
         assert coefficient_field("checkerboard:1:4").kind == "checkerboard"
         assert coefficient_field("meyers:0.5").kind == "meyers(0.5)"
-        assert coefficient_field("meyers:0.5").eps == 0.5
         assert coefficient_field("smooth").kind == "smooth"
-        for bad in ("nope", "checkerboard:1", "meyers:x", "smooth:1", "meyers:1.5"):
+        for bad in ("nope", "checkerboard:1", "meyers:x", "smooth:1", "meyers:1.5",
+                    "identity:2"):
             with pytest.raises(FemError):
                 coefficient_field(bad)
 

@@ -212,6 +212,19 @@ class TestConformity:
         assert got[1] == pytest.approx(boundary, rel=1e-12)
         assert most > 2 or euler != 1
 
+    @pytest.mark.parametrize("points, triangles, match", [
+        # the hanging centre's sides join the one-triangle edges, which then
+        # sum to 4 + 2 sqrt 2; the areas still cover the square
+        ([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)],
+         [(0, 1, 2), (0, 4, 3), (4, 2, 3)], "non-conforming mesh: 2 triangles"),
+        # three triangles on the side (0, 1) whose areas sum to the square's
+        ([(0, 0), (1, 0), (1, 1), (0.5, 0.5), (0.2, 0.5)],
+         [(0, 1, 2), (0, 1, 3), (0, 1, 4)], "non-conforming mesh: 3 triangles"),
+    ], ids=["hanging_node", "overused_edge"])
+    def test_nonconforming_mesh_of_a_polygon_refused(self, points, triangles, match):
+        with pytest.raises(MeshError, match=match):
+            Triangulation(points, triangles, polygon=Polygon.unit_square())
+
     @pytest.mark.parametrize("poly, h", [
         (Polygon.unit_square(), 0.5),
         (Polygon.symmetric_square(1.0), 1.0),
