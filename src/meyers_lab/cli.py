@@ -34,12 +34,10 @@ def _epilog() -> str:
 
 
 def _print_verdicts(verdicts) -> bool:
-    width = max(len(str(v["check"])) for v in verdicts)
+    width = max(len(v["check"]) for v in verdicts)
     for v in verdicts:
-        val = v["value"]
-        val_s = f"{val:.6g}" if isinstance(val, float) else str(val)
-        print(f"{str(v['check']).ljust(width)}  {val_s:>12}  ({v['threshold']})  "
-              f"{str(v['verdict']).upper()}")
+        print(f"{v['check'].ljust(width)}  {v['value']:>12.6g}  ({v['threshold']})  "
+              f"{v['verdict'].upper()}")
     return all(v["verdict"] == "pass" for v in verdicts)
 
 

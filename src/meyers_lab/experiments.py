@@ -2,14 +2,13 @@
 
 Configs are flat ``key = value`` text (comments start with #). Every run is
 deterministic given the seed, CSV cells are written with round-trip float
-repr, and each summary verdict is recomputable from the emitted row files
-alone (the ``report`` command does exactly that).
+repr, and runners only tabulate rows: ``run`` judges the written verdict file
+with ``recompute_verdicts``, the code the ``report`` command runs.
 
 Each experiment is one ``Experiment`` record in ``REGISTRY``: the config keys
 it reads, each with its default text and the one parser of that text, a check
-of the rules that span keys, the runner, the verdict recomputation and the
-row files it writes with their headers. A key the experiment does not read is
-refused.
+of the rules that span keys, the runner, the verdicts and the row files it
+writes with their headers. A key the experiment does not read is refused.
 
 Mesh families are red-refinement families: the coarsest level comes from
 ``triangulate`` and each further level halves h exactly, so consecutive
@@ -272,6 +271,14 @@ def _verdict(name, value, ok, threshold) -> dict:
             "verdict": "pass" if ok else "fail"}
 
 
+def _groups(rows, *keys) -> list[tuple[tuple, list[dict]]]:
+    """(values of ``keys``, the rows holding them, in order) per distinct values, sorted."""
+    groups: dict[tuple, list[dict]] = {}
+    for r in rows:
+        groups.setdefault(tuple(r[k] for k in keys), []).append(r)
+    return sorted(groups.items())
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -286,13 +293,12 @@ def run_meyers_sweep(cfg: ExperimentConfig):
             rows.append({"experiment": "meyers_sweep", "p": p, "level": lvl,
                          "h": tri.h, "n_vertices": tri.n_vertices, "w1p": w,
                          "f_l2": f_l2, "ratio": w / f_l2, "lhuh_rel": lhuh})
-    return rows, verdicts_meyers_sweep(rows)
+    return (rows,)
 
 
 def verdicts_meyers_sweep(rows):
     out = []
-    for p in sorted({r["p"] for r in rows}):
-        sub = [r for r in rows if r["p"] == p]
+    for (p,), sub in _groups(rows, "p"):
         fit = fit_loglog([(r["h"], r["ratio"]) for r in sub])
         ratios = [r["ratio"] for r in sub]
         mm = max(ratios) / min(ratios)
@@ -315,13 +321,12 @@ def run_counterexample(cfg: ExperimentConfig):
             rows.append({"experiment": "counterexample", "p": p, "p_c": problem.p_c,
                          "level": lvl, "h": tri.h, "w1p": fld.w1p_norm(p),
                          "lhuh_rel": lhuh})
-    return rows, verdicts_counterexample(rows)
+    return (rows,)
 
 
 def verdicts_counterexample(rows):
     out = []
-    for p in sorted({r["p"] for r in rows}):
-        sub = [r for r in rows if r["p"] == p]
+    for (p,), sub in _groups(rows, "p"):
         p_c = sub[0]["p_c"]
         fit = fit_loglog([(r["h"], r["w1p"]) for r in sub])
         vals = [r["w1p"] for r in sub]
@@ -352,18 +357,17 @@ def run_holder_convergence(cfg: ExperimentConfig):
                          "level": lvl, "h": tri.h, "holder_norm": hn,
                          "cauchy_diff": diff, "lhuh_rel": lhuh})
             prev = (tri, fld.values)
-    return rows, verdicts_holder(rows)
+    return (rows,)
 
 
 def verdicts_holder(rows):
     out = []
-    for p in sorted({r["p"] for r in rows}):
-        sub = [r for r in rows if r["p"] == p]
+    for (p,), sub in _groups(rows, "p"):
         vals = [r["holder_norm"] for r in sub]
         mm = max(vals) / min(vals)
         t = THRESHOLDS[("holder_convergence", "maxmin_max")]
         out.append(_verdict(f"holder_maxmin[p={p}]", mm, mm <= t, f"max/min <= {t}"))
-        diffs = [float(r["cauchy_diff"]) for r in sub if r["cauchy_diff"] != ""]
+        diffs = [r["cauchy_diff"] for r in sub if r["cauchy_diff"] != ""]
         dec = all(a > b for a, b in zip(diffs, diffs[1:])) and len(diffs) >= 2
         out.append(_verdict(f"holder_cauchy_decreasing[p={p}]",
                             diffs[-1] / diffs[0] if diffs else float("nan"),
@@ -395,19 +399,16 @@ def run_rate_theta(cfg: ExperimentConfig):
                          "center_value": center, "center_ref": center_ref,
                          "center_level": center_level, "theta": theta,
                          "p_probe": p_probe, "p_hi": p_hi, "lhuh_rel": lhuh})
-    return rows, verdicts_rate_theta(rows)
+    return (rows,)
 
 
 def verdicts_rate_theta(rows):
     out = []
     theta = rows[0]["theta"]
     p_probe, p_hi = rows[0]["p_probe"], rows[0]["p_hi"]
-    center_level = int(rows[0]["center_level"])
-    orders = {}
-    for p in sorted({r["p"] for r in rows}):
-        sub = [r for r in rows if r["p"] == p]
-        orders[p] = fit_loglog([(r["h"], r["w1p_error"]) for r in sub]).slope
-    crow = [r for r in rows if r["level"] == center_level][0]
+    orders = {p: fit_loglog([(r["h"], r["w1p_error"]) for r in sub]).slope
+              for (p,), sub in _groups(rows, "p")}
+    crow = [r for r in rows if r["level"] == rows[0]["center_level"]][0]
     cerr = abs(crow["center_value"] - crow["center_ref"])
     t_c = THRESHOLDS[("rate_theta", "center_tol")]
     out.append(_verdict("center_value_error", cerr, cerr <= t_c, f"<= {t_c}"))
@@ -440,28 +441,26 @@ def run_resolvent_sweep(cfg: ExperimentConfig):
                          "lam_im": r.lam.imag, "abs_lam": abs(r.lam),
                          "sup_ratio": r.sup_ratio, "holder_ratio": r.holder_ratio,
                          "R_inf": r.R_inf, "R_eta": r.R_eta, "eta": eta})
-    return rows, verdicts_resolvent(rows)
+    return (rows,)
 
 
 def verdicts_resolvent(rows):
     out = []
     lam_dec = THRESHOLDS[("resolvent_sweep", "slope_range")]
-    for vname in sorted({r["variant"] for r in rows}):
-        for ray in sorted({r["ray"] for r in rows if r["variant"] == vname}):
-            sub = [r for r in rows if r["variant"] == vname and r["ray"] == ray]
-            rinf = [r["R_inf"] for r in sub]
-            reta = [r["R_eta"] for r in sub]
-            fit = fit_loglog([(r["abs_lam"], r["sup_ratio"]) for r in sub])
-            mm_i = max(rinf) / min(rinf)
-            mm_e = max(reta) / min(reta)
-            t_i = THRESHOLDS[("resolvent_sweep", "r_inf_maxmin_max")]
-            t_e = THRESHOLDS[("resolvent_sweep", "r_eta_maxmin_max")]
-            tag = f"[{vname},{ray}]"
-            out.append(_verdict(f"R_inf_maxmin{tag}", mm_i, mm_i <= t_i, f"<= {t_i}"))
-            out.append(_verdict(f"sup_slope{tag}", fit.slope,
-                                lam_dec[0] <= fit.slope <= lam_dec[1],
-                                f"in [{lam_dec[0]}, {lam_dec[1]}]"))
-            out.append(_verdict(f"R_eta_maxmin{tag}", mm_e, mm_e <= t_e, f"<= {t_e}"))
+    for (vname, ray), sub in _groups(rows, "variant", "ray"):
+        rinf = [r["R_inf"] for r in sub]
+        reta = [r["R_eta"] for r in sub]
+        fit = fit_loglog([(r["abs_lam"], r["sup_ratio"]) for r in sub])
+        mm_i = max(rinf) / min(rinf)
+        mm_e = max(reta) / min(reta)
+        t_i = THRESHOLDS[("resolvent_sweep", "r_inf_maxmin_max")]
+        t_e = THRESHOLDS[("resolvent_sweep", "r_eta_maxmin_max")]
+        tag = f"[{vname},{ray}]"
+        out.append(_verdict(f"R_inf_maxmin{tag}", mm_i, mm_i <= t_i, f"<= {t_i}"))
+        out.append(_verdict(f"sup_slope{tag}", fit.slope,
+                            lam_dec[0] <= fit.slope <= lam_dec[1],
+                            f"in [{lam_dec[0]}, {lam_dec[1]}]"))
+        out.append(_verdict(f"R_eta_maxmin{tag}", mm_e, mm_e <= t_e, f"<= {t_e}"))
     return out
 
 
@@ -491,20 +490,20 @@ def run_kernel_bounds(cfg: ExperimentConfig):
                   "C_holder": cpp, "eta_increment": eta_inc,
                   "pass_rate_holder": rate_inc, "c_prime": c_prime}
                  for i, t in enumerate(ts)]
-    return (meta_rows, table_rows), verdicts_kernel(meta_rows)
+    return meta_rows, table_rows
 
 
 def verdicts_kernel(meta_rows):
     out = []
-    dev = max(float(r["oracle_dev"]) for r in meta_rows)
+    dev = max(r["oracle_dev"] for r in meta_rows)
     t_d = THRESHOLDS[("kernel_bounds", "oracle_dev_max")]
     out.append(_verdict("contour_vs_oracle", dev, dev <= t_d, f"<= {t_d}"))
-    beta = float(meta_rows[0]["beta"])
-    rate_b = min(float(r["pass_rate_b"]) for r in meta_rows)
+    beta = meta_rows[0]["beta"]
+    rate_b = min(r["pass_rate_b"] for r in meta_rows)
     out.append(_verdict("regime_b_beta_positive", beta, beta > 0, "> 0"))
     out.append(_verdict("regime_b_pass_rate", rate_b, rate_b == 1.0, "== 1.0"))
-    eta_inc = float(meta_rows[0]["eta_increment"])
-    rate_h = min(float(r["pass_rate_holder"]) for r in meta_rows)
+    eta_inc = meta_rows[0]["eta_increment"]
+    rate_h = min(r["pass_rate_holder"] for r in meta_rows)
     out.append(_verdict("holder_increment_eta_positive", eta_inc, eta_inc > 0, "> 0"))
     out.append(_verdict("holder_increment_pass_rate", rate_h, rate_h == 1.0, "== 1.0"))
     return out
@@ -522,7 +521,7 @@ def run_embeddings(cfg: ExperimentConfig):
                      "p_star": r_s.p_star, "sobolev_ratio_max": r_s.sobolev_ratio_max,
                      "p_holder": ph, "eta": r_h.eta,
                      "holder_ratio_max": r_h.holder_ratio_max})
-    return rows, verdicts_embeddings(rows)
+    return (rows,)
 
 
 def _stability_verdicts(rows, experiment: str, keys) -> list[dict]:
@@ -530,7 +529,7 @@ def _stability_verdicts(rows, experiment: str, keys) -> list[dict]:
     out = []
     t = THRESHOLDS[(experiment, "factor_max")]
     for key in keys:
-        vals = [float(r[key]) for r in rows]
+        vals = [r[key] for r in rows]
         factor = max(vals) / min(vals)
         out.append(_verdict(f"{key}_stability", factor, factor < t, f"< {t}"))
     return out
@@ -549,7 +548,7 @@ def run_geometry(cfg: ExperimentConfig):
         rows.append({"experiment": "geometry", "level": lvl, "h": tri.h,
                      "r0": rep.r0, "C_D": rep.C_D, "c_L": rep.c_L, "C_P": rep.C_P,
                      "D": rep.D, "balls": rep.balls_sampled})
-    return rows, verdicts_geometry(rows)
+    return (rows,)
 
 
 def verdicts_geometry(rows):
@@ -568,9 +567,9 @@ class Experiment:
 
     A parser turns the text into the value ``run`` reads from ``cfg.values``
     and raises ValueError on malformed or out-of-range text. ``run(cfg)``
-    returns ``(rows, verdicts)``, with ``rows`` a tuple of one row list per
-    file when the experiment writes several files. ``verdicts(rows)``
-    recomputes the verdicts from the rows of the first file alone.
+    returns the row tables only, one row list per entry of ``files``.
+    ``verdicts(rows)`` judges the parsed rows of the first file, the verdict
+    file; only ``recompute_verdicts`` calls it.
     """
 
     name: str
@@ -694,15 +693,15 @@ class RunSummary:
 
 
 def run(cfg: ExperimentConfig) -> RunSummary:
-    """Execute one experiment, write its CSVs, and return the verdicts."""
+    """Execute one experiment, write its row CSVs, judge the written verdict
+    file as ``report`` would, and write and return the verdicts."""
     exp = REGISTRY[cfg.experiment]
     os.makedirs(cfg.out, exist_ok=True)
-    result, verdicts = exp.run(cfg)
-    tables = result if len(exp.files) > 1 else (result,)
     paths = []
-    for (name, header), rows in zip(exp.files, tables):
+    for (name, header), rows in zip(exp.files, exp.run(cfg), strict=True):
         paths.append(os.path.join(cfg.out, name))
         write_csv(paths[-1], header.split(","), rows)
+    verdicts = recompute_verdicts(paths[:1])
     paths.append(os.path.join(cfg.out, f"{cfg.experiment}_summary.csv"))
     write_csv(paths[-1], SUMMARY_HEADER.split(","), verdicts)
     return RunSummary(cfg.experiment, verdicts, paths,
@@ -725,10 +724,11 @@ def _parse_csv(path: str) -> tuple[list[str], list[dict]]:
 
 
 def recompute_verdicts(paths: list[str]) -> list[dict]:
-    """Re-derive summary verdicts from emitted row CSVs alone."""
+    """Derive summary verdicts from emitted row CSVs alone, judging each
+    experiment's verdict file, the first of its ``files``; two are refused."""
     by_header = {header: (exp, i) for exp in REGISTRY.values()
                  for i, (_, header) in enumerate(exp.files)}
-    first_files: dict[str, list[dict]] = {}
+    judged: dict[str, tuple[str, list[dict]]] = {}
     for path in paths:
         header, rows = _parse_csv(path)
         key = ",".join(header)
@@ -737,7 +737,9 @@ def recompute_verdicts(paths: list[str]) -> list[dict]:
         if key not in by_header:
             raise ConfigError(f"{path}: not a recognized rows file")
         exp, i = by_header[key]
+        if i == 0 and exp.name in judged:  # two runs' rows do not form one family
+            raise ConfigError(f"{judged[exp.name][0]} and {path}: two {exp.name} verdict files")
         if i == 0:  # verdicts read the first file; the others are tables
-            first_files.setdefault(exp.name, []).extend(rows)
-    return [v for name, rows in sorted(first_files.items())
+            judged[exp.name] = (path, rows)
+    return [v for name, (_, rows) in sorted(judged.items())
             for v in REGISTRY[name].verdicts(rows)]

@@ -184,13 +184,13 @@ def distances_all(g: WeightedGraph) -> np.ndarray:
     return csgraph.dijkstra(g._metric, directed=False)
 
 
-def edge_gram(n: int, u, v, w) -> sp.coo_matrix:
-    """sum_e w_e (e_u - e_v)(e_u - e_v)^T over the edges (u_e, v_e), n x n;
-    ``toarray`` sums its entries in order, as ``np.add.at`` would."""
+def edge_gram(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (rows, cols, data) of sum_e w_e (e_u - e_v)(e_u - e_v)^T over
+    the edges (u_e, v_e); repeated (row, col) entries are to be summed."""
     rows = np.concatenate([u, v, u, v])
     cols = np.concatenate([u, v, v, u])
     data = np.concatenate([w, w, -w, -w])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n))
+    return rows, cols, data
 
 
 def distance(g: WeightedGraph, x: int, y: int) -> float:
@@ -260,7 +260,9 @@ def _poincare_constant(g: WeightedGraph, members: np.ndarray, r: float, memo=Non
                                       digest_size=32).digest())
     memo = {} if memo is None else memo
     if key not in memo:
-        G = edge_gram(k, lu, lv, w).toarray()
+        rows, cols, data = edge_gram(lu, lv, w)
+        # bincount sums repeated entries in order, as COO's toarray would
+        G = np.bincount(rows * k + cols, data, k * k).reshape(k, k)
         A = np.diag(mloc) - np.outer(mloc, mloc) / mloc.sum()
         memo[key] = float(la.eigh(A[:-1, :-1], r * r * G[:-1, :-1], eigvals_only=True)[-1])
     return memo[key]

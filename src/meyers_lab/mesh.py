@@ -154,8 +154,10 @@ class Triangulation:
         edges = np.sort(
             np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1
         )
-        uniq, inverse, counts = np.unique(edges, axis=0, return_inverse=True,
-                                          return_counts=True)
+        # one int64 key per edge, lo * n + hi: sorting it sorts the (lo, hi) rows
+        keys, inverse, counts = np.unique(edges[:, 0] * len(pts) + edges[:, 1],
+                                          return_inverse=True, return_counts=True)
+        uniq = np.column_stack(np.divmod(keys, len(pts)))
         self.edge_array = uniq
         self.edge_counts = counts
         # edge ids of the sides (v0, v1), (v1, v2), (v2, v0) of each triangle

@@ -92,7 +92,8 @@ class GraphOperator:
         self.graph = graph
         self.coefficients = coefficients
         w = coefficients.c_plus * graph.edge_mu / graph.edge_h**2
-        self.S = edge_gram(graph.n, graph.edge_u, graph.edge_v, w).tocsr()
+        rows, cols, data = edge_gram(graph.edge_u, graph.edge_v, w)
+        self.S = sp.coo_matrix((data, (rows, cols)), shape=(graph.n, graph.n)).tocsr()
         if np.all(np.abs(self.S.data.imag) == 0):
             self.S = sp.csr_matrix((self.S.data.real, self.S.indices, self.S.indptr),
                                    shape=self.S.shape)

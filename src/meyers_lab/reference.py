@@ -12,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 
-# terms of the torsion series (odd k up to this cap)
+# terms of the torsion series (odd k up to this cap), and the band caps
 _TORSION_TERMS = 2001
+_TORSION_CAPS = (65, 129, 257, 513, 1025, _TORSION_TERMS)
 
 
-def _torsion_bands(y: np.ndarray, n_terms: int):
+def _torsion_bands(y: np.ndarray):
     """Yield (selection, k, k pi) per band of points grouped by distance to the
     y-boundary; the series factors decay like exp(-k pi dist), so far points
     need few terms. Callers form the factors, so no band's arrays outlive it."""
@@ -24,11 +25,9 @@ def _torsion_bands(y: np.ndarray, n_terms: int):
     with np.errstate(divide="ignore"):
         needed = np.where(dist > 0, np.log(1e9) / (np.pi * np.maximum(dist, 1e-300)),
                           np.inf)
-    needed = np.clip(needed, 65, n_terms)
-    caps = [65, 129, 257, 513, 1025, n_terms]
-    caps = sorted({min(c, n_terms) for c in caps})
-    band_of = np.clip(np.searchsorted(caps, needed, side="left"), 0, len(caps) - 1)
-    for band, cap in enumerate(caps):
+    needed = np.clip(needed, _TORSION_CAPS[0], _TORSION_TERMS)
+    band_of = np.searchsorted(_TORSION_CAPS, needed, side="left")
+    for band, cap in enumerate(_TORSION_CAPS):
         sel = band_of == band
         if np.any(sel):
             k = np.arange(1, cap + 1, 2, dtype=float)
@@ -44,7 +43,7 @@ def torsion_value(points) -> np.ndarray:
     p = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = p[:, 0], p[:, 1]
     out = x * (1.0 - x) / 2.0
-    for sel, k, kpi in _torsion_bands(y, _TORSION_TERMS):
+    for sel, k, kpi in _torsion_bands(y):
         # cosh(k pi (y - 1/2)) / cosh(k pi / 2), overflow-free
         ratio = (np.exp(-np.outer(1.0 - y[sel], kpi)) + np.exp(-np.outer(y[sel], kpi))) \
             / (1.0 + np.exp(-kpi))
@@ -57,7 +56,7 @@ def torsion_gradient(points) -> np.ndarray:
     x, y = p[:, 0], p[:, 1]
     ux = (1.0 - 2.0 * x) / 2.0
     uy = np.zeros_like(x)
-    for sel, k, kpi in _torsion_bands(y, _TORSION_TERMS):
+    for sel, k, kpi in _torsion_bands(y):
         e_top = np.exp(-np.outer(1.0 - y[sel], kpi))
         e_bot = np.exp(-np.outer(y[sel], kpi))
         denom = 1.0 + np.exp(-kpi)

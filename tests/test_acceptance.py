@@ -10,10 +10,8 @@ import numpy as np
 import pytest
 
 import meyers_lab as ml
-from meyers_lab.experiments import (parse_config, run_counterexample,
-                                    run_holder_convergence, run_kernel_bounds,
-                                    run_meyers_sweep, run_rate_theta,
-                                    run_resolvent_sweep, run)
+from meyers_lab.experiments import (_parse_csv, parse_config, run_counterexample,
+                                    run_meyers_sweep, run)
 from meyers_lab.fitting import fit_loglog
 
 
@@ -22,38 +20,43 @@ def report(n, name, ok, detail):
     return ok
 
 
+def run_in(out, text):
+    """``run`` with its CSVs under ``out``: the rows of its verdict file, as
+    written, and the verdicts it judged from them."""
+    cfg = parse_config(text)
+    cfg.out = str(out)
+    summary = run(cfg)
+    return _parse_csv(summary.csv_paths[0])[1], summary.verdicts
+
+
 @pytest.fixture(scope="module")
 def meyers_rows():
     cfg = parse_config("experiment = meyers_sweep")
     t0 = time.time()
-    rows, verdicts = run_meyers_sweep(cfg)
-    return rows, verdicts, time.time() - t0
+    (rows,) = run_meyers_sweep(cfg)
+    return rows, time.time() - t0
 
 
 @pytest.fixture(scope="module")
 def counterexample_rows():
     cfg = parse_config("experiment = counterexample")
     t0 = time.time()
-    rows, verdicts = run_counterexample(cfg)
-    return rows, verdicts, time.time() - t0
+    (rows,) = run_counterexample(cfg)
+    return rows, time.time() - t0
 
 
 @pytest.fixture(scope="module")
-def rate_rows():
-    cfg = parse_config("experiment = rate_theta")
-    rows, verdicts = run_rate_theta(cfg)
-    return rows, verdicts
+def rate_rows(tmp_path_factory):
+    return run_in(tmp_path_factory.mktemp("rate_theta"), "experiment = rate_theta")
 
 
 @pytest.fixture(scope="module")
-def holder_rows():
-    cfg = parse_config("experiment = holder_convergence")
-    rows, verdicts = run_holder_convergence(cfg)
-    return rows, verdicts
+def holder_rows(tmp_path_factory):
+    return run_in(tmp_path_factory.mktemp("holder"), "experiment = holder_convergence")
 
 
 def test_01_meyers_uniform_bound(meyers_rows):
-    rows, verdicts, elapsed = meyers_rows
+    rows, elapsed = meyers_rows
     sub = [r for r in rows if r["p"] == 2.2]
     fit = fit_loglog([(r["h"], r["ratio"]) for r in sub])
     ratios = [r["ratio"] for r in sub]
@@ -68,7 +71,7 @@ def test_01_meyers_uniform_bound(meyers_rows):
 
 
 def test_02a_optimality_bounded_below_critical(counterexample_rows):
-    rows, _, elapsed = counterexample_rows
+    rows, elapsed = counterexample_rows
     sub = [r for r in rows if r["p"] == 2.5]
     vals = [r["w1p"] for r in sub]
     mm = max(vals) / min(vals)
@@ -80,7 +83,7 @@ def test_02a_optimality_bounded_below_critical(counterexample_rows):
 
 
 def test_02b_optimality_blowup_above_critical(counterexample_rows):
-    rows, _, _ = counterexample_rows
+    rows, _ = counterexample_rows
     sub = [r for r in rows if r["p"] == 6.0]
     fit = fit_loglog([(r["h"], r["w1p"]) for r in sub])
     ok = fit.slope <= -0.2
@@ -173,10 +176,9 @@ def test_06_operator_identity(meyers_rows, counterexample_rows, rate_rows,
     assert worst <= 1e-9
 
 
-def test_07_resolvent_estimates():
-    cfg = parse_config("experiment = resolvent_sweep")
+def test_07_resolvent_estimates(tmp_path):
     t0 = time.time()
-    rows, verdicts = run_resolvent_sweep(cfg)
+    _, verdicts = run_in(tmp_path, "experiment = resolvent_sweep")
     elapsed = time.time() - t0
     bad = [v for v in verdicts if v["verdict"] != "pass"]
     detail = "; ".join(
@@ -189,9 +191,8 @@ def test_07_resolvent_estimates():
     assert elapsed < 120.0
 
 
-def test_08_kernel_bounds():
-    cfg = parse_config("experiment = kernel_bounds")
-    (meta_rows, table_rows), verdicts = run_kernel_bounds(cfg)
+def test_08_kernel_bounds(tmp_path):
+    meta_rows, verdicts = run_in(tmp_path, "experiment = kernel_bounds")
     bad = [v for v in verdicts if v["verdict"] != "pass"]
     dev = max(float(r["oracle_dev"]) for r in meta_rows)
     beta = float(meta_rows[0]["beta"])
@@ -223,11 +224,8 @@ def test_09_scaling_identity():
     assert worst <= 1e-13
 
 
-def test_10_embeddings():
-    cfg = parse_config("experiment = embeddings")
-    from meyers_lab.experiments import run_embeddings
-
-    rows, verdicts = run_embeddings(cfg)
+def test_10_embeddings(tmp_path):
+    _, verdicts = run_in(tmp_path, "experiment = embeddings")
     factors = {v["check"]: v["value"] for v in verdicts}
     ok = all(v["verdict"] == "pass" for v in verdicts)
     report(10, "embedding stability", ok,

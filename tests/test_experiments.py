@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from meyers_lab import FitError, fit_loglog
 from meyers_lab import experiments
 from meyers_lab.experiments import (REGISTRY, SUMMARY_HEADER, ConfigError,
-                                    parse_config, recompute_verdicts, run,
-                                    run_kernel_bounds)
+                                    parse_config, recompute_verdicts, run)
 from meyers_lab import cli
 
 
@@ -348,16 +347,18 @@ class TestRunAndReport:
         solve = fem.solve
         monkeypatch.setattr(fem, "solve", lambda system: calls.append(1) or solve(system))
         cfg = parse_config("experiment = counterexample\np_list = 2.5,6\nlevels = 3,4,5")
-        rows, _ = experiments.run_counterexample(cfg)
+        (rows,) = experiments.run_counterexample(cfg)
         assert len(calls) == 3
         assert [(r["p"], r["level"]) for r in rows] == \
             [(p, lvl) for p in (2.5, 6.0) for lvl in (3, 4, 5)]
 
-    def test_counterexample_eps_sets_the_critical_exponent(self):
+    def test_counterexample_eps_sets_the_critical_exponent(self, tmp_path):
         cfg = parse_config("experiment = counterexample\neps = 0.3\nlevels = 3,4,5")
-        rows, verdicts = experiments.run_counterexample(cfg)
+        cfg.out = str(tmp_path)
+        summary = run(cfg)
+        _, rows = experiments._parse_csv(summary.csv_paths[0])
         assert {r["p_c"] for r in rows} == {2.0 / (1.0 - 0.3)}
-        assert len(verdicts) == 2
+        assert len(summary.verdicts) == 2
 
     def test_geometry_small(self, tmp_path):
         cfg = parse_config("experiment = geometry\nlevels = 3,4\nsample_count = 25")
@@ -367,15 +368,17 @@ class TestRunAndReport:
         redo = recompute_verdicts([str(p) for p in summary.csv_paths])
         assert {v["check"] for v in redo} == {v["check"] for v in summary.verdicts}
 
-    def test_kernel_bounds_above_64_squared(self):
+    def test_kernel_bounds_above_64_squared(self, tmp_path):
         # above 64^2 vertices the oracle used to be skipped, and the verdicts
         # then failed on its missing deviation; one time alone cannot fit the
         # increment exponent, so the grid has two
         cfg = parse_config("experiment = kernel_bounds\nbox = 65\nt_grid = 1,2")
-        (meta_rows, _), verdicts = run_kernel_bounds(cfg)
+        cfg.out = str(tmp_path)
+        summary = run(cfg)
+        _, meta_rows = experiments._parse_csv(summary.csv_paths[0])
         assert all(isinstance(r["oracle_dev"], float) for r in meta_rows)
-        assert verdicts[0]["check"] == "contour_vs_oracle"
-        assert verdicts[0]["verdict"] == "pass"
+        assert summary.verdicts[0]["check"] == "contour_vs_oracle"
+        assert summary.verdicts[0]["verdict"] == "pass"
 
     def test_embeddings_small(self, tmp_path):
         cfg = parse_config("experiment = embeddings\nlevels = 2,3,4\ntrials = 8")
@@ -494,6 +497,22 @@ class TestCli:
         assert "PASS" in out
         code = cli.main(["report", str(tmp_path / "out" / "meyers_sweep_rows.csv")])
         assert code == 0
+
+    def test_report_refuses_two_runs_of_one_experiment(self, tmp_path, capsys):
+        # merged, the rows of two passing runs (levels 3-5 and 4-6) read as
+        # a Cauchy sequence that stops decreasing
+        paths = []
+        for levels in ("3,4,5", "4,5,6"):
+            cfg = parse_config(f"experiment = holder_convergence\nlevels = {levels}")
+            cfg.out = str(tmp_path / levels)
+            assert run(cfg).all_pass
+            paths.append(os.path.join(cfg.out, "holder_convergence_rows.csv"))
+        with pytest.raises(ConfigError) as err:
+            recompute_verdicts(paths)
+        assert f"{paths[0]} and {paths[1]}" in str(err.value)
+        assert cli.main(["report", *paths]) == 1
+        assert cli.main(["report", paths[0], paths[0]]) == 1
+        assert "two holder_convergence verdict files" in capsys.readouterr().err
 
     def test_mesh_command(self, tmp_path, capsys):
         poly = tmp_path / "poly.txt"
