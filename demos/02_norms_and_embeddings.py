@@ -26,9 +26,8 @@ print("\nembedding ratios across a refinement family (volume exponent 2):")
 tri_k = ml.triangulate(ml.Polygon.unit_square(), 2.0**-2)
 for _ in range(4):
     gk = ml.from_triangulation(tri_k)
-    sob = ml.embedding_report(gk, 1.5, trials=20, seed=5)
-    hol = ml.embedding_report(gk, 4.0, trials=20, seed=5)
+    rep = ml.embedding_report(gk, 1.5, 4.0, trials=20, seed=5)
     print(f"  h = {tri_k.h:.4f}: ||f||_6 / ||grad f||_1.5 <= "
-          f"{sob.sobolev_ratio_max:.4f} (p* = {sob.p_star:.0f}), "
-          f"||f||_C^0.5 / ||f||_W1,4 <= {hol.holder_ratio_max:.4f}")
+          f"{rep.sobolev_ratio_max:.4f} (p* = {rep.p_star:.0f}), "
+          f"||f||_C^0.5 / ||f||_W1,4 <= {rep.holder_ratio_max:.4f}")
     tri_k = ml.refine_red(tri_k)

@@ -10,9 +10,9 @@ from .spaces import (EdgeFunction, EmbeddingReport, SpaceError, VertexFunction,
                      gradient_length, holder_norm, holder_seminorm, lp_norm,
                      w1p_norm)
 from .fem import (CoefficientField, FemError, MeyersProblem, P1Field, P1System,
-                  SolveResult, apply_Lh, assemble, checkerboard_field,
-                  coefficient_field, constant_field, f_h, identity_field, load,
-                  meyers_field, meyers_problem, reconstruct, smooth_field, solve)
+                  apply_Lh, assemble, checkerboard_field, coefficient_field,
+                  constant_field, f_h, identity_field, load, meyers_field,
+                  meyers_problem, reconstruct, smooth_field, solve)
 from .operators import (EdgeCoefficients, GraphOperator, KernelBoundFit,
                         KernelColumn, OperatorError, ResolventResult, SweepResult,
                         build_operator, contour_nodes,

@@ -63,9 +63,6 @@ class ExperimentConfig:
     out: str = "results"
     values: dict = dc_field(default_factory=dict)
 
-    def get(self, key, default=None):
-        return self.params.get(key, default)
-
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat key = value lines. Each key the experiment reads is parsed
@@ -257,11 +254,11 @@ def _solved_family(poly: mesh.Polygon, levels: list[int], coeff, f) -> list[tupl
     for lvl, tri in _family(poly, levels):
         system = fem.assemble(tri, coeff)
         fem.load(system, f)
-        res = fem.solve(system)
-        lh = fem.apply_Lh(system, res.u).values
-        target = -fem.f_h(system).values
+        u = fem.solve(system)
+        lh = fem.apply_Lh(system, u)
+        target = -fem.f_h(system)
         scale = float(np.abs(target).max()) or 1.0
-        cells.append((lvl, tri, fem.reconstruct(tri, res.u),
+        cells.append((lvl, tri, fem.reconstruct(tri, u),
                       float(np.abs(lh - target).max() / scale)))
     return cells
 
@@ -514,13 +511,9 @@ def run_embeddings(cfg: ExperimentConfig):
     rows = []
     for lvl, tri in _family(cfg.values["domain"], cfg.values["levels"]):
         g = graph.from_triangulation(tri)
-        r_s = spaces.embedding_report(g, ps, trials=trials, seed=cfg.seed)
-        r_h = spaces.embedding_report(g, ph, trials=trials, seed=cfg.seed)
+        rep = spaces.embedding_report(g, ps, ph, trials=trials, seed=cfg.seed)
         rows.append({"experiment": "embeddings", "level": lvl, "h": tri.h,
-                     "n_vertices": tri.n_vertices, "p_sobolev": ps,
-                     "p_star": r_s.p_star, "sobolev_ratio_max": r_s.sobolev_ratio_max,
-                     "p_holder": ph, "eta": r_h.eta,
-                     "holder_ratio_max": r_h.holder_ratio_max})
+                     "n_vertices": tri.n_vertices, **vars(rep)})
     return (rows,)
 
 
@@ -708,11 +701,30 @@ def run(cfg: ExperimentConfig) -> RunSummary:
                       all(v["verdict"] == "pass" for v in verdicts))
 
 
-def _parse_csv(path: str) -> tuple[list[str], list[dict]]:
+def _header(path: str) -> str:
+    """The comma-joined first non-blank line of a CSV file; an empty file is refused."""
     with open(path, newline="", encoding="utf-8") as fh:
-        header, *lines = [cells for cells in csv.reader(fh) if cells]
+        header = next((cells for cells in csv.reader(fh) if cells), None)
+    if header is None:
+        raise ConfigError(f"{path}: empty file")
+    return ",".join(header)
+
+
+def _parse_csv(path: str) -> tuple[list[str], list[dict]]:
+    """The header and the rows of a CSV file, each cell a float where it
+    parses as one. An empty file and a row whose cell count is not the
+    header's are refused."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        lines = [(reader.line_num, cells) for cells in reader if cells]
+    if not lines:
+        raise ConfigError(f"{path}: empty file")
+    (_, header), *body = lines
     rows = []
-    for cells in lines:
+    for ln, cells in body:
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}, line {ln}: {len(cells)} cells under a "
+                              f"header of {len(header)}")
         row = {}
         for key, cell in zip(header, cells):
             try:
@@ -725,13 +737,13 @@ def _parse_csv(path: str) -> tuple[list[str], list[dict]]:
 
 def recompute_verdicts(paths: list[str]) -> list[dict]:
     """Derive summary verdicts from emitted row CSVs alone, judging each
-    experiment's verdict file, the first of its ``files``; two are refused."""
+    experiment's verdict file, the first of its ``files``; two are refused.
+    Every file is recognized by its header; only verdict files are parsed."""
     by_header = {header: (exp, i) for exp in REGISTRY.values()
                  for i, (_, header) in enumerate(exp.files)}
     judged: dict[str, tuple[str, list[dict]]] = {}
     for path in paths:
-        header, rows = _parse_csv(path)
-        key = ",".join(header)
+        key = _header(path)
         if key == SUMMARY_HEADER:
             continue  # summaries are outputs, not inputs
         if key not in by_header:
@@ -740,6 +752,9 @@ def recompute_verdicts(paths: list[str]) -> list[dict]:
         if i == 0 and exp.name in judged:  # two runs' rows do not form one family
             raise ConfigError(f"{judged[exp.name][0]} and {path}: two {exp.name} verdict files")
         if i == 0:  # verdicts read the first file; the others are tables
+            _, rows = _parse_csv(path)
+            if not rows:
+                raise ConfigError(f"{path}: a verdict file without rows")
             judged[exp.name] = (path, rows)
     return [v for name, (_, rows) in sorted(judged.items())
             for v in REGISTRY[name].verdicts(rows)]

@@ -4,7 +4,9 @@ Sign convention: the weak problem is  integral(A grad u . grad v) = -<f, v>
 for all piecewise-linear v vanishing on the boundary, so the assembled system
 is K u = b with b[x] = -<f, phi_x>. The induced vertex operator satisfies
 apply_Lh(solve(system)) == -f_h with f_h(x) = <f, phi_x> / m(x), m the graph
-vertex measure of the mesh.
+vertex measure of the mesh. Vertex data are plain arrays with one value per
+mesh vertex: ``solve``, ``f_h`` and ``apply_Lh`` return them zero on the
+boundary, and ``reconstruct`` takes one.
 
 Quadrature: one-point (barycenter) rule for the coefficient matrix, exact for
 per-triangle-constant A; three-point vertex rule for scalar loads; edge
@@ -22,9 +24,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import reference
-from .graph import WeightedGraph, from_triangulation
+from .graph import from_triangulation
 from .mesh import Triangulation, locate
-from .spaces import VertexFunction, _holder_sup
+from .spaces import _holder_sup
 
 
 class FemError(ValueError):
@@ -161,34 +163,15 @@ def meyers_problem(eps: float) -> MeyersProblem:
     )
 
 
-def _p1_gradients(tri: Triangulation):
-    """Constant barycentric gradients and areas, vectorized over triangles."""
-    p = tri.points[tri.triangles]  # (m, 3, 2)
-    a, b, c = p[:, 0], p[:, 1], p[:, 2]
-    grads = np.empty((len(p), 3, 2))
-    grads[:, 0, 0] = b[:, 1] - c[:, 1]
-    grads[:, 0, 1] = c[:, 0] - b[:, 0]
-    grads[:, 1, 0] = c[:, 1] - a[:, 1]
-    grads[:, 1, 1] = a[:, 0] - c[:, 0]
-    grads[:, 2, 0] = a[:, 1] - b[:, 1]
-    grads[:, 2, 1] = b[:, 0] - a[:, 0]
-    grads /= 2.0 * tri.areas[:, None, None]
-    return grads, tri.areas
-
-
 class P1System:
-    """Assembled stiffness on the zero-boundary space of a triangulation."""
+    """Assembled stiffness on the zero-boundary space of a triangulation,
+    with the load ``b`` once assembled."""
 
-    def __init__(self, tri: Triangulation, field: CoefficientField,
-                 K: sp.csr_matrix, graph: WeightedGraph):
+    def __init__(self, tri: Triangulation, K: sp.csr_matrix):
         self.tri = tri
-        self.field = field
         self.K = K
-        self.graph = graph
         self.interior = tri.interior_vertices()
-        self.index_of = np.full(tri.n_vertices, -1, dtype=np.int64)
-        self.index_of[self.interior] = np.arange(len(self.interior))
-        self.m_interior = graph.m[self.interior]
+        self.m_interior = from_triangulation(tri).m[self.interior]
         self.b = None
 
 
@@ -197,13 +180,12 @@ def assemble(tri: Triangulation, field: CoefficientField) -> P1System:
 
     A is sampled at barycenters (exact for per-triangle-constant A).
     """
-    grads, areas = _p1_gradients(tri)
     bary = tri.points[tri.triangles].mean(axis=1)
     a_vals = field(bary)
     field.validate(bary)
     # local matrices: K_loc[t, i, j] = area_t * (A grad_j) . grad_i
-    agrad = np.einsum("tab,tjb->tja", a_vals, grads)
-    k_loc = np.einsum("tia,tja->tij", grads, agrad) * areas[:, None, None]
+    agrad = np.einsum("tab,tjb->tja", a_vals, tri.gradients)
+    k_loc = np.einsum("tia,tja->tij", tri.gradients, agrad) * tri.areas[:, None, None]
 
     tris = tri.triangles
     rows = np.repeat(tris, 3, axis=1).ravel()
@@ -212,7 +194,7 @@ def assemble(tri: Triangulation, field: CoefficientField) -> P1System:
                          shape=(tri.n_vertices, tri.n_vertices)).tocsr()
     interior = tri.interior_vertices()
     K = full[interior][:, interior].tocsr()
-    return P1System(tri, field, K, from_triangulation(tri))
+    return P1System(tri, K)
 
 
 def load(system: P1System, f) -> np.ndarray:
@@ -224,13 +206,12 @@ def load(system: P1System, f) -> np.ndarray:
     tri = system.tri
     if isinstance(f, tuple) and len(f) == 3 and f[0] == "div":
         _, f1, f2 = f
-        grads, areas = _p1_gradients(tri)
         pts = np.einsum("qk,tkd->tqd", _MID_BARY, tri.points[tri.triangles])
         flat = pts.reshape(-1, 2)
         fbar = np.stack([np.asarray(f1(flat)), np.asarray(f2(flat))], axis=-1)
         fbar = fbar.reshape(len(tri.triangles), 3, 2).mean(axis=1)
         # <div F, phi_x> = -sum_T area * F_T . grad phi_x ; b = -<f, phi>
-        contrib = np.einsum("td,tid->ti", fbar, grads) * areas[:, None]
+        contrib = np.einsum("td,tid->ti", fbar, tri.gradients) * tri.areas[:, None]
         b_full = np.zeros(tri.n_vertices)
         np.add.at(b_full, tri.triangles.ravel(), contrib.ravel())
     else:
@@ -249,24 +230,19 @@ def load(system: P1System, f) -> np.ndarray:
     return system.b
 
 
-def f_h(system: P1System) -> VertexFunction:
+def f_h(system: P1System) -> np.ndarray:
     """Vertex data f_h(x) = <f, phi_x> / m(x) on the interior, zero on the boundary."""
     if system.b is None:
         raise FemError("no load assembled")
     vals = np.zeros(system.tri.n_vertices)
     vals[system.interior] = -system.b / system.m_interior
-    return VertexFunction(system.graph, vals)
+    return vals
 
 
-@dataclass
-class SolveResult:
-    u: VertexFunction
-    residual: float
-
-
-def solve(system: P1System) -> SolveResult:
-    """Solve K u = b by sparse direct factorization. The relative residual
-    is checked against ``_SOLVE_RTOL`` (a NaN residual fails) and reported."""
+def solve(system: P1System) -> np.ndarray:
+    """Solve K u = b by sparse direct factorization and return u on every
+    vertex, zero on the boundary. A relative residual above ``_SOLVE_RTOL``
+    (or NaN) fails."""
     if system.b is None:
         raise FemError("no load assembled")
     u_int = spla.spsolve(system.K.tocsc(), system.b)
@@ -277,15 +253,15 @@ def solve(system: P1System) -> SolveResult:
         raise FemError(f"solve residual {rel:.3e} exceeds {_SOLVE_RTOL:.1e}")
     vals = np.zeros(system.tri.n_vertices)
     vals[system.interior] = u_int
-    return SolveResult(VertexFunction(system.graph, vals), rel)
+    return vals
 
 
-def apply_Lh(system: P1System, u) -> VertexFunction:
+def apply_Lh(system: P1System, u) -> np.ndarray:
     """Vertex operator x -> (K u)[x] / m(x); solve output maps to -f_h."""
-    vals = u.values if isinstance(u, VertexFunction) else np.asarray(u, dtype=float)
+    u = np.asarray(u, dtype=float)
     out = np.zeros(system.tri.n_vertices)
-    out[system.interior] = (system.K @ vals[system.interior]) / system.m_interior
-    return VertexFunction(system.graph, out)
+    out[system.interior] = (system.K @ u[system.interior]) / system.m_interior
+    return out
 
 
 class P1Field:
@@ -296,9 +272,8 @@ class P1Field:
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (tri.n_vertices,):
             raise FemError("one value per mesh vertex required")
-        self._grads, self._areas = _p1_gradients(tri)
         self.tri_gradients = np.einsum(
-            "ti,tid->td", self.values[tri.triangles], self._grads
+            "ti,tid->td", self.values[tri.triangles], tri.gradients
         )
 
     # -- evaluation --------------------------------------------------------
@@ -320,13 +295,13 @@ class P1Field:
         if np.isinf(p):
             return float(np.abs(self.values).max())
         vals = np.abs(self._quad_values()) ** p
-        return float(((vals @ _Q4_W) @ self._areas) ** (1.0 / p))
+        return float(((vals @ _Q4_W) @ self.tri.areas) ** (1.0 / p))
 
     def grad_lp_norm(self, p: float) -> float:
         mags = np.hypot(self.tri_gradients[:, 0], self.tri_gradients[:, 1])
         if np.isinf(p):
             return float(mags.max())
-        return float((self._areas @ mags**p) ** (1.0 / p))
+        return float((self.tri.areas @ mags**p) ** (1.0 / p))
 
     def w1p_norm(self, p: float) -> float:
         return self.lp_norm(p) + self.grad_lp_norm(p)
@@ -334,14 +309,14 @@ class P1Field:
     def lp_error(self, exact, p: float) -> float:
         pts = self._quad_points()
         diff = np.abs(self._quad_values() - exact(pts.reshape(-1, 2)).reshape(pts.shape[:2]))
-        return float((((diff**p) @ _Q4_W) @ self._areas) ** (1.0 / p))
+        return float((((diff**p) @ _Q4_W) @ self.tri.areas) ** (1.0 / p))
 
     def grad_lp_error(self, grad_exact, p: float) -> float:
         pts = self._quad_points()
         ge = grad_exact(pts.reshape(-1, 2)).reshape(pts.shape[0], pts.shape[1], 2)
         diff = ge - self.tri_gradients[:, None, :]
         mags = np.hypot(diff[..., 0], diff[..., 1])
-        return float((((mags**p) @ _Q4_W) @ self._areas) ** (1.0 / p))
+        return float((((mags**p) @ _Q4_W) @ self.tri.areas) ** (1.0 / p))
 
     def w1p_error(self, exact, grad_exact, p: float) -> float:
         return self.lp_error(exact, p) + self.grad_lp_error(grad_exact, p)
@@ -358,8 +333,7 @@ class P1Field:
         return float(np.abs(self.values).max()) + self.holder_seminorm(eta)
 
 
-def reconstruct(tri: Triangulation, u) -> P1Field:
+def reconstruct(tri: Triangulation, u: np.ndarray) -> P1Field:
     """Piecewise-linear interpolant of vertex values (zero-boundary enforced
     only through the values themselves)."""
-    vals = u.values if isinstance(u, VertexFunction) else u
-    return P1Field(tri, vals)
+    return P1Field(tri, u)

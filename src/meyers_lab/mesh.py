@@ -150,6 +150,17 @@ class Triangulation:
         self.h_t = h_t
         self.rho_t = rho_t
         self.areas = 0.5 * area2
+        # constant gradients of the three barycentric (P1 hat) functions
+        a, b, c = (pts[tris[:, k]] for k in range(3))
+        grads = np.empty((len(tris), 3, 2))
+        grads[:, 0, 0] = b[:, 1] - c[:, 1]
+        grads[:, 0, 1] = c[:, 0] - b[:, 0]
+        grads[:, 1, 0] = c[:, 1] - a[:, 1]
+        grads[:, 1, 1] = a[:, 0] - c[:, 0]
+        grads[:, 2, 0] = a[:, 1] - b[:, 1]
+        grads[:, 2, 1] = b[:, 0] - a[:, 0]
+        grads /= 2.0 * self.areas[:, None, None]
+        self.gradients = grads
 
         edges = np.sort(
             np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1

@@ -146,7 +146,7 @@ class ResolventResult:
 def resolvent_solve(op: GraphOperator, lam, f) -> ResolventResult:
     """Solve L u + lambda u = f, i.e. (S + lambda diag(m)) u = m f."""
     a = op.matrix(complex(lam))
-    u, rel = _checked_solve(a, spla.splu(a), op.m * np.asarray(getattr(f, "values", f)))
+    u, rel = _checked_solve(a, spla.splu(a), op.m * np.asarray(f))
     if np.all(np.abs(u.imag) == 0):
         u = u.real
     return ResolventResult(u, rel[0])
@@ -303,7 +303,7 @@ def semigroup_apply(op: GraphOperator, t: float, u0) -> np.ndarray:
     conjugate pair is solved and its partner reuses the conjugated solution;
     the sum runs in node order either way.
     """
-    u0 = np.asarray(getattr(u0, "values", u0))
+    u0 = np.asarray(u0)
     lams, weights = contour_nodes(t)
     acc = np.zeros(op.graph.n, dtype=complex)
     rhs = (op.m * u0).astype(complex)
@@ -324,9 +324,8 @@ def semigroup_apply(op: GraphOperator, t: float, u0) -> np.ndarray:
 def expm_oracle(op: GraphOperator, t: float, u0) -> np.ndarray:
     """Matrix-exponential action (scaling-and-squaring family, independent of
     the contour path)."""
-    u0 = np.asarray(getattr(u0, "values", u0))
     gen = sp.diags(1.0 / op.m) @ op.S
-    return spla.expm_multiply(-t * gen.tocsc(), u0.astype(complex))
+    return spla.expm_multiply(-t * gen.tocsc(), np.asarray(u0, dtype=complex))
 
 
 @dataclass

@@ -129,13 +129,16 @@ def _holder_sup(values: np.ndarray, distance_rows, eta: float) -> np.ndarray:
     return best
 
 
+def _path_rows(g: WeightedGraph):
+    """``_holder_sup``'s distance rows in the path metric of ``g``."""
+    return lambda rows, cols: distances_from(g, np.arange(g.n)[rows])[:, cols]
+
+
 def holder_seminorm(f: VertexFunction, eta: float) -> float:
     """Holder seminorm in the path metric of the graph."""
     if not 0 < eta <= 1:
         raise SpaceError("holder exponent must be in (0, 1]")
-    g = f.graph
-    return float(_holder_sup(f.values[None], lambda rows, cols: distances_from(
-        g, np.arange(g.n)[rows])[:, cols], eta)[0])
+    return float(_holder_sup(f.values[None], _path_rows(f.graph), eta)[0])
 
 
 def holder_norm(f: VertexFunction, eta: float) -> float:
@@ -148,12 +151,12 @@ def _active_set(g: WeightedGraph) -> np.ndarray:
 
 @dataclass
 class EmbeddingReport:
-    p: float
-    trials: int
-    p_star: float | None = None
-    sobolev_ratio_max: float | None = None
-    eta: float | None = None
-    holder_ratio_max: float | None = None
+    p_sobolev: float
+    p_star: float
+    sobolev_ratio_max: float
+    p_holder: float
+    eta: float
+    holder_ratio_max: float
 
 
 def _candidate_functions(g: WeightedGraph, trials: int, rng) -> list[np.ndarray]:
@@ -181,35 +184,28 @@ def _candidate_functions(g: WeightedGraph, trials: int, rng) -> list[np.ndarray]
     return cands
 
 
-def embedding_report(g: WeightedGraph, p: float, trials: int = 40,
-                     seed: int = 0) -> EmbeddingReport:
-    """Empirical embedding ratios with volume exponent sigma = 2.
-
-    For p < 2 the report carries max ||f||_{p*} / ||grad f||_p with
-    p* = 2p / (2 - p); for p > 2 it carries max ||f||_{C^eta} / ||f||_{W^{1,p}}
-    with eta = 1 - 2/p.
+def embedding_report(g: WeightedGraph, p_sobolev: float, p_holder: float,
+                     trials: int = 40, seed: int = 0) -> EmbeddingReport:
+    """Empirical embedding ratios with volume exponent sigma = 2, both over
+    one candidate set: max ||f||_{p*} / ||grad f||_p with p* = 2p / (2 - p)
+    at p = p_sobolev, and max ||f||_{C^eta} / ||f||_{W^{1,p}} with
+    eta = 1 - 2/p at p = p_holder.
     """
     sigma = 2.0
-    if p == sigma:
-        raise SpaceError("embedding needs p < 2 (Sobolev) or p > 2 (Holder)")
-    rng = np.random.default_rng(seed)
-    cands = _candidate_functions(g, trials, rng)
+    if not 1 <= p_sobolev < sigma < p_holder:
+        raise SpaceError("violated inequality: 1 <= p_sobolev < 2 < p_holder")
+    cands = _candidate_functions(g, trials, np.random.default_rng(seed))
     fs = [VertexFunction(g, v) for v in cands]
-    if p < sigma:
-        if not p >= 1:
-            raise SpaceError("violated inequality: 1 <= p < 2 for the Sobolev ratio")
-        p_star = sigma * p / (sigma - p)
-        best = 0.0
-        for f in fs:
-            gd = lp_norm(gradient_length(f), p)
-            if gd > 0:
-                best = max(best, lp_norm(f, p_star) / gd)
-        return EmbeddingReport(p=p, trials=trials, p_star=p_star, sobolev_ratio_max=best)
-    eta = 1.0 - sigma / p
-    w = np.array([w1p_norm(f, p) for f in fs])
+    p_star = sigma * p_sobolev / (sigma - p_sobolev)
+    sobolev = 0.0
+    for f in fs:
+        gd = lp_norm(gradient_length(f), p_sobolev)
+        if gd > 0:
+            sobolev = max(sobolev, lp_norm(f, p_star) / gd)
+    eta = 1.0 - sigma / p_holder
+    w = np.array([w1p_norm(f, p_holder) for f in fs])
     keep = w > 0
     sup = np.array([lp_norm(f, np.inf) for f in fs])[keep]
-    semi = _holder_sup(np.array(cands)[keep], lambda rows, cols: distances_from(
-        g, np.arange(g.n)[rows])[:, cols], eta)
-    best = float(((sup + semi) / w[keep]).max(initial=0.0))
-    return EmbeddingReport(p=p, trials=trials, eta=eta, holder_ratio_max=best)
+    semi = _holder_sup(np.array(cands)[keep], _path_rows(g), eta)
+    holder = float(((sup + semi) / w[keep]).max(initial=0.0))
+    return EmbeddingReport(p_sobolev, p_star, sobolev, p_holder, eta, holder)

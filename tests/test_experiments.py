@@ -56,8 +56,8 @@ class TestConfig:
     def test_defaults_and_overrides(self):
         cfg = parse_config("experiment = meyers_sweep\nseed = 7\np_list = 2.4")
         assert cfg.seed == 7
-        assert cfg.get("p_list") == "2.4"
-        assert cfg.get("levels") == "3,4,5,6"
+        assert cfg.params["p_list"] == "2.4"
+        assert cfg.params["levels"] == "3,4,5,6"
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# a comment\n\nexperiment = geometry # inline\n")
@@ -239,7 +239,7 @@ class TestConfig:
         cfg = parse_config("experiment = rate_theta\nlevels = 3,4,5")
         assert parsed == ["seed", *REGISTRY["rate_theta"].keys]
         assert cfg.values["levels"] == [3, 4, 5]
-        assert cfg.get("levels") == "3,4,5"
+        assert cfg.params["levels"] == "3,4,5"
 
     @pytest.mark.parametrize("seed", range(10))
     def test_benchmark_workload_configs_parse(self, tmp_path, seed):
@@ -485,6 +485,26 @@ def test_kernel_table_regimes_and_bounds_match_meta(small_run):
         k = np.abs(np.array([complex(r["K_re"], r["K_im"]) for r in sub]))
         bound = np.array([r["bound_value"] for r in sub])
         assert sub and np.mean(k <= bound * (1 + 1e-12)) == meta[0][f"pass_rate_{regime}"]
+
+
+@pytest.mark.parametrize("small_run", ["rate_theta"], indirect=True)
+@pytest.mark.parametrize("doctor, message", [
+    (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]], "line 2: 11 cells"),
+    (lambda lines: [lines[0], lines[1] + ",0.5", *lines[2:]], "line 2: 13 cells"),
+    (lambda lines: [], "empty file"),
+    (lambda lines: lines[:1], "a verdict file without rows"),
+], ids=["cell_cut_off", "extra_cell", "empty", "header_only"])
+def test_report_refuses_malformed_rows_files(small_run, tmp_path, capsys, doctor, message):
+    # a row one cell short or long used to be judged, every verdict PASS
+    _, summary, _ = small_run
+    lines = Path(summary.csv_paths[0]).read_text().splitlines()
+    bad = tmp_path / "rate_theta_rows.csv"
+    bad.write_text("".join(line + "\n" for line in doctor(lines)))
+    with pytest.raises(ConfigError, match=message) as err:
+        recompute_verdicts([str(bad)])
+    assert str(bad) in str(err.value)
+    assert cli.main(["report", str(bad)]) == 1
+    assert str(bad) in capsys.readouterr().err
 
 
 class TestCli:

@@ -189,7 +189,7 @@ class TestNorms:
         f = VertexFunction(g, np.random.default_rng(4).standard_normal(g.n))
         holder_seminorm(f, 0.5)
         holder_norm(f, 0.5)
-        embedding_report(g, 4.0, trials=5)
+        embedding_report(g, 1.5, 4.0, trials=5)
         assert vars(g).keys() == before.keys()
         assert all(vars(g)[k] is v for k, v in before.items())
 
@@ -238,18 +238,18 @@ class TestNorms:
 
 class TestEmbeddings:
     def test_sobolev_exponent(self, coarse_square_graph):
-        rep = embedding_report(coarse_square_graph, 1.5, trials=5)
+        rep = embedding_report(coarse_square_graph, 1.5, 4.0, trials=5)
         assert rep.p_star == pytest.approx(6.0)
         assert rep.sobolev_ratio_max > 0
 
     def test_holder_exponent(self, coarse_square_graph):
-        rep = embedding_report(coarse_square_graph, 4.0, trials=5)
+        rep = embedding_report(coarse_square_graph, 1.5, 4.0, trials=5)
         assert rep.eta == pytest.approx(0.5)
         assert rep.holder_ratio_max > 0
 
     def test_holder_ratio_is_max_over_candidates(self, coarse_square_graph):
         g = coarse_square_graph
-        rep = embedding_report(g, 4.0, trials=5, seed=2)
+        rep = embedding_report(g, 1.5, 4.0, trials=5, seed=2)
         best = 0.0
         for v in _candidate_functions(g, 5, np.random.default_rng(2)):
             f = VertexFunction(g, v)
@@ -259,4 +259,4 @@ class TestEmbeddings:
 
     def test_p_equals_sigma_rejected(self, coarse_square_graph):
         with pytest.raises(SpaceError):
-            embedding_report(coarse_square_graph, 2.0)
+            embedding_report(coarse_square_graph, 2.0, 4.0)
