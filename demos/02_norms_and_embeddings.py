@@ -7,16 +7,15 @@ tri = ml.triangulate(ml.Polygon.unit_square(), 2.0**-3)
 g = ml.from_triangulation(tri)
 
 vals = np.sin(2 * np.pi * tri.points[:, 0]) * tri.points[:, 1]
-f = ml.VertexFunction(g, vals)
-lp = ml.lp_norm(f, 2.2)
-grad_lp = ml.lp_norm(ml.gradient_length(f), 2.2)
-df_lp = ml.edge_lp_norm(ml.differential(f), 2.2)
+lp = ml.lp_norm(g, vals, 2.2)
+grad_lp = ml.lp_norm(g, ml.gradient_length(g, vals), 2.2)
+df_lp = ml.edge_lp_norm(g, ml.differential(g, vals), 2.2)
 
 print("one function, every norm (eta = 1/2):")
 print(f"  ||f||_2.2 = {lp:.5f}   ||grad f||_2.2 = {grad_lp:.5f}")
-print(f"  ||f||_W1p = {ml.w1p_norm(f, 2.2):.5f}  ||df||_(edges) = {df_lp:.5f}")
-print(f"  Holder seminorm = {ml.holder_seminorm(f, 0.5):.5f}, "
-      f"full norm = {ml.holder_norm(f, 0.5):.5f}")
+print(f"  ||f||_W1p = {ml.w1p_norm(g, vals, 2.2):.5f}  ||df||_(edges) = {df_lp:.5f}")
+print(f"  Holder seminorm = {ml.holder_seminorm(g, vals, 0.5):.5f}, "
+      f"full norm = {ml.holder_norm(g, vals, 0.5):.5f}")
 
 K = ml.df_grad_bracket(g, 2.2)
 print(f"\nedge vs vertex gradient bracket from (N, C_W, C_mu): K = {K:.3f}; "

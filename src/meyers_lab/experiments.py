@@ -66,8 +66,9 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat key = value lines. Each key the experiment reads is parsed
-    once, by its record's parser; a key it does not read is refused."""
-    raw = {}
+    once, by its record's parser; a key it does not read, or a key given
+    twice, is refused."""
+    raw, line_of = {}, {}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -77,7 +78,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {ln}: empty key")
-        raw[key] = val
+        if key in raw:
+            raise ConfigError(f"line {ln}: key {key!r} repeats line {line_of[key]}")
+        raw[key], line_of[key] = val, ln
     if "experiment" not in raw:
         raise ConfigError("missing 'experiment' key")
     name = raw.pop("experiment")
@@ -427,17 +430,19 @@ def run_resolvent_sweep(cfg: ExperimentConfig):
     g = graph.rescale(graph.lattice_box(box, box), 1.0 / box)
     variants = [("symmetric", operators.uniform_coefficients(g)),
                 ("perturbed", operators.perturbed_coefficients(g, v["perturbation"]))]
-    sweeps = operators.resolvent_bound_sweep(
+    lam_all = [complex(l * _RAY_PHASES[ray]) for ray in rays for l in lams]
+    sup, hol = operators.resolvent_bound_sweep(
         [operators.build_operator(g, coeffs) for _, coeffs in variants],
-        [l * _RAY_PHASES[ray] for ray in rays for l in lams], eta=eta, seed=cfg.seed)
+        lam_all, eta=eta, seed=cfg.seed)
     rows = []
-    for (vname, _), sweep in zip(variants, sweeps):
-        for i, r in enumerate(sweep.rows):
+    for (vname, _), sup_v, hol_v in zip(variants, sup.tolist(), hol.tolist()):
+        for i, (lam, s, h) in enumerate(zip(lam_all, sup_v, hol_v)):
+            al = abs(lam)
             rows.append({"experiment": "resolvent_sweep", "variant": vname,
-                         "ray": rays[i // len(lams)], "lam_re": r.lam.real,
-                         "lam_im": r.lam.imag, "abs_lam": abs(r.lam),
-                         "sup_ratio": r.sup_ratio, "holder_ratio": r.holder_ratio,
-                         "R_inf": r.R_inf, "R_eta": r.R_eta, "eta": eta})
+                         "ray": rays[i // len(lams)], "lam_re": lam.real,
+                         "lam_im": lam.imag, "abs_lam": al,
+                         "sup_ratio": s, "holder_ratio": h, "R_inf": s * al**0.5,
+                         "R_eta": h * al ** ((1.0 - eta) / 2.0), "eta": eta})
     return (rows,)
 
 

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import reference
-from .graph import from_triangulation
+from .graph import mesh_edges, vertex_measure
 from .mesh import Triangulation, locate
 from .spaces import _holder_sup
 
@@ -165,13 +165,15 @@ def meyers_problem(eps: float) -> MeyersProblem:
 
 class P1System:
     """Assembled stiffness on the zero-boundary space of a triangulation,
-    with the load ``b`` once assembled."""
+    with the load ``b`` once assembled. ``m_interior`` is the vertex measure
+    of the mesh graph (``graph.mesh_edges``) on ``interior``."""
 
-    def __init__(self, tri: Triangulation, K: sp.csr_matrix):
+    def __init__(self, tri: Triangulation, K: sp.csr_matrix, interior: np.ndarray):
         self.tri = tri
         self.K = K
-        self.interior = tri.interior_vertices()
-        self.m_interior = from_triangulation(tri).m[self.interior]
+        self.interior = interior
+        u, v, _, mu = mesh_edges(tri)
+        self.m_interior = vertex_measure(tri.n_vertices, u, v, mu)[interior]
         self.b = None
 
 
@@ -194,7 +196,7 @@ def assemble(tri: Triangulation, field: CoefficientField) -> P1System:
                          shape=(tri.n_vertices, tri.n_vertices)).tocsr()
     interior = tri.interior_vertices()
     K = full[interior][:, interior].tocsr()
-    return P1System(tri, K)
+    return P1System(tri, K, interior)
 
 
 def load(system: P1System, f) -> np.ndarray:

@@ -21,13 +21,13 @@ class FitResult:
 def fit_loglog(pairs) -> FitResult:
     """Least-squares slope of log(value) against log(scale).
 
-    Needs strictly positive pairs at 3 or more distinct scales.
+    Needs finite, strictly positive pairs at 3 or more distinct scales.
     """
     arr = np.asarray(list(pairs), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(np.unique(arr[:, 0])) < 3:
         raise FitError("need (scale, value) pairs at 3 or more distinct scales")
-    if np.any(arr <= 0):
-        raise FitError("scales and values must be positive")
+    if not np.all((arr > 0) & (arr < np.inf)):
+        raise FitError("scales and values must be finite and positive")
     x = np.log(arr[:, 0])
     y = np.log(arr[:, 1])
     slope, intercept = np.polyfit(x, y, 1)

@@ -58,9 +58,7 @@ class WeightedGraph:
         self.edge_u, self.edge_v = lo, hi
         self.edge_h, self.edge_mu = h, mu
 
-        self.m = np.zeros(n)
-        np.add.at(self.m, lo, mu)
-        np.add.at(self.m, hi, mu)
+        self.m = vertex_measure(n, lo, hi, mu)
         if np.any(self.m <= 0):
             raise GraphError("isolated vertex")
 
@@ -126,20 +124,32 @@ class WeightedGraph:
         return "\n".join(lines) + "\n"
 
 
+def vertex_measure(n: int, edge_u, edge_v, edge_mu) -> np.ndarray:
+    """m(x): the sum of mu over the edges at x."""
+    m = np.zeros(n)
+    np.add.at(m, edge_u, edge_mu)
+    np.add.at(m, edge_v, edge_mu)
+    return m
+
+
+def mesh_edges(tri) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, h, mu) over the edges (u < v) of a triangulation:
+    h_xy = |x - y| and mu_xy = h_xy^2."""
+    edges = tri.edge_array
+    d = tri.points[edges[:, 1]] - tri.points[edges[:, 0]]
+    h = np.hypot(d[:, 0], d[:, 1])
+    return edges[:, 0], edges[:, 1], h, h * h
+
+
 def from_triangulation(tri) -> WeightedGraph:
-    """Graph of a triangulation: h_xy = |x - y|, mu_xy = h_xy^2.
+    """Graph of a triangulation, with the edges of ``mesh_edges``.
 
     Vertices and edges are those of the mesh; the graph boundary is the set
     of mesh boundary vertices. The bracket of m(x) / h_x^2 is recorded as
     ``m_over_hx2_bracket`` (it stays fixed along a red-refinement family).
     """
-    edges = tri.edge_array
-    d = tri.points[edges[:, 1]] - tri.points[edges[:, 0]]
-    h = np.hypot(d[:, 0], d[:, 1])
-    g = WeightedGraph(
-        tri.n_vertices, edges[:, 0], edges[:, 1], h, h * h,
-        boundary=tri.boundary_vertices, coords=tri.points,
-    )
+    g = WeightedGraph(tri.n_vertices, *mesh_edges(tri),
+                      boundary=tri.boundary_vertices, coords=tri.points)
     ratio = g.m / g.h_x**2
     g.m_over_hx2_bracket = (float(ratio.min()), float(ratio.max()))
     return g

@@ -137,19 +137,13 @@ def build_operator(g: WeightedGraph, c: EdgeCoefficients) -> GraphOperator:
     return GraphOperator(g, c)
 
 
-@dataclass
-class ResolventResult:
-    u: np.ndarray
-    residual: float
-
-
-def resolvent_solve(op: GraphOperator, lam, f) -> ResolventResult:
-    """Solve L u + lambda u = f, i.e. (S + lambda diag(m)) u = m f."""
+def resolvent_solve(op: GraphOperator, lam, f) -> np.ndarray:
+    """Solve L u + lambda u = f, i.e. (S + lambda diag(m)) u = m f; u is
+    real when its imaginary part is exactly 0. A relative residual above
+    _RESOLVENT_RTOL or NaN fails."""
     a = op.matrix(complex(lam))
-    u, rel = _checked_solve(a, spla.splu(a), op.m * np.asarray(f))
-    if np.all(np.abs(u.imag) == 0):
-        u = u.real
-    return ResolventResult(u, rel[0])
+    u, _ = _checked_solve(a, spla.splu(a), op.m * np.asarray(f))
+    return u.real if np.all(np.abs(u.imag) == 0) else u
 
 
 def _checked_solve(a, lu, rhs) -> tuple[np.ndarray, list[float]]:
@@ -166,25 +160,13 @@ def _checked_solve(a, lu, rhs) -> tuple[np.ndarray, list[float]]:
     return u, rel
 
 
-@dataclass
-class SweepRow:
-    lam: complex
-    sup_ratio: float      # max_f ||u||_inf,window / ||f||_2
-    holder_ratio: float   # max_f |u|_{C^eta,window} / ||f||_2
-    R_inf: float
-    R_eta: float
-
-
-@dataclass
-class SweepResult:
-    eta: float
-    rows: list
-
-
 def resolvent_bound_sweep(ops, lams, eta: float = 0.5,
-                          seed: int = 0) -> list[SweepResult]:
+                          seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Resolvent decay probe over a lambda list spanning several decades,
-    one ``SweepResult`` per operator of ``ops`` (all on one graph).
+    for operators ``ops`` all on one graph: ``(sup_ratio, holder_ratio)``,
+    each of shape (operators, lambdas), with sup_ratio the max over data f
+    of ||u||_inf,window / ||f||_2 and holder_ratio that of
+    |u|_{C^eta,window} / ||f||_2.
 
     For each lambda the L2 -> L^inf and L2 -> Holder ratios are maximized
     over random data supported in the interior window plus near-optimal data
@@ -193,9 +175,9 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5,
     Data is projected onto the mean-zero subspace: the constant eigenmode of
     a finite box is a truncation artifact with no counterpart in L2 of the
     unbounded graph being modeled. Every operator sees the same random data,
-    the one draw of ``seed``, so each result equals a call on that operator
-    alone. The Holder sups of all operators and lambdas are one pass over
-    the window distances, which reads each window row once.
+    the one draw of ``seed``, so each operator's row equals a call on that
+    operator alone. The Holder sups of all operators and lambdas are one
+    pass over the window distances, which reads each window row once.
     """
     if not ops or any(op.graph is not ops[0].graph for op in ops):
         raise OperatorError("the sweep needs operators on one graph")
@@ -239,24 +221,21 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5,
             keep = fl2 > 0
             uw_all[at:at + keep.sum()] = u[window][:, keep].T
             at += keep.sum()
-            blocks.append((lam, fl2[keep]))
+            blocks.append(fl2[keep])
             del a, lu, u, cands
 
     uw_all = uw_all[:at]
     semi = _holder_sup(uw_all, lambda rows, cols: distances_from(
         g, window[rows])[:, window[cols]], eta)
-    results = [SweepResult(eta, []) for _ in ops]
+    sup_ratio = np.empty((len(ops), len(lams)))
+    holder_ratio = np.empty_like(sup_ratio)
     at = 0
-    for k, (lam, fl2) in enumerate(blocks):
+    for k, fl2 in enumerate(blocks):  # operators outer, lambdas inner
         uw = uw_all[at:at + len(fl2)]
-        sup_ratio = float((np.abs(uw).max(axis=1) / fl2).max(initial=0.0))
-        hol_ratio = float((semi[at:at + len(fl2)] / fl2).max(initial=0.0))
+        sup_ratio.flat[k] = (np.abs(uw).max(axis=1) / fl2).max(initial=0.0)
+        holder_ratio.flat[k] = (semi[at:at + len(fl2)] / fl2).max(initial=0.0)
         at += len(fl2)
-        al = abs(lam)
-        results[k // len(lams)].rows.append(SweepRow(
-            lam, sup_ratio, hol_ratio, R_inf=sup_ratio * al**0.5,
-            R_eta=hol_ratio * al ** ((1.0 - eta) / 2.0)))
-    return results
+    return sup_ratio, holder_ratio
 
 
 # ---------------------------------------------------------------------------

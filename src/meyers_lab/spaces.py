@@ -1,9 +1,12 @@
 """Functions on graphs: differential, gradient, norms, Holder sups, embeddings.
 
-Conventions. Edge functions are antisymmetric and stored once per unordered
-edge, oriented along the stored (u, v) pair; L^p norms on edges sum over
-ordered pairs, hence the factor 2. The W^{1,p} norm is the sum
-||f||_p + ||grad f||_p.
+Conventions. A vertex function is a plain array with one finite value per
+vertex, an edge function one with one finite value per stored edge; each
+entry point takes the graph with the array and refuses a wrong shape or a
+non-finite value with SpaceError. Edge functions are antisymmetric and
+stored once per unordered edge, oriented along the stored (u, v) pair; L^p
+norms on edges sum over ordered pairs, hence the factor 2. The W^{1,p} norm
+is the sum ||f||_p + ||grad f||_p.
 """
 from __future__ import annotations
 
@@ -21,73 +24,55 @@ class SpaceError(ValueError):
     """Invalid function-space operation."""
 
 
-@dataclass
-class VertexFunction:
-    graph: WeightedGraph
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.shape != (self.graph.n,):
-            raise SpaceError(f"values must have shape ({self.graph.n},)")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(np.imag(v))):
-            raise SpaceError("non-finite values")
-        self.values = v
+def _checked(v, n: int) -> np.ndarray:
+    """``v`` as an array of ``n`` finite values; a wrong shape or a
+    non-finite value raises SpaceError."""
+    v = np.asarray(v)
+    if v.shape != (n,):
+        raise SpaceError(f"values must have shape ({n},)")
+    if not np.all(np.isfinite(v)):
+        raise SpaceError("non-finite values")
+    return v
 
 
-@dataclass
-class EdgeFunction:
-    """Antisymmetric edge field; stored once per unordered edge (u -> v)."""
-
-    graph: WeightedGraph
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.shape != (self.graph.n_edges,):
-            raise SpaceError(f"values must have shape ({self.graph.n_edges},)")
-        self.values = v
-
-
-def differential(f: VertexFunction) -> EdgeFunction:
+def differential(g: WeightedGraph, v) -> np.ndarray:
     """df(x, y) = (f(y) - f(x)) / h_xy on the stored orientation."""
-    g = f.graph
-    v = f.values
-    return EdgeFunction(g, (v[g.edge_v] - v[g.edge_u]) / g.edge_h)
+    v = _checked(v, g.n)
+    return (v[g.edge_v] - v[g.edge_u]) / g.edge_h
 
 
-def gradient_length(f: VertexFunction) -> VertexFunction:
+def gradient_length(g: WeightedGraph, v) -> np.ndarray:
     """Length of gradient: (1/h_x) * sqrt(sum over neighbors |f(y) - f(x)|^2)."""
-    g = f.graph
-    diff2 = np.abs(f.values[g.edge_v] - f.values[g.edge_u]) ** 2
+    v = _checked(v, g.n)
+    diff2 = np.abs(v[g.edge_v] - v[g.edge_u]) ** 2
     acc = np.zeros(g.n)
     np.add.at(acc, g.edge_u, diff2)
     np.add.at(acc, g.edge_v, diff2)
-    return VertexFunction(g, np.sqrt(acc) / g.h_x)
+    return np.sqrt(acc) / g.h_x
 
 
-def lp_norm(f: VertexFunction, p: float) -> float:
+def lp_norm(g: WeightedGraph, v, p: float) -> float:
     """L^p(Gamma, m) norm of a vertex function; p may be inf."""
-    v = np.abs(f.values)
+    v = np.abs(_checked(v, g.n))
     if np.isinf(p):
         return float(v.max()) if len(v) else 0.0
     if p < 1:
         raise SpaceError("p must be in [1, inf]")
-    return float((f.graph.m @ v**p) ** (1.0 / p))
+    return float((g.m @ v**p) ** (1.0 / p))
 
 
-def edge_lp_norm(F: EdgeFunction, p: float) -> float:
+def edge_lp_norm(g: WeightedGraph, dv, p: float) -> float:
     """L^p(E, mu) norm; the sum runs over ordered pairs (factor 2)."""
-    v = np.abs(F.values)
+    v = np.abs(_checked(dv, g.n_edges))
     if np.isinf(p):
         return float(v.max()) if len(v) else 0.0
     if p < 1:
         raise SpaceError("p must be in [1, inf]")
-    return float((2.0 * (F.graph.edge_mu @ v**p)) ** (1.0 / p))
+    return float((2.0 * (g.edge_mu @ v**p)) ** (1.0 / p))
 
 
-def w1p_norm(f: VertexFunction, p: float) -> float:
-    return lp_norm(f, p) + lp_norm(gradient_length(f), p)
+def w1p_norm(g: WeightedGraph, v, p: float) -> float:
+    return lp_norm(g, v, p) + lp_norm(g, gradient_length(g, v), p)
 
 
 def df_grad_bracket(g: WeightedGraph, p: float) -> float:
@@ -134,15 +119,16 @@ def _path_rows(g: WeightedGraph):
     return lambda rows, cols: distances_from(g, np.arange(g.n)[rows])[:, cols]
 
 
-def holder_seminorm(f: VertexFunction, eta: float) -> float:
+def holder_seminorm(g: WeightedGraph, v, eta: float) -> float:
     """Holder seminorm in the path metric of the graph."""
+    v = _checked(v, g.n)
     if not 0 < eta <= 1:
         raise SpaceError("holder exponent must be in (0, 1]")
-    return float(_holder_sup(f.values[None], _path_rows(f.graph), eta)[0])
+    return float(_holder_sup(v[None], _path_rows(g), eta)[0])
 
 
-def holder_norm(f: VertexFunction, eta: float) -> float:
-    return lp_norm(f, np.inf) + holder_seminorm(f, eta)
+def holder_norm(g: WeightedGraph, v, eta: float) -> float:
+    return lp_norm(g, v, np.inf) + holder_seminorm(g, v, eta)
 
 
 def _active_set(g: WeightedGraph) -> np.ndarray:
@@ -195,17 +181,16 @@ def embedding_report(g: WeightedGraph, p_sobolev: float, p_holder: float,
     if not 1 <= p_sobolev < sigma < p_holder:
         raise SpaceError("violated inequality: 1 <= p_sobolev < 2 < p_holder")
     cands = _candidate_functions(g, trials, np.random.default_rng(seed))
-    fs = [VertexFunction(g, v) for v in cands]
     p_star = sigma * p_sobolev / (sigma - p_sobolev)
     sobolev = 0.0
-    for f in fs:
-        gd = lp_norm(gradient_length(f), p_sobolev)
+    for v in cands:
+        gd = lp_norm(g, gradient_length(g, v), p_sobolev)
         if gd > 0:
-            sobolev = max(sobolev, lp_norm(f, p_star) / gd)
+            sobolev = max(sobolev, lp_norm(g, v, p_star) / gd)
     eta = 1.0 - sigma / p_holder
-    w = np.array([w1p_norm(f, p_holder) for f in fs])
+    w = np.array([w1p_norm(g, v, p_holder) for v in cands])
     keep = w > 0
-    sup = np.array([lp_norm(f, np.inf) for f in fs])[keep]
+    sup = np.array([lp_norm(g, v, np.inf) for v in cands])[keep]
     semi = _holder_sup(np.array(cands)[keep], _path_rows(g), eta)
     holder = float(((sup + semi) / w[keep]).max(initial=0.0))
     return EmbeddingReport(p_sobolev, p_star, sobolev, p_holder, eta, holder)

@@ -44,6 +44,14 @@ class TestFitLoglog:
         with pytest.raises(FitError):
             fit_loglog([(1.0, 1.0), (2.0, -2.0), (3.0, 1.0)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", [0, 1], ids=["scale", "value"])
+    def test_non_finite_pair_refused(self, bad, column):
+        pairs = [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]]
+        pairs[2][column] = bad
+        with pytest.raises(FitError, match="finite"):
+            fit_loglog(pairs)
+
     def test_needs_three_distinct_scales(self):
         # a repeated scale leaves the least-squares slope undetermined
         with pytest.raises(FitError):
@@ -76,6 +84,26 @@ class TestConfig:
             parse_config("experiment = meyers_sweep\np_list = 1.5")
         with pytest.raises(ConfigError):
             parse_config("experiment = embeddings\np_sobolev = 3")
+
+    @pytest.mark.parametrize("key, first, second", [
+        ("experiment", "meyers_sweep", "geometry"),
+        ("seed", "1", "2"),
+        ("out", "a", "b"),
+        ("levels", "3,4,5", "4,5,6"),
+        ("levels", "3,4,5", "3,4,5"),
+    ])
+    def test_repeated_key_refused(self, tmp_path, monkeypatch, key, first, second):
+        monkeypatch.chdir(tmp_path)  # a relative out stays in tmp_path
+        lines = ["experiment = meyers_sweep", f"out = {tmp_path / 'out'}"]
+        lines = [ln for ln in lines if not ln.startswith(key)]
+        text = "\n".join(lines + [f"{key} = {first}", "# between", f"{key} = {second}"])
+        n = len(lines)
+        with pytest.raises(ConfigError, match=f"line {n + 3}: key '{key}' repeats line {n + 1}"):
+            parse_config(text)
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(text + "\n")
+        assert cli.main(["run", str(cfgfile)]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="key = value"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meyers_lab import (FemError, VertexFunction, apply_Lh, assemble,
+from meyers_lab import (FemError, apply_Lh, assemble,
                         checkerboard_field, coefficient_field, constant_field,
                         f_h, from_triangulation, identity_field,
                         load, lp_norm, meyers_field, meyers_problem,
@@ -108,6 +108,27 @@ class TestAssemble:
                 allowed.add((iv, iu))
         coo = sys.K.tocoo()
         assert {(int(r), int(c)) for r, c in zip(coo.row, coo.col)} <= allowed
+
+    def test_vertex_measure_equals_the_graph_measure(self, unit_square):
+        # levels 3-6 of the unit square's red-refinement family
+        tri = triangulate(unit_square, 2.0**-3)
+        for level in range(3, 7):
+            sys = assemble(tri, identity_field())
+            assert np.array_equal(sys.interior, tri.interior_vertices())
+            want = from_triangulation(tri).m[sys.interior]
+            assert sys.m_interior.tobytes() == want.tobytes(), level
+            tri = refine_red(tri)
+
+    def test_assembly_builds_no_graph(self, coarse_square_mesh, monkeypatch):
+        from meyers_lab import graph
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a WeightedGraph was built")
+
+        monkeypatch.setattr(graph.WeightedGraph, "__init__", refuse)
+        sys = assemble(refine_red(coarse_square_mesh), identity_field())
+        load(sys, lambda pts: np.ones(len(pts)))
+        assert np.all(np.isfinite(apply_Lh(sys, solve(sys))))
 
 
 class TestLoad:
@@ -261,12 +282,11 @@ class TestReconstruct:
             for _ in range(20):
                 vals = np.zeros(g.n)
                 vals[g.interior] = rng.standard_normal(len(g.interior))
-                f = VertexFunction(g, vals)
                 fld = reconstruct(tri, vals)
                 r = np.array([
-                    lp_norm(f, 2.2) / fld.lp_norm(2.2),
-                    lp_norm(gradient_length(f), 2.2) / fld.grad_lp_norm(2.2),
-                    holder_norm(f, 0.5) / fld.holder_norm(0.5),
+                    lp_norm(g, vals, 2.2) / fld.lp_norm(2.2),
+                    lp_norm(g, gradient_length(g, vals), 2.2) / fld.grad_lp_norm(2.2),
+                    holder_norm(g, vals, 0.5) / fld.holder_norm(0.5),
                 ])
                 lo = np.minimum(lo, r)
                 hi = np.maximum(hi, r)

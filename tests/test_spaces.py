@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meyers_lab import (Polygon, SpaceError, VertexFunction, WeightedGraph,
-                        box_window, df_grad_bracket, differential,
-                        distances_from, edge_lp_norm, embedding_report,
-                        from_triangulation, gradient_length, holder_norm,
-                        holder_seminorm, lattice_box, lp_norm, triangulate,
-                        w1p_norm)
+from meyers_lab import (Polygon, SpaceError, WeightedGraph, box_window,
+                        df_grad_bracket, differential, distances_from,
+                        edge_lp_norm, embedding_report, from_triangulation,
+                        gradient_length, holder_norm, holder_seminorm,
+                        lattice_box, lp_norm, triangulate, w1p_norm)
 from meyers_lab.spaces import _HOLDER_BLOCK, _candidate_functions, _holder_sup
 
 from conftest import path_graph, random_graph
@@ -23,15 +22,15 @@ def star_graph(k, h=1.0, mu=1.0):
 
 class TestDifferential:
     def test_constant_is_zero(self, coarse_square_graph):
-        f = VertexFunction(coarse_square_graph, np.full(coarse_square_graph.n, 3.7))
-        assert np.all(differential(f).values == 0)
+        g = coarse_square_graph
+        assert np.all(differential(g, np.full(g.n, 3.7)) == 0)
 
     def test_two_vertex_formula(self):
         g = path_graph([2.0])
-        df = differential(VertexFunction(g, np.array([0.0, 6.0])))
+        df = differential(g, np.array([0.0, 6.0]))
         # stored once as 0 -> 1: df(0, 1) = 3, and df(1, 0) = -3 by antisymmetry
         assert (g.edge_u[0], g.edge_v[0]) == (0, 1)
-        assert df.values[0] == pytest.approx(3.0)
+        assert df[0] == pytest.approx(3.0)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -41,29 +40,26 @@ class TestDifferential:
         f1 = rng.standard_normal(g.n)
         f2 = rng.standard_normal(g.n)
         a, b = rng.standard_normal(2)
-        lhs = differential(VertexFunction(g, a * f1 + b * f2)).values
-        rhs = (a * differential(VertexFunction(g, f1)).values
-               + b * differential(VertexFunction(g, f2)).values)
+        lhs = differential(g, a * f1 + b * f2)
+        rhs = a * differential(g, f1) + b * differential(g, f2)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 class TestGradient:
     def test_constant_is_zero(self, small_path):
-        f = VertexFunction(small_path, np.ones(small_path.n))
-        assert np.all(gradient_length(f).values == 0)
+        assert np.all(gradient_length(small_path, np.ones(small_path.n)) == 0)
 
     def test_star_indicator(self):
         g = star_graph(3)
-        f = VertexFunction(g, np.array([1.0, 0, 0, 0]))
-        assert gradient_length(f).values[0] == pytest.approx(math.sqrt(3))
+        assert gradient_length(g, np.array([1.0, 0, 0, 0]))[0] == pytest.approx(math.sqrt(3))
 
     def test_shift_invariance_and_homogeneity(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng)
         f = rng.standard_normal(g.n)
-        g1 = gradient_length(VertexFunction(g, f)).values
-        g2 = gradient_length(VertexFunction(g, f + 10.0)).values
-        g3 = gradient_length(VertexFunction(g, -2.5 * f)).values
+        g1 = gradient_length(g, f)
+        g2 = gradient_length(g, f + 10.0)
+        g3 = gradient_length(g, -2.5 * f)
         assert np.allclose(g1, g2, atol=1e-12)
         assert np.allclose(g3, 2.5 * g1, atol=1e-12)
 
@@ -72,9 +68,9 @@ class TestGradient:
     def test_df_grad_bracket(self, seed, p):
         rng = np.random.default_rng(seed)
         g = random_graph(rng)
-        f = VertexFunction(g, rng.standard_normal(g.n))
-        dfn = edge_lp_norm(differential(f), p)
-        gn = lp_norm(gradient_length(f), p)
+        f = rng.standard_normal(g.n)
+        dfn = edge_lp_norm(g, differential(g, f), p)
+        gn = lp_norm(g, gradient_length(g, f), p)
         if gn == 0:
             assert dfn == 0
             return
@@ -88,16 +84,14 @@ class TestNorms:
         f = np.zeros(g.n)
         f[4] = 1.0
         for p in (1.0, 2.0, 3.5):
-            assert lp_norm(VertexFunction(g, f), p) == pytest.approx(g.m[4] ** (1 / p))
+            assert lp_norm(g, f, p) == pytest.approx(g.m[4] ** (1 / p))
 
     def test_sup_norm(self, small_path):
-        f = VertexFunction(small_path, np.array([1.0, -5.0, 2.0, 0.0]))
-        assert lp_norm(f, np.inf) == 5.0
+        assert lp_norm(small_path, np.array([1.0, -5.0, 2.0, 0.0]), np.inf) == 5.0
 
     def test_two_vertex_holder(self):
         g = path_graph([1.0])
-        f = VertexFunction(g, np.array([1.0, 0.0]))
-        assert holder_seminorm(f, 0.5) == pytest.approx(1.0)
+        assert holder_seminorm(g, np.array([1.0, 0.0]), 0.5) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n_edges", [300, 2000])
     def test_holder_matches_dense_pairs(self, n_edges):
@@ -111,7 +105,7 @@ class TestNorms:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.abs(v[:, None] - v[None, :]) / np.abs(x[:, None] - x[None, :]) ** 0.3
         dense = ratio[np.isfinite(ratio)].max()
-        got = holder_seminorm(VertexFunction(g, v), 0.3)
+        got = holder_seminorm(g, v, 0.3)
         assert got == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("case", ["graph", "window"])
@@ -186,9 +180,9 @@ class TestNorms:
     def test_holder_queries_leave_graph_unchanged(self, coarse_square_graph):
         g = coarse_square_graph
         before = dict(vars(g))
-        f = VertexFunction(g, np.random.default_rng(4).standard_normal(g.n))
-        holder_seminorm(f, 0.5)
-        holder_norm(f, 0.5)
+        f = np.random.default_rng(4).standard_normal(g.n)
+        holder_seminorm(g, f, 0.5)
+        holder_norm(g, f, 0.5)
         embedding_report(g, 1.5, 4.0, trials=5)
         assert vars(g).keys() == before.keys()
         assert all(vars(g)[k] is v for k, v in before.items())
@@ -196,44 +190,86 @@ class TestNorms:
     def test_w1p_is_sum(self):
         rng = np.random.default_rng(1)
         g = random_graph(rng)
-        f = VertexFunction(g, rng.standard_normal(g.n))
-        assert w1p_norm(f, 2.2) == pytest.approx(
-            lp_norm(f, 2.2) + lp_norm(gradient_length(f), 2.2))
+        f = rng.standard_normal(g.n)
+        assert w1p_norm(g, f, 2.2) == pytest.approx(
+            lp_norm(g, f, 2.2) + lp_norm(g, gradient_length(g, f), 2.2))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([1.0, 2.0, 2.2, 4.0]))
     def test_norm_axioms(self, seed, p):
         rng = np.random.default_rng(seed)
         g = random_graph(rng)
-        f1 = VertexFunction(g, rng.standard_normal(g.n))
-        f2 = VertexFunction(g, rng.standard_normal(g.n))
-        both = VertexFunction(g, f1.values + f2.values)
-        scaled = VertexFunction(g, -3.0 * f1.values)
-        assert w1p_norm(scaled, p) == pytest.approx(3.0 * w1p_norm(f1, p), rel=1e-12)
-        assert w1p_norm(both, p) <= w1p_norm(f1, p) + w1p_norm(f2, p) + 1e-12
+        f1 = rng.standard_normal(g.n)
+        f2 = rng.standard_normal(g.n)
+        assert w1p_norm(g, -3.0 * f1, p) == pytest.approx(3.0 * w1p_norm(g, f1, p), rel=1e-12)
+        assert w1p_norm(g, f1 + f2, p) <= w1p_norm(g, f1, p) + w1p_norm(g, f2, p) + 1e-12
 
     @pytest.mark.parametrize("call", [
-        lambda f: holder_seminorm(f, 0.0),
-        lambda f: holder_seminorm(f, 1.5),
-        lambda f: lp_norm(f, 0.5),
-        lambda f: edge_lp_norm(differential(f), 0.5),
-        lambda f: df_grad_bracket(f.graph, np.inf),
+        lambda g, f: holder_seminorm(g, f, 0.0),
+        lambda g, f: holder_seminorm(g, f, 1.5),
+        lambda g, f: lp_norm(g, f, 0.5),
+        lambda g, f: edge_lp_norm(g, differential(g, f), 0.5),
+        lambda g, f: df_grad_bracket(g, np.inf),
     ], ids=["holder_eta_0", "holder_eta_1.5", "lp_below_1", "edge_lp_below_1",
             "bracket_at_inf"])
     def test_range_errors(self, small_path, call):
         with pytest.raises(SpaceError):
-            call(VertexFunction(small_path, np.ones(small_path.n)))
+            call(small_path, np.ones(small_path.n))
 
     def test_antisymmetric_reads(self, coarse_square_graph):
         g = coarse_square_graph
         rng = np.random.default_rng(3)
         f = rng.standard_normal(g.n)
-        df = differential(VertexFunction(g, f))
+        df = differential(g, f)
         # each edge is stored once, oriented u < v
         assert np.all(g.edge_u < g.edge_v)
         for k in range(0, g.n_edges, 3):
             u, v = int(g.edge_u[k]), int(g.edge_v[k])
-            assert df.values[k] == (f[v] - f[u]) / g.edge_h[k]
+            assert df[k] == (f[v] - f[u]) / g.edge_h[k]
+
+
+def _bad_data(n, kind):
+    v = np.ones(n)
+    if kind == "short":
+        return v[:-1]
+    if kind == "long":
+        return np.ones(n + 1)
+    if kind == "column":
+        return v[:, None]
+    bad = {"nan": np.nan, "inf": np.inf, "complex_nan": complex(1.0, np.nan)}[kind]
+    v = v.astype(type(bad))
+    v[-1] = bad
+    return v
+
+
+BAD_KINDS = ["short", "long", "column", "nan", "inf", "complex_nan"]
+
+
+class TestRefusals:
+    """Each entry point refuses vertex or edge data of the wrong shape or
+    with a non-finite value."""
+
+    VERTEX_ENTRIES = {
+        "differential": lambda g, v: differential(g, v),
+        "gradient_length": lambda g, v: gradient_length(g, v),
+        "lp_norm": lambda g, v: lp_norm(g, v, 2.0),
+        "lp_norm_inf": lambda g, v: lp_norm(g, v, np.inf),
+        "w1p_norm": lambda g, v: w1p_norm(g, v, 2.0),
+        "holder_seminorm": lambda g, v: holder_seminorm(g, v, 0.5),
+        "holder_norm": lambda g, v: holder_norm(g, v, 0.5),
+    }
+
+    @pytest.mark.parametrize("kind", BAD_KINDS)
+    @pytest.mark.parametrize("entry", list(VERTEX_ENTRIES))
+    def test_bad_vertex_data(self, small_path, entry, kind):
+        with pytest.raises(SpaceError):
+            self.VERTEX_ENTRIES[entry](small_path, _bad_data(small_path.n, kind))
+
+    @pytest.mark.parametrize("p", [2.0, np.inf])
+    @pytest.mark.parametrize("kind", BAD_KINDS)
+    def test_bad_edge_data(self, small_path, kind, p):
+        with pytest.raises(SpaceError):
+            edge_lp_norm(small_path, _bad_data(small_path.n_edges, kind), p)
 
 
 class TestEmbeddings:
@@ -252,9 +288,8 @@ class TestEmbeddings:
         rep = embedding_report(g, 1.5, 4.0, trials=5, seed=2)
         best = 0.0
         for v in _candidate_functions(g, 5, np.random.default_rng(2)):
-            f = VertexFunction(g, v)
-            if w1p_norm(f, 4.0) > 0:
-                best = max(best, holder_norm(f, 0.5) / w1p_norm(f, 4.0))
+            if w1p_norm(g, v, 4.0) > 0:
+                best = max(best, holder_norm(g, v, 0.5) / w1p_norm(g, v, 4.0))
         assert rep.holder_ratio_max == best
 
     def test_p_equals_sigma_rejected(self, coarse_square_graph):
