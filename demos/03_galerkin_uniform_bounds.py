@@ -13,8 +13,8 @@ errs = []
 for k in range(3, 7):
     tri = ml.triangulate(poly, 2.0**-k)
     system = ml.assemble(tri, ml.identity_field())
-    ml.load(system, lambda pts: -np.ones(len(pts)))
-    fld = ml.reconstruct(tri, ml.solve(system))
+    b = ml.load(system, lambda pts: -np.ones(len(pts)))
+    fld = ml.reconstruct(tri, ml.solve(system, b))
     err = fld.w1p_error(reference.torsion_value, reference.torsion_gradient, 2.0)
     errs.append((tri.h, err))
     center = fld([(0.5, 0.5)])[0] if k == 5 else None
@@ -28,8 +28,8 @@ vals = []
 for k in range(3, 7):
     tri = ml.triangulate(poly, 2.0**-k)
     system = ml.assemble(tri, ml.checkerboard_field(1.0, 4.0))
-    ml.load(system, lambda pts: np.ones(len(pts)))
-    fld = ml.reconstruct(tri, ml.solve(system))
+    b = ml.load(system, lambda pts: np.ones(len(pts)))
+    fld = ml.reconstruct(tri, ml.solve(system, b))
     vals.append((tri.h, fld.w1p_norm(2.2)))
     print(f"  h = {tri.h:.4f}: ||u_h||_W(1,2.2) = {vals[-1][1]:.6f}")
 print(f"  fitted slope {fit_loglog(vals).slope:+.4f}: "
@@ -43,8 +43,8 @@ for p in (2.5, 6.0):
     for k in range(3, 7):
         tri = ml.triangulate(sq2, 2.0**-k)
         system = ml.assemble(tri, prob.field)
-        ml.load(system, prob.f)
-        fld = ml.reconstruct(tri, ml.solve(system))
+        b = ml.load(system, prob.f)
+        fld = ml.reconstruct(tri, ml.solve(system, b))
         vals.append((tri.h, fld.w1p_norm(p)))
     slope = fit_loglog(vals).slope
     state = "bounded" if p < prob.p_c else "diverging as h -> 0"
@@ -59,8 +59,8 @@ tri = ml.triangulate(poly, 2.0**-3)
 prev = None
 for _ in range(4):
     system = ml.assemble(tri, ml.checkerboard_field(1.0, 4.0))
-    ml.load(system, lambda pts: np.ones(len(pts)))
-    u = ml.solve(system)
+    b = ml.load(system, lambda pts: np.ones(len(pts)))
+    u = ml.solve(system, b)
     fld = ml.reconstruct(tri, u)
     line = f"  h = {tri.h:.4f}: ||u_h||_C^eta = {fld.holder_norm(1/11):.6f}"
     if prev is not None:

@@ -81,11 +81,7 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    verdicts = experiments.recompute_verdicts(args.csv)
-    if not verdicts:
-        print("no recognizable rows files", file=sys.stderr)
-        return 1
-    ok = _print_verdicts(verdicts)
+    ok = _print_verdicts(experiments.recompute_verdicts(args.csv))
     return 0 if ok else 2
 
 

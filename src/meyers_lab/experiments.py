@@ -124,10 +124,7 @@ def _where(parse, ok, need: str):
 
 
 def _floats(text: str) -> list[float]:
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not vals:
-        raise ValueError("empty list")
-    return vals
+    return [float(tok) for tok in text.split(",")]
 
 
 def _ints(text: str) -> list[int]:
@@ -256,10 +253,10 @@ def _solved_family(poly: mesh.Polygon, levels: list[int], coeff, f) -> list[tupl
     cells = []
     for lvl, tri in _family(poly, levels):
         system = fem.assemble(tri, coeff)
-        fem.load(system, f)
-        u = fem.solve(system)
+        b = fem.load(system, f)
+        u = fem.solve(system, b)
         lh = fem.apply_Lh(system, u)
-        target = -fem.f_h(system)
+        target = -fem.f_h(system, b)
         scale = float(np.abs(target).max()) or 1.0
         cells.append((lvl, tri, fem.reconstruct(tri, u),
                       float(np.abs(lh - target).max() / scale)))
@@ -742,24 +739,31 @@ def _parse_csv(path: str) -> tuple[list[str], list[dict]]:
 
 def recompute_verdicts(paths: list[str]) -> list[dict]:
     """Derive summary verdicts from emitted row CSVs alone, judging each
-    experiment's verdict file, the first of its ``files``; two are refused.
-    Every file is recognized by its header; only verdict files are parsed."""
+    experiment's verdict file, the first of its ``files``; two are refused,
+    and so is an input without one. Every file is recognized by its header;
+    only verdict files are parsed."""
     by_header = {header: (exp, i) for exp in REGISTRY.values()
                  for i, (_, header) in enumerate(exp.files)}
     judged: dict[str, tuple[str, list[dict]]] = {}
+    others = []  # what each input that is not a verdict file is
     for path in paths:
         key = _header(path)
-        if key == SUMMARY_HEADER:
-            continue  # summaries are outputs, not inputs
+        if key == SUMMARY_HEADER:  # summaries are outputs, not inputs
+            others.append(f"{path} is a summary")
+            continue
         if key not in by_header:
             raise ConfigError(f"{path}: not a recognized rows file")
         exp, i = by_header[key]
-        if i == 0 and exp.name in judged:  # two runs' rows do not form one family
+        if i > 0:  # verdicts read the first file; the others are tables
+            others.append(f"{path} belongs with {exp.files[0][0]}")
+        elif exp.name in judged:  # two runs' rows do not form one family
             raise ConfigError(f"{judged[exp.name][0]} and {path}: two {exp.name} verdict files")
-        if i == 0:  # verdicts read the first file; the others are tables
+        else:
             _, rows = _parse_csv(path)
             if not rows:
                 raise ConfigError(f"{path}: a verdict file without rows")
             judged[exp.name] = (path, rows)
+    if not judged:
+        raise ConfigError("no verdict file among the inputs: " + ("; ".join(others) or "none"))
     return [v for name, (_, rows) in sorted(judged.items())
             for v in REGISTRY[name].verdicts(rows)]

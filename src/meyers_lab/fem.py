@@ -2,11 +2,11 @@
 
 Sign convention: the weak problem is  integral(A grad u . grad v) = -<f, v>
 for all piecewise-linear v vanishing on the boundary, so the assembled system
-is K u = b with b[x] = -<f, phi_x>. The induced vertex operator satisfies
-apply_Lh(solve(system)) == -f_h with f_h(x) = <f, phi_x> / m(x), m the graph
-vertex measure of the mesh. Vertex data are plain arrays with one value per
-mesh vertex: ``solve``, ``f_h`` and ``apply_Lh`` return them zero on the
-boundary, and ``reconstruct`` takes one.
+is K u = b with b[x] = -<f, phi_x>, the vector ``load`` returns. The induced
+vertex operator satisfies apply_Lh(solve(system, b)) == -f_h(system, b) with
+f_h(x) = <f, phi_x> / m(x), m the graph vertex measure of the mesh. Vertex
+data are plain arrays with one value per mesh vertex: ``solve``, ``f_h`` and
+``apply_Lh`` return them zero on the boundary, and ``reconstruct`` takes one.
 
 Quadrature: one-point (barycenter) rule for the coefficient matrix, exact for
 per-triangle-constant A; three-point vertex rule for scalar loads; edge
@@ -164,9 +164,9 @@ def meyers_problem(eps: float) -> MeyersProblem:
 
 
 class P1System:
-    """Assembled stiffness on the zero-boundary space of a triangulation,
-    with the load ``b`` once assembled. ``m_interior`` is the vertex measure
-    of the mesh graph (``graph.mesh_edges``) on ``interior``."""
+    """Assembled stiffness on the zero-boundary space of a triangulation;
+    loads are separate vectors (``load``). ``m_interior`` is the vertex
+    measure of the mesh graph (``graph.mesh_edges``) on ``interior``."""
 
     def __init__(self, tri: Triangulation, K: sp.csr_matrix, interior: np.ndarray):
         self.tri = tri
@@ -174,7 +174,6 @@ class P1System:
         self.interior = interior
         u, v, _, mu = mesh_edges(tri)
         self.m_interior = vertex_measure(tri.n_vertices, u, v, mu)[interior]
-        self.b = None
 
 
 def assemble(tri: Triangulation, field: CoefficientField) -> P1System:
@@ -228,28 +227,23 @@ def load(system: P1System, f) -> np.ndarray:
         np.add.at(lumped, tri.triangles.ravel(),
                   np.repeat(system.tri.areas / 3.0, 3))
         b_full = -samples * lumped
-    system.b = b_full[system.interior]
-    return system.b
+    return b_full[system.interior]
 
 
-def f_h(system: P1System) -> np.ndarray:
-    """Vertex data f_h(x) = <f, phi_x> / m(x) on the interior, zero on the boundary."""
-    if system.b is None:
-        raise FemError("no load assembled")
+def f_h(system: P1System, b: np.ndarray) -> np.ndarray:
+    """f_h(x) = <f, phi_x> / m(x) from the load vector b, zero on the boundary."""
     vals = np.zeros(system.tri.n_vertices)
-    vals[system.interior] = -system.b / system.m_interior
+    vals[system.interior] = -b / system.m_interior
     return vals
 
 
-def solve(system: P1System) -> np.ndarray:
+def solve(system: P1System, b: np.ndarray) -> np.ndarray:
     """Solve K u = b by sparse direct factorization and return u on every
     vertex, zero on the boundary. A relative residual above ``_SOLVE_RTOL``
     (or NaN) fails."""
-    if system.b is None:
-        raise FemError("no load assembled")
-    u_int = spla.spsolve(system.K.tocsc(), system.b)
-    res = np.linalg.norm(system.K @ u_int - system.b)
-    scale = np.linalg.norm(system.b)
+    u_int = spla.spsolve(system.K.tocsc(), b)
+    res = np.linalg.norm(system.K @ u_int - b)
+    scale = np.linalg.norm(b)
     rel = float(res / scale) if scale > 0 else float(res)
     if not rel <= _SOLVE_RTOL:
         raise FemError(f"solve residual {rel:.3e} exceeds {_SOLVE_RTOL:.1e}")

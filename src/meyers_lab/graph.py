@@ -34,7 +34,9 @@ class WeightedGraph:
 
     Edges are stored once per unordered pair (u < v) with positive length
     ``h`` and positive measure ``mu``. Cached constants: max degree ``N``,
-    incident-length control ``C_W`` and incident-measure control ``C_mu``.
+    incident-length control ``C_W``, incident-measure control ``C_mu`` and
+    the bracket ``m_over_hx2_bracket`` of m(x) / h_x^2 (it stays fixed along
+    a red-refinement family and under ``rescale``).
     """
 
     def __init__(self, n, edge_u, edge_v, edge_h, edge_mu, boundary=(), coords=None):
@@ -78,6 +80,8 @@ class WeightedGraph:
         self.h_x = hmax
         self.C_W = float((hmax / hmin).max())
         self.C_mu = float((mumax / mumin).max())
+        ratio = self.m / hmax**2
+        self.m_over_hx2_bracket = (float(ratio.min()), float(ratio.max()))
         self.h = float(h.max()) if len(h) else 0.0
 
         w = sp.coo_matrix((np.concatenate([h, h]),
@@ -145,14 +149,10 @@ def from_triangulation(tri) -> WeightedGraph:
     """Graph of a triangulation, with the edges of ``mesh_edges``.
 
     Vertices and edges are those of the mesh; the graph boundary is the set
-    of mesh boundary vertices. The bracket of m(x) / h_x^2 is recorded as
-    ``m_over_hx2_bracket`` (it stays fixed along a red-refinement family).
+    of mesh boundary vertices.
     """
-    g = WeightedGraph(tri.n_vertices, *mesh_edges(tri),
-                      boundary=tri.boundary_vertices, coords=tri.points)
-    ratio = g.m / g.h_x**2
-    g.m_over_hx2_bracket = (float(ratio.min()), float(ratio.max()))
-    return g
+    return WeightedGraph(tri.n_vertices, *mesh_edges(tri),
+                         boundary=tri.boundary_vertices, coords=tri.points)
 
 
 def lattice_box(nx: int, ny: int) -> WeightedGraph:

@@ -4,7 +4,7 @@ The operator induced by oriented edge coefficients c_xy acts through the
 symmetric per-edge sums c_xy + c_yx, so it is represented by a complex
 symmetric matrix S with  <L u, v>_m = v* S u  and  (L u)(z) = (S u)(z) / m(z).
 Resolvents are sparse direct solves of S + lambda diag(m), filled into the
-sparsity pattern of S + diag(m), which is built once per operator. The
+sparsity pattern of S, which the operator's constructor builds. The
 semigroup is recovered from resolvents along a sectorial contour (two rays at
 +-theta and an arc of radius 1/t); kernel columns are cross-checked against a
 matrix-exponential oracle. The contour nodes come in conjugate pairs; when the
@@ -98,7 +98,11 @@ class GraphOperator:
             self.S = sp.csr_matrix((self.S.data.real, self.S.indices, self.S.indptr),
                                    shape=self.S.shape)
         self.m = graph.m
-        self._pattern = None
+        # every vertex has an edge, so S stores its whole diagonal and
+        # S + lam diag(m) has exactly S's pattern
+        self._csc = self.S.tocsc()
+        cols = np.repeat(np.arange(graph.n), np.diff(self._csc.indptr))
+        self._diag = np.flatnonzero(self._csc.indices == cols)
 
     def apply(self, u) -> np.ndarray:
         return (self.S @ np.asarray(u)) / self.m
@@ -109,26 +113,15 @@ class GraphOperator:
 
     def matrix(self, lam: complex) -> sp.csc_matrix:
         """S + lam diag(m) in CSC form, bitwise equal to
-        ``(S + lam * sp.diags(m)).tocsr().tocsc()``.
-
-        The pattern of S + diag(m), its diagonal positions and the values of
-        S in it are built once; each call fills a fresh data array. Real S
-        and real lam give a real matrix.
+        ``(S + lam * sp.diags(m)).tocsr().tocsc()``; each call fills a fresh
+        copy of S's CSC data. Real S and real lam give a real matrix.
         """
-        if self._pattern is None:
-            p = (self.S + sp.diags(self.m)).tocsc()
-            cols = np.repeat(np.arange(p.shape[1]), np.diff(p.indptr))
-            diag = np.flatnonzero(p.indices == cols)
-            # off the diagonal p holds S + 0, the values a shifted sum stores
-            base = p.data
-            base[diag] = self.S.diagonal()
-            self._pattern = (base, p.indices, p.indptr, diag)
-        base, indices, indptr, diag = self._pattern
+        c = self._csc
         shift = self.m * lam  # the product lam * sp.diags(m) stores
-        data = base.astype(np.result_type(base, shift))
-        data[diag] += shift
-        out = sp.csc_matrix((data, indices.copy(), indptr.copy()), shape=self.S.shape)
-        if not data[diag].all():
+        data = c.data.astype(np.result_type(c.data, shift))
+        data[self._diag] += shift
+        out = sp.csc_matrix((data, c.indices.copy(), c.indptr.copy()), shape=c.shape)
+        if not data[self._diag].all():
             out.eliminate_zeros()  # a sparse sum drops entries that cancel
         return out
 
@@ -200,41 +193,30 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5,
         f[window] = rng.standard_normal(len(window))
         fs.append(prep(f))
 
-    # per (operator, lambda): the ||f||_2 > 0 of its candidates, and their
-    # solutions' window restrictions as rows of uw_all. uw_all is allocated
-    # once and each block's temporaries are freed before the next factorization:
-    # rows kept between the freed block temporaries raised the peak RSS of a
-    # box-64 sweep by about 8 MiB
+    # per (operator, lambda, candidate): ||f||_2, and the solution's window
+    # restriction as a row of uw. uw is allocated once and each block's
+    # temporaries are freed before the next factorization: rows kept between
+    # the freed block temporaries raised the peak RSS of a box-64 sweep by
+    # about 8 MiB
     units = np.zeros((g.n, len(probe_vertices)), dtype=complex)
     units[probe_vertices, np.arange(len(probe_vertices))] = 1.0
-    uw_all = np.empty((len(ops) * len(lams) * (len(fs) + len(probe_vertices)), len(window)),
-                      dtype=complex)
-    blocks, at = [], 0
-    for op in ops:
-        for lam in lams:
+    fl2 = np.empty((len(ops), len(lams), len(fs) + len(probe_vertices)))
+    uw = np.empty(fl2.shape + (len(window),), dtype=complex)
+    for i, op in enumerate(ops):
+        for j, lam in enumerate(lams):
             a = op.matrix(lam)
             lu = spla.splu(a)
             # resolvent rows by symmetry of S, one per probe vertex
             cands = fs + [prep(np.conj(row)) for row in lu.solve(units).T]
             u, _ = _checked_solve(a, lu, np.column_stack([op.m * f for f in cands]))
-            fl2 = np.array([math.sqrt(float(g.m @ np.abs(f) ** 2)) for f in cands])
-            keep = fl2 > 0
-            uw_all[at:at + keep.sum()] = u[window][:, keep].T
-            at += keep.sum()
-            blocks.append(fl2[keep])
+            fl2[i, j] = [math.sqrt(float(g.m @ np.abs(f) ** 2)) for f in cands]
+            uw[i, j] = u[window].T
             del a, lu, u, cands
 
-    uw_all = uw_all[:at]
-    semi = _holder_sup(uw_all, lambda rows, cols: distances_from(
-        g, window[rows])[:, window[cols]], eta)
-    sup_ratio = np.empty((len(ops), len(lams)))
-    holder_ratio = np.empty_like(sup_ratio)
-    at = 0
-    for k, fl2 in enumerate(blocks):  # operators outer, lambdas inner
-        uw = uw_all[at:at + len(fl2)]
-        sup_ratio.flat[k] = (np.abs(uw).max(axis=1) / fl2).max(initial=0.0)
-        holder_ratio.flat[k] = (semi[at:at + len(fl2)] / fl2).max(initial=0.0)
-        at += len(fl2)
+    semi = _holder_sup(uw.reshape(-1, len(window)), lambda rows, cols: distances_from(
+        g, window[rows])[:, window[cols]], eta).reshape(fl2.shape)
+    sup_ratio = (np.abs(uw).max(axis=3) / fl2).max(axis=2)
+    holder_ratio = (semi / fl2).max(axis=2)
     return sup_ratio, holder_ratio
 
 

@@ -133,6 +133,10 @@ class TestConfig:
         "experiment = resolvent_sweep\neta_p = 1",
         "experiment = resolvent_sweep\nlambda_list = ,",
         "experiment = meyers_sweep\np_list = ,",
+        # an empty item is refused in float lists as in integer lists
+        "experiment = resolvent_sweep\nlambda_list = 1,,10,100",
+        "experiment = meyers_sweep\np_list = 2.2,",
+        "experiment = kernel_bounds\nt_grid = 0.5,,1",
         "experiment = kernel_bounds\nbox = 1",
         "experiment = kernel_bounds\nbox = 2",
         "experiment = kernel_bounds\nbox = 3",
@@ -373,7 +377,7 @@ class TestRunAndReport:
         from meyers_lab import fem
         calls = []
         solve = fem.solve
-        monkeypatch.setattr(fem, "solve", lambda system: calls.append(1) or solve(system))
+        monkeypatch.setattr(fem, "solve", lambda system, b: calls.append(1) or solve(system, b))
         cfg = parse_config("experiment = counterexample\np_list = 2.5,6\nlevels = 3,4,5")
         (rows,) = experiments.run_counterexample(cfg)
         assert len(calls) == 3
@@ -533,6 +537,19 @@ def test_report_refuses_malformed_rows_files(small_run, tmp_path, capsys, doctor
     assert str(bad) in str(err.value)
     assert cli.main(["report", str(bad)]) == 1
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("small_run", ["kernel_bounds"], indirect=True)
+def test_report_refuses_inputs_without_a_verdict_file(small_run, capsys):
+    _, summary, _ = small_run
+    paths = {os.path.basename(p): p for p in summary.csv_paths}
+    table, done = paths["kernel_table.csv"], paths["kernel_bounds_summary.csv"]
+    with pytest.raises(ConfigError) as err:
+        recompute_verdicts([table, done])
+    assert str(err.value) == (f"no verdict file among the inputs: {table} belongs "
+                              f"with kernel_bounds_rows.csv; {done} is a summary")
+    assert cli.main(["report", done]) == 1
+    assert "no verdict file among the inputs" in capsys.readouterr().err
 
 
 class TestCli:

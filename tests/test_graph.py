@@ -58,6 +58,11 @@ class TestFromTriangulation:
         g2 = from_triangulation(refine_red(tri))
         assert g1.m_over_hx2_bracket == pytest.approx(g2.m_over_hx2_bracket)
 
+    def test_sets_no_attribute_of_its_own(self, coarse_square_mesh):
+        tri = coarse_square_mesh
+        plain = WeightedGraph(tri.n_vertices, *graph.mesh_edges(tri))
+        assert vars(from_triangulation(tri)).keys() == vars(plain).keys()
+
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError, match="connected"):
             WeightedGraph(4, [0, 2], [1, 3], [1, 1], [1, 1])
@@ -367,6 +372,12 @@ class TestRescale:
     def test_rejects_nonpositive(self, coarse_square_graph):
         with pytest.raises(GraphError):
             rescale(coarse_square_graph, 0.0)
+
+    def test_lattice_bracket_kept(self):
+        # m(x) = degree(x) and h_x = 1 on a lattice box; both scale out
+        g = lattice_box(8, 8)
+        assert g.m_over_hx2_bracket == (2.0, 4.0)
+        assert rescale(g, 1.0 / 8).m_over_hx2_bracket == (2.0, 4.0)
 
 
 def h_star_oracle(g, x, y):

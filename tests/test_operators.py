@@ -407,12 +407,16 @@ class TestKernelBounds:
             assert inc.max() == want.max()
 
     def test_graph_left_unchanged(self):
+        # neither the graph nor the operator gains or swaps an attribute
         g = lattice_box(10, 10)
         op = build_operator(g, uniform_coefficients(g))
-        before = dict(vars(g))
+        before = [(obj, dict(vars(obj))) for obj in (g, op)]
+        op.matrix(1.0)
+        resolvent_bound_sweep([op], (1.0, 10.0, 100.0))
         kernel_column(op, (0.5, 1.0), 5 * 10 + 5)
-        assert vars(g).keys() == before.keys()
-        assert all(vars(g)[k] is v for k, v in before.items())
+        for obj, attrs in before:
+            assert vars(obj).keys() == attrs.keys()
+            assert all(vars(obj)[k] is v for k, v in attrs.items())
 
     def test_h_star_uniform(self, column):
         _, _, col = column
