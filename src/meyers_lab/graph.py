@@ -229,74 +229,87 @@ class GeometryReport:
     balls_sampled: int
 
 
-def _poincare_constant(g: WeightedGraph, members: np.ndarray, r: float, memo=None):
-    """Sharp constant of the scaled L2 Poincare inequality on one ball.
+def _poincare_constants(g: WeightedGraph, inball: np.ndarray, r: float, memo: dict):
+    """Sharp constants of the scaled L2 Poincare inequality on a block of
+    balls, given as a (balls, n) membership mask; a singleton ball reads 0.
 
-    Largest generalized Rayleigh quotient of the mean-zero quadratic form on
-    the ball against r^2 times the gradient form; the gradient at y uses all
-    neighbors of y, including those outside the ball. Both forms live on the
-    closure (the ball and its neighbors) and vanish on constants, and the
-    closure is connected, so grounding its last vertex leaves a definite
-    pencil with the same spectrum as the pencil on the quotient by constants.
+    Each is the largest generalized Rayleigh quotient of the mean-zero
+    quadratic form on the ball against r^2 times the gradient form; the
+    gradient at y uses all neighbors of y, including those outside the ball.
+    Both forms live on the closure (the ball and its neighbors) and vanish on
+    constants, and the closure is connected, so grounding its last vertex
+    leaves a definite pencil with the same spectrum as the pencil on the
+    quotient by constants.
 
-    ``members`` must be sorted. A ``memo`` dict maps a digest of the inputs
-    the pencil is built from (closure-local edge ends, edge weights, masses
-    and r) to its constant, so equal pencils are built and solved once: equal
-    inputs give the same bytes to the same LAPACK call, so a hit is the value
-    a solve would return.
+    Passes over the whole block give every ball's edges, closure and pencil
+    inputs. ``memo`` maps r and a digest of those inputs to the constant, so
+    equal pencils are solved once: equal inputs make equal LAPACK calls.
     """
-    if len(members) <= 1:
-        return 0.0
-    # the edges at the members: their CSR slots, in ascending edge order
-    starts = g._adj_ptr[members]
-    counts = g._adj_ptr[members + 1] - starts
+    n, n_edges = g.n, g.n_edges
+    sizes = inball.sum(axis=1)
+    if np.any(sizes > _DENSE_LIMIT):  # the closure holds the ball
+        raise GraphError(f"ball closure too large for dense solve (at least {sizes.max()})")
+    balls, ys = np.nonzero(inball & (sizes > 1)[:, None])
+    # the edges at the members, each ball's in ascending order
+    starts = g._adj_ptr[ys]
+    counts = g._adj_ptr[ys + 1] - starts
     slots = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-    edges = np.unique(g._adj_edge[slots])
+    eb, edges = np.divmod(np.unique(np.repeat(balls, counts) * n_edges + g._adj_edge[slots]),
+                          n_edges)
     u, v = g.edge_u[edges], g.edge_v[edges]
-    closure, local = np.unique(np.concatenate([u, v]), return_inverse=True)
-    k = len(closure)
-    if k > _DENSE_LIMIT:
-        raise GraphError(f"ball closure too large for dense solve ({k})")
-    lu, lv = local[:len(u)], local[len(u):]
-    inside = np.zeros(k, dtype=bool)
-    inside[np.searchsorted(closure, members)] = True
-
+    # each ball's sorted closure; local indices count from its first vertex
+    vkeys, at = np.unique(np.concatenate([eb * n + u, eb * n + v]), return_inverse=True)
+    cb, closure = np.divmod(vkeys, n)
+    e_ptr, c_ptr = (np.concatenate([[0], np.cumsum(np.bincount(b, minlength=len(inball)))])
+                    for b in (eb, cb))
+    if np.any(np.diff(c_ptr) > _DENSE_LIMIT):
+        raise GraphError(f"ball closure too large for dense solve ({np.diff(c_ptr).max()})")
+    inside = np.zeros(len(vkeys), dtype=bool)
+    inside[np.searchsorted(vkeys, balls * n + ys)] = True
     # each member y weighs every edge at y by m(y) / h_y^2
-    w = inside[lu] * (g.m[u] / g.h_x[u]**2) + inside[lv] * (g.m[v] / g.h_x[v]**2)
+    w = inside[at[:len(u)]] * (g.m[u] / g.h_x[u]**2) + inside[at[len(u):]] * (g.m[v] / g.h_x[v]**2)
     mloc = np.where(inside, g.m[closure], 0.0)
-    # the pencil is a function of these inputs alone
-    parts = (local, w, mloc, np.float64(r))
-    key = (len(w), k, hashlib.blake2b(b"".join(a.tobytes() for a in parts),
-                                      digest_size=32).digest())
-    memo = {} if memo is None else memo
-    if key not in memo:
-        rows, cols, data = edge_gram(lu, lv, w)
-        # bincount sums repeated entries in order, as COO's toarray would
-        G = np.bincount(rows * k + cols, data, k * k).reshape(k, k)
-        A = np.diag(mloc) - np.outer(mloc, mloc) / mloc.sum()
-        memo[key] = float(la.eigh(A[:-1, :-1], r * r * G[:-1, :-1], eigvals_only=True)[-1])
-    return memo[key]
+    # a ball's pencil is a function of r, its rows here and its masses alone
+    ends = np.column_stack([at[:len(u)], at[len(u):]]) - c_ptr[eb][:, None]
+    pencil = np.column_stack([ends, w.view(np.int64)])
+    out = np.zeros(len(inball))
+    e_ptr, c_ptr = e_ptr.tolist(), c_ptr.tolist()
+    for b in np.flatnonzero(sizes > 1).tolist():
+        e0, e1, c0, c1 = e_ptr[b], e_ptr[b + 1], c_ptr[b], c_ptr[b + 1]
+        digest = hashlib.blake2b(pencil[e0:e1], digest_size=32)
+        digest.update(mloc[c0:c1])
+        key = (r, e1 - e0, c1 - c0, digest.digest())
+        if key not in memo:
+            k, mb = c1 - c0, mloc[c0:c1]
+            rows, cols, data = edge_gram(ends[e0:e1, 0], ends[e0:e1, 1], w[e0:e1])
+            # bincount sums repeated entries in order, as COO's toarray would
+            G = np.bincount(rows * k + cols, data, k * k).reshape(k, k)
+            A = np.diag(mb) - np.outer(mb, mb) / mb.sum()
+            memo[key] = float(la.eigh(A[:-1, :-1], r * r * G[:-1, :-1], eigvals_only=True)[-1])
+        out[b] = memo[key]
+    return out
 
 
-def _volume_profile(dist_row: np.ndarray, m: np.ndarray):
-    """Breakpoints and prefix volumes of r -> V(x, r) for one center.
+def _volume_profiles(rows: np.ndarray, m: np.ndarray):
+    """(row, breaks, vols) of r -> V(x, r) for a block of centers, flattened
+    row by row: V(x_i, r) is vols at the last break of row i below r.
 
     Only finite entries count: a row limited to some range has inf beyond
-    it, and its profile is the unlimited one cut at that range (the stable
-    sort keeps the order, so the prefix sums are bitwise the same).
+    it, and its profile is the unlimited one cut there. The entries sorted by
+    (row, distance), ties in column order, are padded with inf and zero mass
+    into one array whose running sums are bitwise each row's own.
     """
-    near = np.flatnonzero(np.isfinite(dist_row))
-    order = near[np.argsort(dist_row[near], kind="stable")]
-    dists = dist_row[order]
-    vols = np.cumsum(m[order])
-    ends = np.nonzero(np.diff(dists, append=np.inf) > 0)[0]
-    return dists[ends], vols[ends]  # V(x, r) = vols[searchsorted(dists, r) - 1]
-
-
-def _volume_at(breaks, vols, r):
-    """Strict-ball volumes V(x, r); r may be an array."""
-    idx = np.searchsorted(breaks, r, side="left") - 1
-    return np.where(idx >= 0, vols[np.clip(idx, 0, None)], 0.0)
+    rr, cc = np.nonzero(np.isfinite(rows))
+    order = np.lexsort((rows[rr, cc], rr))  # stable; rr is sorted already
+    counts = np.bincount(rr, minlength=len(rows))
+    pos = np.arange(len(rr)) - np.repeat(np.cumsum(counts) - counts, counts)
+    dists = np.full((len(rows), counts.max()), np.inf)
+    mass = np.zeros(dists.shape)
+    dists[rr, pos], mass[rr, pos] = rows[rr, cc[order]], m[cc[order]]
+    vols = np.cumsum(mass, axis=1)
+    ends = np.isfinite(dists)
+    ends[:, :-1] &= dists[:, 1:] > dists[:, :-1]
+    return np.nonzero(ends)[0], dists[ends], vols[ends]
 
 
 def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None,
@@ -313,7 +326,11 @@ def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None
     Every quantity reads distances below 2 r0 only (the doubling probe's
     V(x, 2r) with r < r0), so the centers' distance rows are computed in
     blocks of _CENTER_BLOCK, each limited to 2 r0 with a relative margin of
-    1e-9; in-range entries are bitwise those of the unlimited rows.
+    1e-9; in-range entries are bitwise those of the unlimited rows. A block
+    is one pass: one sort of its finite entries gives every volume profile,
+    one search every probed volume, and one expansion of the member mask per
+    Poincare radius every ball's edges, closure and pencil inputs. Only the
+    memo lookup and the eigensolve of a new pencil run per ball.
     """
     if not r0 > float(g.edge_h.min()):
         raise GraphError("r0 must exceed the smallest edge length")
@@ -332,33 +349,34 @@ def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None
     c_d = 1.0
     c_l = np.inf
     c_p = 0.0
-    n_balls = 0
     memo = {}
-    rows = (row for start in range(0, len(centers), _CENTER_BLOCK)
-            for row in distances_from(g, centers[start:start + _CENTER_BLOCK], limit=limit))
-    for row in rows:
-        breaks, vols = _volume_profile(row, g.m)
+    for start in range(0, len(centers), _CENTER_BLOCK):
+        block = distances_from(g, centers[start:start + _CENTER_BLOCK], limit=limit)
+        row, breaks, vols = _volume_profiles(block, g.m)
         # doubling: probe just past every breakpoint of r -> V(r) and V(2r)
-        cand = np.concatenate([breaks * bump, breaks * (0.5 * bump), [r0 * 0.999999]])
-        cand = cand[(cand > 0) & (cand < r0)]
-        if len(cand):
-            v_r = _volume_at(breaks, vols, cand)
-            v_2r = _volume_at(breaks, vols, 2.0 * cand)
-            pos = v_r > 0
-            if np.any(pos):
-                c_d = max(c_d, float((v_2r[pos] / v_r[pos]).max()))
+        cand = np.concatenate([breaks * bump, breaks * (0.5 * bump),
+                               np.full(len(block), r0 * 0.999999)])
+        cand_row = np.concatenate([row, row, np.arange(len(block))])
+        keep = (cand > 0) & (cand < r0)
+        probe = np.concatenate([cand[keep], 2.0 * cand[keep]])
+        probe_row = np.tile(cand_row[keep], 2)
+        # V(x, r) sits at the last break below r in x's row, which starts
+        # with x's own 0 < r; complex keys sort by row, then by radius
+        idx = np.searchsorted(row + 1j * breaks, probe_row + 1j * probe) - 1
+        v_r, v_2r = np.split(vols[idx], 2)
+        c_d = max(c_d, float((v_2r / v_r).max()))
         # lower volume: V is constant between breakpoints, so the minimum of
         # V(r)/r^2 sits at the right end of each constancy interval
+        uppers = np.append(breaks[1:], np.inf)
+        uppers[:-1][row[1:] != row[:-1]] = np.inf
         ok = breaks < r0
-        uppers = np.concatenate([breaks[1:], [np.inf]])
-        ends = np.minimum(uppers[ok], r0)
-        c_l = min(c_l, float((vols[ok] / ends**2).min()))
+        c_l = min(c_l, float((vols[ok] / np.minimum(uppers[ok], r0)**2).min()))
         for r in radii:
-            members = np.nonzero(row < r)[0]
-            c_p = max(c_p, _poincare_constant(g, members, r, memo))
-            n_balls += 1
+            c_p = max(c_p, float(_poincare_constants(g, block < r, r, memo).max()))
+        # free this block before the next Dijkstra call allocates one
+        del block
     return GeometryReport(r0=r0, C_D=float(c_d), c_L=float(c_l), C_P=float(c_p),
-                          D=float(np.log2(c_d)), balls_sampled=n_balls)
+                          D=float(np.log2(c_d)), balls_sampled=len(centers) * len(radii))
 
 
 def rescale(g: WeightedGraph, alpha: float) -> WeightedGraph:

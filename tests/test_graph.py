@@ -12,7 +12,7 @@ from meyers_lab import (GraphError, Polygon, WeightedGraph, ball, box_window,
                         geometry_report, h_star, lattice_box, refine_red,
                         rescale, triangulate)
 from meyers_lab import graph
-from meyers_lab.graph import _poincare_constant, _volume_at, _volume_profile
+from meyers_lab.graph import _poincare_constants, _volume_profiles
 
 from conftest import path_graph, random_graph
 
@@ -126,6 +126,13 @@ class TestDistanceAndBalls:
             assert np.all(d <= d[:, [k]] + d[[k], :] + 1e-12)
 
 
+def poincare(g, members, r, memo=None):
+    """The block routine's constant for the one ball ``members``."""
+    inball = np.zeros((1, g.n), dtype=bool)
+    inball[0, members] = True
+    return _poincare_constants(g, inball, r, {} if memo is None else memo)[0]
+
+
 def loop_pencil(g, members):
     """Mean-zero mass form A and gradient form G on the closure of a ball,
     built vertex by vertex."""
@@ -150,13 +157,13 @@ def loop_pencil(g, members):
 
 class TestGeometryReport:
     def test_singleton_ball_contributes_zero(self, small_path):
-        assert _poincare_constant(small_path, np.array([1]), 0.5) == 0.0
+        assert poincare(small_path, np.array([1]), 0.5) == 0.0
 
     def test_poincare_matches_dense_oracle(self):
         g = path_graph([1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         r = 2.5
         members, _ = ball(g, 3, r)
-        val = _poincare_constant(g, members, r)
+        val = poincare(g, members, r)
 
         # oracle 1: pseudo-inverse pencil on the mean-zero complement
         A, G = loop_pencil(g, members)
@@ -189,7 +196,7 @@ class TestGeometryReport:
         r = float(rng.uniform(0.3, 4.0))
         members = np.nonzero(distances_from(g, x) < r)[0]
         if len(members) <= 1:
-            assert _poincare_constant(g, members, r) == 0.0
+            assert poincare(g, members, r) == 0.0
             return
         # reference: the pencil restricted to a QR basis of the complement
         # of constants
@@ -198,7 +205,7 @@ class TestGeometryReport:
         q, _ = np.linalg.qr(np.column_stack([np.ones(k), np.eye(k)[:, : k - 1]]))
         P = q[:, 1:]
         oracle = la.eigh(P.T @ A @ P, P.T @ (r * r * G) @ P, eigvals_only=True)[-1]
-        assert _poincare_constant(g, members, r) == pytest.approx(float(oracle), rel=1e-10)
+        assert poincare(g, members, r) == pytest.approx(float(oracle), rel=1e-10)
 
     def test_family_stability(self, unit_square):
         # lattice-relative radius cap: the probed ball patterns repeat across
@@ -235,6 +242,11 @@ def dense_geometry_reference(g, r0, sample_count, seed):
                                                              replace=False))
     d = distances_from(g, centers)
     assert np.all(np.isfinite(d))
+
+    def volume_at(breaks, vols, r):
+        idx = np.searchsorted(breaks, r, side="left") - 1
+        return np.where(idx >= 0, vols[np.clip(idx, 0, None)], 0.0)
+
     bump = 1.0 + 1e-12
     c_d, c_l, c_p, n_balls, multi = 1.0, np.inf, 0.0, 0, 0
     for row in d:
@@ -244,7 +256,7 @@ def dense_geometry_reference(g, r0, sample_count, seed):
         breaks, vols = dists[ends], vols[ends]
         cand = np.concatenate([breaks * bump, breaks * (0.5 * bump), [r0 * 0.999999]])
         cand = cand[(cand > 0) & (cand < r0)]
-        v_r, v_2r = _volume_at(breaks, vols, cand), _volume_at(breaks, vols, 2.0 * cand)
+        v_r, v_2r = volume_at(breaks, vols, cand), volume_at(breaks, vols, 2.0 * cand)
         pos = v_r > 0
         if np.any(pos):
             c_d = max(c_d, float((v_2r[pos] / v_r[pos]).max()))
@@ -253,7 +265,7 @@ def dense_geometry_reference(g, r0, sample_count, seed):
         c_l = min(c_l, float((vols[ok] / uppers**2).min()))
         for r in (0.25 * r0, 0.5 * r0, 1.0 * r0):
             members = np.nonzero(row < r)[0]
-            c_p = max(c_p, _poincare_constant(g, members, r))
+            c_p = max(c_p, poincare(g, members, r))
             n_balls += 1
             multi += len(members) > 1
     fields = dict(r0=r0, C_D=c_d, c_L=c_l, C_P=c_p, D=float(np.log2(c_d)),
@@ -297,9 +309,9 @@ class TestLimitedRowsAndPencilMemo:
         g = path_graph([1.0, 10.0, 1.0])
         members = np.array([0, 1])  # the strict ball B(0, r) for 1 < r <= 11
         memo = {}
-        wide = _poincare_constant(g, members, 2.0, memo)
-        assert _poincare_constant(g, members, 4.0, memo) == _poincare_constant(g, members, 4.0)
-        assert _poincare_constant(g, members, 4.0, memo) == pytest.approx(wide / 4)
+        wide = poincare(g, members, 2.0, memo)
+        assert poincare(g, members, 4.0, memo) == poincare(g, members, 4.0)
+        assert poincare(g, members, 4.0, memo) == pytest.approx(wide / 4)
         assert len(memo) == 2
 
     def test_limit_leaves_in_range_rows_bitwise(self, level4):
@@ -331,15 +343,81 @@ class TestLimitedRowsAndPencilMemo:
         assert set(pencils) == distinct
 
     def test_volume_profile_skips_inf_entries(self):
-        row = np.array([0.0, 1.0, np.inf, 1.0, 2.0, np.inf, 0.5])
+        # the inf-bearing row shares its block with a longer, all-finite row,
+        # so its profile is padded
+        rows = np.array([[0.0, 1.0, np.inf, 1.0, 2.0, np.inf, 0.5],
+                         [2.5, 0.5, 1.5, 0.0, 1.5, 3.0, 0.5]])
         m = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-        finite = np.isfinite(row)
+        finite = np.isfinite(rows[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            breaks, vols = _volume_profile(row, m)
-            want_breaks, want_vols = _volume_profile(row[finite], m[finite])
-        assert breaks.tolist() == want_breaks.tolist() == [0.0, 0.5, 1.0, 2.0]
-        assert vols.tolist() == want_vols.tolist() == [1.0, 8.0, 14.0, 19.0]
+            row, breaks, vols = _volume_profiles(rows, m)
+            _, want_breaks, want_vols = _volume_profiles(rows[:1, finite], m[finite])
+        assert row.tolist() == [0] * 4 + [1] * 5
+        assert breaks[:4].tolist() == want_breaks.tolist() == [0.0, 0.5, 1.0, 2.0]
+        assert vols[:4].tolist() == want_vols.tolist() == [1.0, 8.0, 14.0, 19.0]
+        assert breaks[4:].tolist() == [0.0, 0.5, 1.5, 2.5, 3.0]
+        assert vols[4:].tolist() == [4.0, 13.0, 21.0, 22.0, 28.0]
+
+
+class TestBlockEdgeCases:
+    """Blocks the whole-block passes must take as they come; each report is
+    compared with == against the dense per-row reference."""
+
+    @staticmethod
+    def assert_dense(g, r0, sample_count=None, seed=0):
+        rep = geometry_report(g, r0, sample_count=sample_count, seed=seed)
+        fields, _ = dense_geometry_reference(g, r0, sample_count, seed)
+        assert [getattr(rep, key) for key in fields] == list(fields.values())
+
+    def test_every_ball_equals_its_one_row_block(self):
+        tri = triangulate(Polygon.unit_square(), 2.0**-3)
+        g = from_triangulation(tri)
+        block = distances_from(g, np.arange(g.n))
+        for r in (0.6 * tri.h, 1.2 * tri.h, 2.5 * tri.h):
+            inball = block < r
+            want = [poincare(g, np.flatnonzero(row), r) for row in inball]
+            assert _poincare_constants(g, inball, r, {}).tolist() == want
+
+    def test_all_singleton_balls(self):
+        # unit lengths and r0 = 2: every strict ball at r0/4 and r0/2 is {x}
+        g = lattice_box(6, 6)
+        block = distances_from(g, np.arange(g.n), limit=4.0)
+        memo = {}
+        for r in (0.5, 1.0):
+            assert not _poincare_constants(g, block < r, r, memo).any()
+        assert memo == {}
+        self.assert_dense(g, 2.0)
+
+    def test_rows_of_unequal_finite_counts(self):
+        g = lattice_box(7, 7)
+        r0 = 2.5
+        block = distances_from(g, np.arange(g.n), limit=2.0 * r0 * (1.0 + 1e-9))
+        counts = np.isfinite(block).sum(axis=1)
+        assert counts.min() < counts.max() < g.n  # corner rows are padded
+        self.assert_dense(g, r0)
+
+    def test_balls_cover_the_graph(self):
+        # r0 beyond the diameter: every profile ends below r0
+        g = lattice_box(3, 3)
+        assert distances_from(g, 0).max() < 5.0
+        self.assert_dense(g, 5.0)
+
+    def test_partial_last_block(self):
+        tri = triangulate(Polygon.unit_square(), 2.0**-5)
+        g = from_triangulation(tri)
+        assert g.n == 4 * graph._CENTER_BLOCK + 65
+        self.assert_dense(g, 2.5 * tri.h)
+
+    # unit path, r0 = 2: the balls at r0 hold 3 vertices and their closures 5
+    @pytest.mark.parametrize("limit", [4, 2])
+    def test_dense_limit_refused(self, monkeypatch, limit):
+        g = path_graph([1.0] * 8)
+        monkeypatch.setattr(graph, "_DENSE_LIMIT", limit)
+        with pytest.raises(GraphError, match="too large for dense solve"):
+            geometry_report(g, 2.0)
+        with pytest.raises(GraphError, match="too large for dense solve"):
+            dense_geometry_reference(g, 2.0, None, 0)
 
 
 class TestRescale:
