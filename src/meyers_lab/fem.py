@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 from . import reference
 from .graph import mesh_edges, vertex_measure
 from .mesh import Triangulation, locate
-from .spaces import _holder_sup
+from .spaces import _check_eta, _check_p, _holder_sup
 
 
 class FemError(ValueError):
@@ -138,6 +138,8 @@ def coefficient_field(spec: str) -> CoefficientField:
         nums = [float(a) for a in args]
     except ValueError:
         raise FemError(f"coefficient {spec!r}: arguments must be numbers") from None
+    if not np.all(np.isfinite(nums)):
+        raise FemError(f"coefficient {spec!r}: arguments must be finite")
     if kind == "checkerboard" and len(nums) == 2:
         return checkerboard_field(*nums)
     if kind == "meyers" and len(nums) == 1:
@@ -287,13 +289,21 @@ class P1Field:
     def _quad_points(self):
         return np.einsum("qk,tkd->tqd", _Q4_BARY, self.tri.points[self.tri.triangles])
 
-    def lp_norm(self, p: float) -> float:
+    def _quad_lp(self, vals, p: float) -> float:
+        """L^p norm of nonnegative values at the quadrature points of each
+        triangle; p = inf takes their max."""
+        _check_p(p, FemError)
         if np.isinf(p):
+            return float(vals.max())
+        return float((((vals**p) @ _Q4_W) @ self.tri.areas) ** (1.0 / p))
+
+    def lp_norm(self, p: float) -> float:
+        if p == np.inf:  # a P1 field takes its max at a vertex
             return float(np.abs(self.values).max())
-        vals = np.abs(self._quad_values()) ** p
-        return float(((vals @ _Q4_W) @ self.tri.areas) ** (1.0 / p))
+        return self._quad_lp(np.abs(self._quad_values()), p)
 
     def grad_lp_norm(self, p: float) -> float:
+        _check_p(p, FemError)
         mags = np.hypot(self.tri_gradients[:, 0], self.tri_gradients[:, 1])
         if np.isinf(p):
             return float(mags.max())
@@ -305,14 +315,13 @@ class P1Field:
     def lp_error(self, exact, p: float) -> float:
         pts = self._quad_points()
         diff = np.abs(self._quad_values() - exact(pts.reshape(-1, 2)).reshape(pts.shape[:2]))
-        return float((((diff**p) @ _Q4_W) @ self.tri.areas) ** (1.0 / p))
+        return self._quad_lp(diff, p)
 
     def grad_lp_error(self, grad_exact, p: float) -> float:
         pts = self._quad_points()
         ge = grad_exact(pts.reshape(-1, 2)).reshape(pts.shape[0], pts.shape[1], 2)
         diff = ge - self.tri_gradients[:, None, :]
-        mags = np.hypot(diff[..., 0], diff[..., 1])
-        return float((((mags**p) @ _Q4_W) @ self.tri.areas) ** (1.0 / p))
+        return self._quad_lp(np.hypot(diff[..., 0], diff[..., 1]), p)
 
     def w1p_error(self, exact, grad_exact, p: float) -> float:
         return self.lp_error(exact, p) + self.grad_lp_error(grad_exact, p)
@@ -320,6 +329,7 @@ class P1Field:
     def holder_seminorm(self, eta: float) -> float:
         """Euclidean Holder seminorm over the vertices; for P1 fields the
         vertex sup stands in for the sup over the domain."""
+        _check_eta(eta, FemError)
         pts = self.tri.points
         return float(_holder_sup(self.values[None], lambda rows, cols: np.hypot(
             pts[rows, None, 0] - pts[None, cols, 0], pts[rows, None, 1] - pts[None, cols, 1]),

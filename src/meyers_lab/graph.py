@@ -48,8 +48,8 @@ class WeightedGraph:
             raise GraphError("edge arrays must have equal length")
         if np.any(u == v):
             raise GraphError("self-loops are not stored")
-        if np.any(h <= 0) or np.any(mu <= 0):
-            raise GraphError("edge lengths and measures must be positive")
+        if not np.all((h > 0) & (h < np.inf) & (mu > 0) & (mu < np.inf)):
+            raise GraphError("edge lengths and measures must be positive and finite")
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         if len(np.unique(lo * np.int64(n) + hi)) != len(lo):
             raise GraphError("duplicate edges")
@@ -64,30 +64,28 @@ class WeightedGraph:
         if np.any(self.m <= 0):
             raise GraphError("isolated vertex")
 
-        deg = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-        self.degree = deg
-        self.N = int(deg.max())
+        # adjacency in CSR layout, for per-vertex iteration; each slot also
+        # holds the id of its edge, and no vertex has an empty segment
+        ends, nbrs = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        order = np.argsort(ends, kind="stable")
+        self._adj_nbr = nbrs[order]
+        self._adj_edge = np.tile(np.arange(len(lo)), 2)[order]
+        self._adj_ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
 
-        hmax = np.zeros(n)
-        hmin = np.full(n, np.inf)
-        mumax = np.zeros(n)
-        mumin = np.full(n, np.inf)
-        for ends in (lo, hi):
-            np.maximum.at(hmax, ends, h)
-            np.minimum.at(hmin, ends, h)
-            np.maximum.at(mumax, ends, mu)
-            np.minimum.at(mumin, ends, mu)
-        self.h_x = hmax
-        self.C_W = float((hmax / hmin).max())
-        self.C_mu = float((mumax / mumin).max())
-        ratio = self.m / hmax**2
+        self.degree = np.diff(self._adj_ptr)
+        self.N = int(self.degree.max())
+        starts = self._adj_ptr[:-1]
+        h_at, mu_at = h[self._adj_edge], mu[self._adj_edge]
+        self.h_x = np.maximum.reduceat(h_at, starts)
+        self.C_W = float((self.h_x / np.minimum.reduceat(h_at, starts)).max())
+        self.C_mu = float((np.maximum.reduceat(mu_at, starts)
+                           / np.minimum.reduceat(mu_at, starts)).max())
+        ratio = self.m / self.h_x**2
         self.m_over_hx2_bracket = (float(ratio.min()), float(ratio.max()))
-        self.h = float(h.max()) if len(h) else 0.0
+        self.h = float(h.max())
 
-        w = sp.coo_matrix((np.concatenate([h, h]),
-                           (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-                          shape=(n, n))
-        self._metric = w.tocsr()
+        self._metric = sp.coo_matrix((np.concatenate([h, h]), (ends, nbrs)),
+                                     shape=(n, n)).tocsr()
         if csgraph.connected_components(self._metric, directed=False, return_labels=False) != 1:
             raise GraphError("graph is not connected")
 
@@ -102,14 +100,6 @@ class WeightedGraph:
         self.interior = np.nonzero(mask)[0]
 
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
-
-        # adjacency in CSR layout, for per-vertex iteration; each slot also
-        # holds the id of its edge
-        order = np.argsort(np.concatenate([lo, hi]), kind="stable")
-        ends = np.concatenate([lo, hi])[order]
-        self._adj_nbr = np.concatenate([hi, lo])[order]
-        self._adj_edge = np.tile(np.arange(len(lo)), 2)[order]
-        self._adj_ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
 
     @property
     def n_edges(self) -> int:
@@ -229,9 +219,11 @@ class GeometryReport:
     balls_sampled: int
 
 
-def _poincare_constants(g: WeightedGraph, inball: np.ndarray, r: float, memo: dict):
+def _poincare_constants(g: WeightedGraph, balls: np.ndarray, members: np.ndarray,
+                        r: float, memo: dict):
     """Sharp constants of the scaled L2 Poincare inequality on a block of
-    balls, given as a (balls, n) membership mask; a singleton ball reads 0.
+    balls, given as (ball, member) pairs sorted by ball, then member; every
+    ball holds its center, and a singleton ball reads 0.
 
     Each is the largest generalized Rayleigh quotient of the mean-zero
     quadratic form on the ball against r^2 times the gradient form; the
@@ -241,15 +233,16 @@ def _poincare_constants(g: WeightedGraph, inball: np.ndarray, r: float, memo: di
     leaves a definite pencil with the same spectrum as the pencil on the
     quotient by constants.
 
-    Passes over the whole block give every ball's edges, closure and pencil
+    Passes over all the pairs give every ball's edges, closure and pencil
     inputs. ``memo`` maps r and a digest of those inputs to the constant, so
     equal pencils are solved once: equal inputs make equal LAPACK calls.
     """
     n, n_edges = g.n, g.n_edges
-    sizes = inball.sum(axis=1)
+    sizes = np.bincount(balls)
     if np.any(sizes > _DENSE_LIMIT):  # the closure holds the ball
         raise GraphError(f"ball closure too large for dense solve (at least {sizes.max()})")
-    balls, ys = np.nonzero(inball & (sizes > 1)[:, None])
+    multi = (sizes > 1)[balls]
+    balls, ys = balls[multi], members[multi]
     # the edges at the members, each ball's in ascending order
     starts = g._adj_ptr[ys]
     counts = g._adj_ptr[ys + 1] - starts
@@ -260,7 +253,7 @@ def _poincare_constants(g: WeightedGraph, inball: np.ndarray, r: float, memo: di
     # each ball's sorted closure; local indices count from its first vertex
     vkeys, at = np.unique(np.concatenate([eb * n + u, eb * n + v]), return_inverse=True)
     cb, closure = np.divmod(vkeys, n)
-    e_ptr, c_ptr = (np.concatenate([[0], np.cumsum(np.bincount(b, minlength=len(inball)))])
+    e_ptr, c_ptr = (np.concatenate([[0], np.cumsum(np.bincount(b, minlength=len(sizes)))])
                     for b in (eb, cb))
     if np.any(np.diff(c_ptr) > _DENSE_LIMIT):
         raise GraphError(f"ball closure too large for dense solve ({np.diff(c_ptr).max()})")
@@ -272,7 +265,7 @@ def _poincare_constants(g: WeightedGraph, inball: np.ndarray, r: float, memo: di
     # a ball's pencil is a function of r, its rows here and its masses alone
     ends = np.column_stack([at[:len(u)], at[len(u):]]) - c_ptr[eb][:, None]
     pencil = np.column_stack([ends, w.view(np.int64)])
-    out = np.zeros(len(inball))
+    out = np.zeros(len(sizes))
     e_ptr, c_ptr = e_ptr.tolist(), c_ptr.tolist()
     for b in np.flatnonzero(sizes > 1).tolist():
         e0, e1, c0, c1 = e_ptr[b], e_ptr[b + 1], c_ptr[b], c_ptr[b + 1]
@@ -290,22 +283,22 @@ def _poincare_constants(g: WeightedGraph, inball: np.ndarray, r: float, memo: di
     return out
 
 
-def _volume_profiles(rows: np.ndarray, m: np.ndarray):
+def _volume_profiles(rr: np.ndarray, cc: np.ndarray, dd: np.ndarray, m: np.ndarray):
     """(row, breaks, vols) of r -> V(x, r) for a block of centers, flattened
     row by row: V(x_i, r) is vols at the last break of row i below r.
 
-    Only finite entries count: a row limited to some range has inf beyond
-    it, and its profile is the unlimited one cut there. The entries sorted by
-    (row, distance), ties in column order, are padded with inf and zero mass
-    into one array whose running sums are bitwise each row's own.
+    The block comes as its finite entries (row rr, column cc, distance dd),
+    sorted by row; every row holds its center. A row limited to some range
+    thus gives the unlimited profile cut there. The entries sorted by (row,
+    distance), ties in column order, are padded with inf and zero mass into
+    one array whose running sums are bitwise each row's own.
     """
-    rr, cc = np.nonzero(np.isfinite(rows))
-    order = np.lexsort((rows[rr, cc], rr))  # stable; rr is sorted already
-    counts = np.bincount(rr, minlength=len(rows))
+    order = np.lexsort((dd, rr))  # stable; rr is sorted already
+    counts = np.bincount(rr)
     pos = np.arange(len(rr)) - np.repeat(np.cumsum(counts) - counts, counts)
-    dists = np.full((len(rows), counts.max()), np.inf)
+    dists = np.full((len(counts), counts.max()), np.inf)
     mass = np.zeros(dists.shape)
-    dists[rr, pos], mass[rr, pos] = rows[rr, cc[order]], m[cc[order]]
+    dists[rr, pos], mass[rr, pos] = dd[order], m[cc[order]]
     vols = np.cumsum(mass, axis=1)
     ends = np.isfinite(dists)
     ends[:, :-1] &= dists[:, 1:] > dists[:, :-1]
@@ -327,10 +320,12 @@ def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None
     V(x, 2r) with r < r0), so the centers' distance rows are computed in
     blocks of _CENTER_BLOCK, each limited to 2 r0 with a relative margin of
     1e-9; in-range entries are bitwise those of the unlimited rows. A block
-    is one pass: one sort of its finite entries gives every volume profile,
-    one search every probed volume, and one expansion of the member mask per
-    Poincare radius every ball's edges, closure and pencil inputs. Only the
-    memo lookup and the eigensolve of a new pencil run per ball.
+    is one pass over its finite entries (row, column, distance), extracted
+    once: one sort of them gives every volume profile, one search every
+    probed volume, and, per Poincare radius r, those at distance below r are
+    the (ball, member) pairs whose one expansion gives every ball's edges,
+    closure and pencil inputs. Only the memo lookup and the eigensolve of a
+    new pencil run per ball.
     """
     if not r0 > float(g.edge_h.min()):
         raise GraphError("r0 must exceed the smallest edge length")
@@ -352,7 +347,9 @@ def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None
     memo = {}
     for start in range(0, len(centers), _CENTER_BLOCK):
         block = distances_from(g, centers[start:start + _CENTER_BLOCK], limit=limit)
-        row, breaks, vols = _volume_profiles(block, g.m)
+        rr, cc = np.nonzero(np.isfinite(block))
+        dd = block[rr, cc]
+        row, breaks, vols = _volume_profiles(rr, cc, dd, g.m)
         # doubling: probe just past every breakpoint of r -> V(r) and V(2r)
         cand = np.concatenate([breaks * bump, breaks * (0.5 * bump),
                                np.full(len(block), r0 * 0.999999)])
@@ -372,7 +369,8 @@ def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None
         ok = breaks < r0
         c_l = min(c_l, float((vols[ok] / np.minimum(uppers[ok], r0)**2).min()))
         for r in radii:
-            c_p = max(c_p, float(_poincare_constants(g, block < r, r, memo).max()))
+            near = dd < r
+            c_p = max(c_p, float(_poincare_constants(g, rr[near], cc[near], r, memo).max()))
         # free this block before the next Dijkstra call allocates one
         del block
     return GeometryReport(r0=r0, C_D=float(c_d), c_L=float(c_l), C_P=float(c_p),
@@ -385,36 +383,33 @@ def rescale(g: WeightedGraph, alpha: float) -> WeightedGraph:
     Consequently m -> alpha^2 m, d -> alpha d and the gradient picks up a
     1/alpha factor.
     """
-    if not alpha > 0:
-        raise GraphError("alpha must be positive")
-    out = WeightedGraph(
+    if not 0 < alpha < np.inf:
+        raise GraphError("alpha must be positive and finite")
+    return WeightedGraph(
         g.n, g.edge_u, g.edge_v, alpha * g.edge_h, alpha * alpha * g.edge_mu,
         boundary=g.boundary,
         coords=None if g.coords is None else alpha * g.coords,
     )
-    return out
 
 
 def h_star(g: WeightedGraph, y: int, xs) -> np.ndarray:
     """h*_{xy} = min(h*_{x->y}, h*_{y->x}) for every x in ``xs``; zero at x == y.
 
     h*_{x->y} is the sup of the lengths of the edges touching the strict ball
-    B(x, d(x, y)), where an edge touches a ball when either endpoint lies in it.
+    B(x, d(x, y)): those whose nearer endpoint lies closer to x than d(x, y).
     """
     xs = np.asarray(xs, dtype=np.int64)
     d_y = distances_from(g, y)
-    # direction y -> x for all x at once: running sup over the edges sorted
-    # by their distance to y
-    edge_d = np.minimum(d_y[g.edge_u], d_y[g.edge_v])
-    order = np.argsort(edge_d, kind="stable")
-    sorted_d = edge_d[order]
-    sup_y = np.maximum.accumulate(g.edge_h[order])
+
+    def nearer_end(d):
+        return np.minimum(d[g.edge_u], d[g.edge_v])
+
+    near_y = nearer_end(d_y)
     out = np.zeros(len(xs))
     for i, (x, d_x) in enumerate(zip(xs, distances_from(g, xs))):
         if x == y:
             continue
         r = d_y[x]
-        touch = (d_x[g.edge_u] < r) | (d_x[g.edge_v] < r)
         # r > 0, so both balls hold an endpoint of some edge
-        out[i] = min(g.edge_h[touch].max(), sup_y[np.searchsorted(sorted_d, r) - 1])
+        out[i] = min(g.edge_h[nearer_end(d_x) < r].max(), g.edge_h[near_y < r].max())
     return out

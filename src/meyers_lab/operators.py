@@ -60,6 +60,8 @@ class EdgeCoefficients:
         c_b = c_f.copy() if backward is None else np.asarray(backward, dtype=complex)
         if c_f.shape != (graph.n_edges,) or c_b.shape != (graph.n_edges,):
             raise OperatorError("one coefficient per oriented edge required")
+        if not (np.all(np.isfinite(c_f)) and np.all(np.isfinite(c_b))):
+            raise OperatorError("coefficients must be finite")
         self.graph = graph
         self.c_plus = c_f + c_b
         self.C_inf = float(max(np.abs(c_f).max(), np.abs(c_b).max()))

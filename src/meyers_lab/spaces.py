@@ -35,6 +35,19 @@ def _checked(v, n: int) -> np.ndarray:
     return v
 
 
+def _check_p(p: float, error=SpaceError) -> None:
+    """The exponent rule of every L^p norm, on graphs and on meshes: p lies
+    in [1, inf]; NaN does not."""
+    if not p >= 1:
+        raise error("p must be in [1, inf]")
+
+
+def _check_eta(eta: float, error=SpaceError) -> None:
+    """The exponent rule of every Holder seminorm: eta lies in (0, 1]."""
+    if not 0 < eta <= 1:
+        raise error("holder exponent must be in (0, 1]")
+
+
 def differential(g: WeightedGraph, v) -> np.ndarray:
     """df(x, y) = (f(y) - f(x)) / h_xy on the stored orientation."""
     v = _checked(v, g.n)
@@ -54,20 +67,18 @@ def gradient_length(g: WeightedGraph, v) -> np.ndarray:
 def lp_norm(g: WeightedGraph, v, p: float) -> float:
     """L^p(Gamma, m) norm of a vertex function; p may be inf."""
     v = np.abs(_checked(v, g.n))
+    _check_p(p)
     if np.isinf(p):
         return float(v.max()) if len(v) else 0.0
-    if p < 1:
-        raise SpaceError("p must be in [1, inf]")
     return float((g.m @ v**p) ** (1.0 / p))
 
 
 def edge_lp_norm(g: WeightedGraph, dv, p: float) -> float:
     """L^p(E, mu) norm; the sum runs over ordered pairs (factor 2)."""
     v = np.abs(_checked(dv, g.n_edges))
+    _check_p(p)
     if np.isinf(p):
         return float(v.max()) if len(v) else 0.0
-    if p < 1:
-        raise SpaceError("p must be in [1, inf]")
     return float((2.0 * (g.edge_mu @ v**p)) ** (1.0 / p))
 
 
@@ -77,6 +88,7 @@ def w1p_norm(g: WeightedGraph, v, p: float) -> float:
 
 def df_grad_bracket(g: WeightedGraph, p: float) -> float:
     """Bracket K with ||df||_p / ||grad f||_p in [1/K, K], from N, C_W, C_mu."""
+    _check_p(p)
     if np.isinf(p):
         raise SpaceError("bracket derived for finite p")
     upper = g.C_W * g.C_mu ** (1.0 / p) * g.N ** max(0.0, 1.0 / p - 0.5)
@@ -122,8 +134,7 @@ def _path_rows(g: WeightedGraph):
 def holder_seminorm(g: WeightedGraph, v, eta: float) -> float:
     """Holder seminorm in the path metric of the graph."""
     v = _checked(v, g.n)
-    if not 0 < eta <= 1:
-        raise SpaceError("holder exponent must be in (0, 1]")
+    _check_eta(eta)
     return float(_holder_sup(v[None], _path_rows(g), eta)[0])
 
 

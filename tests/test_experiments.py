@@ -198,6 +198,10 @@ class TestConfig:
         "experiment = kernel_bounds\nt_grid = 1,1,2",
         "experiment = embeddings\ntrials = -3",
         "experiment = embeddings\ntrials = 0",
+        # a non-finite coefficient value would assemble a NaN matrix
+        "experiment = meyers_sweep\ncoefficient = checkerboard:nan:4",
+        "experiment = meyers_sweep\ncoefficient = checkerboard:inf:4",
+        "experiment = holder_convergence\ncoefficient = constant:nan",
     ])
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):

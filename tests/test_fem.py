@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,48 @@ class TestReconstruct:
         semin = fld.holder_seminorm(eta)
         assert 0.9 * semin <= sampled <= 1.01 * semin
 
+    NORMS = {
+        "lp_norm": lambda f, p: f.lp_norm(p),
+        "grad_lp_norm": lambda f, p: f.grad_lp_norm(p),
+        "w1p_norm": lambda f, p: f.w1p_norm(p),
+        "lp_error": lambda f, p: f.lp_error(lambda pts: np.zeros(len(pts)), p),
+        "grad_lp_error": lambda f, p: f.grad_lp_error(lambda pts: np.zeros((len(pts), 2)), p),
+        "w1p_error": lambda f, p: f.w1p_error(lambda pts: np.zeros(len(pts)),
+                                              lambda pts: np.zeros((len(pts), 2)), p),
+    }
+
+    @pytest.mark.parametrize("p", [0.5, -np.inf, np.nan])
+    @pytest.mark.parametrize("norm", list(NORMS))
+    def test_norms_refuse_p_below_1_or_nan(self, coarse_square_mesh, norm, p):
+        fld = reconstruct(coarse_square_mesh, coarse_square_mesh.points[:, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FemError, match="p must be in"):
+                self.NORMS[norm](fld, p)
+
+    @pytest.mark.parametrize("norm", list(NORMS))
+    def test_norms_take_p_inf(self, coarse_square_mesh, norm):
+        # at p = inf the errors against zero read the max over the quadrature
+        # points, which lies below the vertex max that lp_norm reads
+        tri = coarse_square_mesh
+        fld = reconstruct(tri, tri.points[:, 0] * tri.points[:, 1])
+        got = self.NORMS[norm](fld, np.inf)
+        quad = np.abs(fld._quad_values()).max()
+        grad = np.hypot(*fld.tri_gradients.T).max()
+        want = {"lp_norm": 1.0, "grad_lp_norm": grad, "w1p_norm": 1.0 + grad,
+                "lp_error": quad, "grad_lp_error": grad, "w1p_error": quad + grad}[norm]
+        assert got == want
+        assert quad < 1.0
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, 1.5, np.nan])
+    def test_holder_refuses_eta_outside_unit_interval(self, coarse_square_mesh, eta):
+        fld = reconstruct(coarse_square_mesh, coarse_square_mesh.points[:, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (fld.holder_seminorm, fld.holder_norm):
+                with pytest.raises(FemError, match="holder exponent"):
+                    call(eta)
+
     def test_point_outside_mesh(self, coarse_square_mesh):
         fld = reconstruct(coarse_square_mesh, np.zeros(9))
         with pytest.raises(FemError):
@@ -366,7 +409,8 @@ class TestCoefficientBuilders:
         assert coefficient_field("meyers:0.5").kind == "meyers(0.5)"
         assert coefficient_field("smooth").kind == "smooth"
         for bad in ("nope", "checkerboard:1", "meyers:x", "smooth:1", "meyers:1.5",
-                    "identity:2"):
+                    "identity:2", "checkerboard:nan:4", "checkerboard:inf:4",
+                    "constant:nan"):
             with pytest.raises(FemError):
                 coefficient_field(bad)
 

@@ -67,6 +67,64 @@ class TestFromTriangulation:
         with pytest.raises(GraphError, match="connected"):
             WeightedGraph(4, [0, 2], [1, 3], [1, 1], [1, 1])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["edge_h", "edge_mu"])
+    def test_non_finite_edge_data_refused(self, column, bad):
+        data = {"edge_h": [1.0, 2.0, 3.0], "edge_mu": [1.0, 1.0, 1.0]}
+        data[column][1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match="positive and finite"):
+                WeightedGraph(4, [0, 1, 2], [1, 2, 3], data["edge_h"], data["edge_mu"])
+
+
+def incident_edge_constants(g):
+    """degree, N, h_x, C_W, C_mu and the m/h_x^2 bracket, vertex by vertex
+    from a loop over the edges at each vertex."""
+    incident = [[] for _ in range(g.n)]
+    for k in range(g.n_edges):
+        incident[g.edge_u[k]].append(k)
+        incident[g.edge_v[k]].append(k)
+    degree, h_x, w_ratio, mu_ratio, m_ratio = [], [], [], [], []
+    for x, ks in enumerate(incident):
+        hs, mus = g.edge_h[ks], g.edge_mu[ks]
+        degree.append(len(ks))
+        h_x.append(hs.max())
+        w_ratio.append(hs.max() / hs.min())
+        mu_ratio.append(mus.max() / mus.min())
+        m_ratio.append(g.m[x] / hs.max()**2)
+    return dict(degree=degree, N=max(degree), h_x=h_x, C_W=max(w_ratio),
+                C_mu=max(mu_ratio), m_over_hx2_bracket=(min(m_ratio), max(m_ratio)))
+
+
+class TestAdjacencyConstants:
+    """The constructor reads the per-vertex constants off its CSR adjacency;
+    on irregular graphs they equal (==) a loop over each vertex's edges."""
+
+    @staticmethod
+    def assert_loop_constants(g):
+        want = incident_edge_constants(g)
+        assert g.degree.tolist() == want["degree"]
+        assert g.N == want["N"]
+        assert g.h_x.tolist() == want["h_x"]
+        assert (g.C_W, g.C_mu) == (want["C_W"], want["C_mu"])
+        assert g.m_over_hx2_bracket == want["m_over_hx2_bracket"]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs(self, seed):
+        g = random_graph(np.random.default_rng(seed))
+        self.assert_loop_constants(g)
+        self.assert_loop_constants(rescale(g, 0.3))
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (4, 3), (8, 8)])
+    def test_lattice_boxes(self, nx, ny):
+        self.assert_loop_constants(lattice_box(nx, ny))
+
+    def test_level3_mesh_graph(self, unit_square):
+        g = from_triangulation(triangulate(unit_square, 2.0**-3))
+        assert g.C_W > 1 and g.C_mu > 1  # axis and diagonal edges
+        self.assert_loop_constants(g)
+
 
 class TestDistanceAndBalls:
     def test_distance_zero_on_diagonal(self, small_path):
@@ -128,9 +186,16 @@ class TestDistanceAndBalls:
 
 def poincare(g, members, r, memo=None):
     """The block routine's constant for the one ball ``members``."""
-    inball = np.zeros((1, g.n), dtype=bool)
-    inball[0, members] = True
-    return _poincare_constants(g, inball, r, {} if memo is None else memo)[0]
+    ys = np.unique(members)
+    return _poincare_constants(g, np.zeros(len(ys), dtype=np.int64), ys, r,
+                               {} if memo is None else memo)[0]
+
+
+def finite_entries(rows):
+    """(row, column, distance) of the finite entries of ``rows``, as
+    geometry_report extracts them from a block."""
+    rr, cc = np.nonzero(np.isfinite(rows))
+    return rr, cc, rows[rr, cc]
 
 
 def loop_pencil(g, members):
@@ -351,8 +416,9 @@ class TestLimitedRowsAndPencilMemo:
         finite = np.isfinite(rows[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            row, breaks, vols = _volume_profiles(rows, m)
-            _, want_breaks, want_vols = _volume_profiles(rows[:1, finite], m[finite])
+            row, breaks, vols = _volume_profiles(*finite_entries(rows), m)
+            _, want_breaks, want_vols = _volume_profiles(*finite_entries(rows[:1, finite]),
+                                                         m[finite])
         assert row.tolist() == [0] * 4 + [1] * 5
         assert breaks[:4].tolist() == want_breaks.tolist() == [0.0, 0.5, 1.0, 2.0]
         assert vols[:4].tolist() == want_vols.tolist() == [1.0, 8.0, 14.0, 19.0]
@@ -377,7 +443,7 @@ class TestBlockEdgeCases:
         for r in (0.6 * tri.h, 1.2 * tri.h, 2.5 * tri.h):
             inball = block < r
             want = [poincare(g, np.flatnonzero(row), r) for row in inball]
-            assert _poincare_constants(g, inball, r, {}).tolist() == want
+            assert _poincare_constants(g, *np.nonzero(inball), r, {}).tolist() == want
 
     def test_all_singleton_balls(self):
         # unit lengths and r0 = 2: every strict ball at r0/4 and r0/2 is {x}
@@ -385,7 +451,7 @@ class TestBlockEdgeCases:
         block = distances_from(g, np.arange(g.n), limit=4.0)
         memo = {}
         for r in (0.5, 1.0):
-            assert not _poincare_constants(g, block < r, r, memo).any()
+            assert not _poincare_constants(g, *np.nonzero(block < r), r, memo).any()
         assert memo == {}
         self.assert_dense(g, 2.0)
 
@@ -450,6 +516,13 @@ class TestRescale:
     def test_rejects_nonpositive(self, coarse_square_graph):
         with pytest.raises(GraphError):
             rescale(coarse_square_graph, 0.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, coarse_square_graph, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match="alpha must be positive and finite"):
+                rescale(coarse_square_graph, alpha)
 
     def test_lattice_bracket_kept(self):
         # m(x) = degree(x) and h_x = 1 on a lattice box; both scale out

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ class TestEdgeCoefficients:
         vals[0] = -1.5
         with pytest.raises(OperatorError, match="ellipticity refused"):
             EdgeCoefficients(box16, vals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan),
+                                     complex(1.0, np.inf)],
+                             ids=["nan", "inf", "imag_nan", "imag_inf"])
+    @pytest.mark.parametrize("side", ["forward", "backward"])
+    def test_rejects_non_finite(self, box16, side, bad):
+        vals = {key: np.ones(box16.n_edges, dtype=complex) for key in ("forward", "backward")}
+        vals[side][3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OperatorError, match="finite"):
+                EdgeCoefficients(box16, **vals)
 
 
 class TestBuildOperator:

@@ -207,11 +207,19 @@ class TestNorms:
     @pytest.mark.parametrize("call", [
         lambda g, f: holder_seminorm(g, f, 0.0),
         lambda g, f: holder_seminorm(g, f, 1.5),
+        lambda g, f: holder_seminorm(g, f, np.nan),
         lambda g, f: lp_norm(g, f, 0.5),
         lambda g, f: edge_lp_norm(g, differential(g, f), 0.5),
+        lambda g, f: lp_norm(g, f, np.nan),
+        lambda g, f: edge_lp_norm(g, differential(g, f), np.nan),
+        lambda g, f: lp_norm(g, f, -np.inf),
+        lambda g, f: edge_lp_norm(g, differential(g, f), -np.inf),
         lambda g, f: df_grad_bracket(g, np.inf),
-    ], ids=["holder_eta_0", "holder_eta_1.5", "lp_below_1", "edge_lp_below_1",
-            "bracket_at_inf"])
+        lambda g, f: df_grad_bracket(g, np.nan),
+        lambda g, f: df_grad_bracket(g, 0.5),
+    ], ids=["holder_eta_0", "holder_eta_1.5", "holder_eta_nan", "lp_below_1",
+            "edge_lp_below_1", "lp_nan", "edge_lp_nan", "lp_minus_inf", "edge_lp_minus_inf",
+            "bracket_at_inf", "bracket_nan", "bracket_below_1"])
     def test_range_errors(self, small_path, call):
         with pytest.raises(SpaceError):
             call(small_path, np.ones(small_path.n))
