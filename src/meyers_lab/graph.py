@@ -44,6 +44,8 @@ class WeightedGraph:
         v = np.asarray(edge_v, dtype=np.int64)
         h = np.asarray(edge_h, dtype=float)
         mu = np.asarray(edge_mu, dtype=float)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise GraphError(f"vertex count must be an integer >= 1, got {n!r}")
         if not (len(u) == len(v) == len(h) == len(mu)):
             raise GraphError("edge arrays must have equal length")
         if np.any(u == v):

@@ -15,12 +15,27 @@ import numpy as np
 # terms of the torsion series (odd k up to this cap), and the band caps
 _TORSION_TERMS = 2001
 _TORSION_CAPS = (65, 129, 257, 513, 1025, _TORSION_TERMS)
+# points x terms per chunk of a band's points, and the multiple of points at
+# which chunks start; see _torsion_bands
+_TORSION_CELLS = 1 << 16
+_TORSION_ALIGN = 64
 
 
 def _torsion_bands(y: np.ndarray):
-    """Yield (selection, k, k pi) per band of points grouped by distance to the
-    y-boundary; the series factors decay like exp(-k pi dist), so far points
-    need few terms. Callers form the factors, so no band's arrays outlive it."""
+    """Yield (points, k, k pi) per chunk of a band of points grouped by
+    distance to the y-boundary, ``points`` the chunk's point indices; the
+    series factors decay like exp(-k pi dist), so far points need few terms.
+    Callers form the factors, so no chunk's arrays outlive it.
+
+    A chunk holds about _TORSION_CELLS = 2^16 points x terms, 512 KiB per
+    factor array, so a caller's few factor arrays stay a few MiB at any
+    point count; whole bands of a level-6 mesh's quadrature points held tens
+    of MiB and set rate_theta's peak memory. The sums are BLAS matrix-vector
+    products: a kernel sums a row's terms in an order that depends on the
+    row's place in its group of rows, and numpy sums a lone row as a dot
+    product. So chunks start at multiples of _TORSION_ALIGN = 64 points, a
+    multiple of those groups, and never end in a lone point; with one BLAS
+    thread every value is then bitwise the one the whole band gives."""
     dist = np.minimum(y, 1.0 - y)
     with np.errstate(divide="ignore"):
         needed = np.where(dist > 0, np.log(1e9) / (np.pi * np.maximum(dist, 1e-300)),
@@ -28,10 +43,12 @@ def _torsion_bands(y: np.ndarray):
     needed = np.clip(needed, _TORSION_CAPS[0], _TORSION_TERMS)
     band_of = np.searchsorted(_TORSION_CAPS, needed, side="left")
     for band, cap in enumerate(_TORSION_CAPS):
-        sel = band_of == band
-        if np.any(sel):
+        members = np.flatnonzero(band_of == band)
+        if len(members):
             k = np.arange(1, cap + 1, 2, dtype=float)
-            yield sel, k, np.pi * k
+            step = max(1, _TORSION_CELLS // len(k) // _TORSION_ALIGN) * _TORSION_ALIGN
+            for pts in np.split(members, np.arange(step, len(members) - 1, step)):
+                yield pts, k, np.pi * k
 
 
 def torsion_value(points) -> np.ndarray:
@@ -43,11 +60,11 @@ def torsion_value(points) -> np.ndarray:
     p = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = p[:, 0], p[:, 1]
     out = x * (1.0 - x) / 2.0
-    for sel, k, kpi in _torsion_bands(y):
+    for pts, k, kpi in _torsion_bands(y):
         # cosh(k pi (y - 1/2)) / cosh(k pi / 2), overflow-free
-        ratio = (np.exp(-np.outer(1.0 - y[sel], kpi)) + np.exp(-np.outer(y[sel], kpi))) \
+        ratio = (np.exp(-np.outer(1.0 - y[pts], kpi)) + np.exp(-np.outer(y[pts], kpi))) \
             / (1.0 + np.exp(-kpi))
-        out[sel] -= (np.sin(np.outer(x[sel], kpi)) * ratio) @ (4.0 / (np.pi**3 * k**3))
+        out[pts] -= (np.sin(np.outer(x[pts], kpi)) * ratio) @ (4.0 / (np.pi**3 * k**3))
     return out
 
 
@@ -56,13 +73,13 @@ def torsion_gradient(points) -> np.ndarray:
     x, y = p[:, 0], p[:, 1]
     ux = (1.0 - 2.0 * x) / 2.0
     uy = np.zeros_like(x)
-    for sel, k, kpi in _torsion_bands(y):
-        e_top = np.exp(-np.outer(1.0 - y[sel], kpi))
-        e_bot = np.exp(-np.outer(y[sel], kpi))
+    for pts, k, kpi in _torsion_bands(y):
+        e_top = np.exp(-np.outer(1.0 - y[pts], kpi))
+        e_bot = np.exp(-np.outer(y[pts], kpi))
         denom = 1.0 + np.exp(-kpi)
         coef = 4.0 / (np.pi**2 * k**2)
-        ux[sel] -= (np.cos(np.outer(x[sel], kpi)) * (e_top + e_bot) / denom) @ coef
-        uy[sel] -= (np.sin(np.outer(x[sel], kpi)) * (e_top - e_bot) / denom) @ coef
+        ux[pts] -= (np.cos(np.outer(x[pts], kpi)) * (e_top + e_bot) / denom) @ coef
+        uy[pts] -= (np.sin(np.outer(x[pts], kpi)) * (e_top - e_bot) / denom) @ coef
     return np.column_stack([ux, uy])
 
 

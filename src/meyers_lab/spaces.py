@@ -16,8 +16,8 @@ import numpy as np
 
 from .graph import WeightedGraph, distances_from
 
-# rows per block of the pairwise Holder sup
-_HOLDER_BLOCK = 256
+# rows per block of the pairwise Holder sup; see _holder_sup for the size
+_HOLDER_BLOCK = 32
 
 
 class SpaceError(ValueError):
@@ -108,6 +108,14 @@ def _holder_sup(values: np.ndarray, distance_rows, eta: float) -> np.ndarray:
     ``cols``; it is not written to. Each row block's d^eta serves every row
     of ``values``, and pairs at distance zero count as ratio 0. A
     non-finite value fails closed: its row's sup is NaN.
+
+    Blocks are _HOLDER_BLOCK = 32 rows so that a block's d^eta, ratio and
+    diff arrays stay cache-sized: over 1024 columns a 32-row block holds
+    about 1 MiB of them, inside a 2 MiB L2, where a 256-row block streamed
+    about 8 MiB through memory for every row of ``values``. On bitwise
+    symmetric distances the sup does not depend on the block size; on
+    Dijkstra rows, which differ from their transposes at round-off, it moves
+    with the block size at round-off only.
     """
     best = np.zeros(len(values))
     for start in range(0, values.shape[1], _HOLDER_BLOCK):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,11 +163,70 @@ class TestLoad:
         assert np.allclose(b1, b2)
 
 
+# evaluates the torsion series at the points saved in argv[1] whole and in
+# chunks, and fails unless the values are bitwise equal; run in a fresh
+# process because BLAS reads its thread count when it loads
+_CHUNKED_EQUALS_WHOLE = """
+import sys
+import numpy as np
+from meyers_lab import reference
+pts = np.load(sys.argv[1])
+out = []
+for cells in (1, reference._TORSION_CELLS, 1 << 40):
+    reference._TORSION_CELLS = cells
+    out.append(reference.torsion_value(pts).tobytes()
+               + reference.torsion_gradient(pts).tobytes())
+assert out[0] == out[1] == out[2], "chunked series values differ"
+"""
+
+
 class TestTorsionSeries:
     # y values reaching every band of the series split: near y = 0, near
     # y = 1 and interior
     YS = (0.5, 0.07, 0.04, 0.02, 0.01, 0.003, 0.0005,
           0.93, 0.96, 0.98, 0.99, 0.997, 0.9995)
+    # (y range, points) for each band, fewest terms first; 129, 65 and 257
+    # points leave one point after whole chunks of 64
+    BAND_POINTS = ((0.2, 0.8, 129), (0.06, 0.09, 65), (0.03, 0.045, 200),
+                   (0.015, 0.024, 64), (0.007, 0.012, 131), (0.0, 0.006, 257))
+
+    def band_points(self):
+        rng = np.random.default_rng(12)
+        ys = np.concatenate([rng.uniform(lo, hi, k) for lo, hi, k in self.BAND_POINTS])
+        return np.column_stack([rng.uniform(size=len(ys)), ys])
+
+    @pytest.mark.parametrize("cells", [1, 1 << 16, 1 << 40])
+    def test_chunks_partition_each_band(self, monkeypatch, cells):
+        # the chunks hold every point once, in order; within a band they
+        # start at multiples of _TORSION_ALIGN points, hold at most ``cells``
+        # points x terms unless one aligned step is more, and never end in
+        # a lone point
+        y = self.band_points()[:, 1]
+        monkeypatch.setattr(reference, "_TORSION_CELLS", cells)
+        bands = {}
+        for pts, k, _ in reference._torsion_bands(y):
+            bands.setdefault(len(k), []).append(pts)
+        assert np.array_equal(np.concatenate(sum(bands.values(), [])), np.arange(len(y)))
+        assert [sum(map(len, c)) for c in bands.values()] == [n for *_, n in self.BAND_POINTS]
+        align = reference._TORSION_ALIGN
+        for terms, chunks in bands.items():
+            sizes = [len(c) for c in chunks]
+            assert sizes[-1] > 1
+            assert all(s % align == 0 and s * terms <= max(cells, align * terms)
+                       for s in sizes[:-1])
+
+    def test_chunking_leaves_values_bitwise(self, tmp_path):
+        # with one BLAS thread, as the benchmark runs, chunks of 64 points,
+        # of the default size and whole bands give the same bits
+        np.save(tmp_path / "pts.npy", self.band_points())
+        src = str(Path(reference.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _CHUNKED_EQUALS_WHOLE,
+                               str(tmp_path / "pts.npy")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_gradient_matches_central_differences(self):
         pts = np.array([(x, y) for x in (0.13, 0.5, 0.81) for y in self.YS])

@@ -67,6 +67,15 @@ class TestFromTriangulation:
         with pytest.raises(GraphError, match="connected"):
             WeightedGraph(4, [0, 2], [1, 3], [1, 1], [1, 1])
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, True, "2", None])
+    def test_bad_vertex_count_refused(self, n):
+        with pytest.raises(GraphError, match="vertex count"):
+            WeightedGraph(n, [], [], [], [])
+
+    def test_numpy_integer_vertex_count_accepted(self):
+        g = WeightedGraph(np.int64(2), [0], [1], [1.0], [1.0])
+        assert g.n == 2 and type(g.n) is int
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", ["edge_h", "edge_mu"])
     def test_non_finite_edge_data_refused(self, column, bad):

@@ -133,7 +133,7 @@ class TestSector:
         for r in (0.1, 1.0, 10.0, 100.0):
             lam = cmath.rect(r, arg)
             a = op.matrix(lam)
-            u, (rel,) = operators._checked_solve(a, spla.splu(a), op.m * f)
+            u, (rel,) = operators._checked_solve(a, operators._resolvent_lu(a), op.m * f)
             assert rel <= 1e-10
             assert np.array_equal(resolvent_solve(op, lam, f), u)
             norm_u = math.sqrt(box16.m @ np.abs(u) ** 2)
@@ -212,11 +212,24 @@ class TestResolvent:
         lam = 2 - 5j
         a = (op.S + lam * sp.diags(op.m)).tocsr()
         rhs = op.m * f
-        u = spla.splu(a.tocsc()).solve(rhs.astype(complex))
+        u = operators._resolvent_lu(a.tocsc()).solve(rhs.astype(complex))
         assert resolvent_solve(op, lam, f).tobytes() == u.tobytes()
         shifted = op.matrix(lam)
-        _, (rel,) = operators._checked_solve(shifted, spla.splu(shifted), rhs)
+        _, (rel,) = operators._checked_solve(shifted, operators._resolvent_lu(shifted), rhs)
         assert rel == np.linalg.norm(a @ u - rhs) / np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_resolvent_lu_orders_by_minimum_degree(self, box16, perturbed):
+        # the resolvent path factorizes in the MMD(A + A^T) column order,
+        # which on the lattice keeps less fill than the default COLAMD order
+        c = perturbed_coefficients(box16, 0.3) if perturbed else uniform_coefficients(box16)
+        a = build_operator(box16, c).matrix(2 - 5j)
+        lu = operators._resolvent_lu(a)
+        mmd = spla.splu(a, permc_spec="MMD_AT_PLUS_A")
+        colamd = spla.splu(a)
+        assert np.array_equal(lu.perm_c, mmd.perm_c)
+        assert not np.array_equal(lu.perm_c, colamd.perm_c)
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
     def test_nan_data_fails_the_residual_check(self, op16):
         f = np.full(op16.graph.n, np.nan)
@@ -251,6 +264,15 @@ class TestResolventSweep:
         resolvent_bound_sweep(list(ops), self.LAMS)
         assert len(lus) == len(ops) * len(self.LAMS)
         assert sum(rows) == len(box_window(ops[0].graph))
+
+    def test_minimum_degree_order_agrees_with_colamd(self, ops, monkeypatch):
+        # the MMD-ordered LUs move the sweep's ratios at round-off only: both
+        # operators agree with a COLAMD-ordered sweep to 1e-10 relative
+        got = resolvent_bound_sweep(list(ops), self.LAMS, eta=0.4, seed=2)
+        monkeypatch.setattr(operators, "_resolvent_lu", lambda a: spla.splu(a))
+        ref = resolvent_bound_sweep(list(ops), self.LAMS, eta=0.4, seed=2)
+        for g, r in zip(got, ref):
+            np.testing.assert_allclose(g, r, rtol=1e-10, atol=0)
 
     def test_one_shifted_matrix_per_operator_and_lambda(self, ops, monkeypatch):
         builds = []

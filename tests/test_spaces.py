@@ -10,6 +10,7 @@ from meyers_lab import (Polygon, SpaceError, WeightedGraph, box_window,
                         edge_lp_norm, embedding_report, from_triangulation,
                         gradient_length, holder_norm, holder_seminorm,
                         lattice_box, lp_norm, triangulate, w1p_norm)
+from meyers_lab import spaces
 from meyers_lab.spaces import _HOLDER_BLOCK, _candidate_functions, _holder_sup
 
 from conftest import path_graph, random_graph
@@ -129,12 +130,14 @@ class TestNorms:
         singles = [_holder_sup(v[None], rows_of, 0.3)[0] for v in values]
         assert block.tobytes() == np.array(singles).tobytes()
 
+    @pytest.mark.parametrize("block", [1, 7, 32, 256, "n"])
     @pytest.mark.parametrize("case", ["window", "euclidean", "mesh"])
-    def test_holder_sup_half_pairs_equal_full_square(self, case):
+    def test_holder_sup_half_pairs_equal_full_square(self, case, block, monkeypatch):
         # each unordered pair is formed once, with the distance row of its
         # first point; on bitwise symmetric distances that is the dense
-        # full-square sup bit for bit, and on Dijkstra rows of a mesh, which
-        # differ from their transposes at round-off, it agrees to 1e-12
+        # full-square sup bit for bit at every block size, and on Dijkstra
+        # rows of a mesh, which differ from their transposes at round-off,
+        # it agrees to 1e-12
         rng = np.random.default_rng(11)
         if case == "window":
             g = lattice_box(40, 40)
@@ -152,6 +155,7 @@ class TestNorms:
             dist = distances_from(g, np.arange(g.n))
             values = rng.standard_normal((3, g.n))
         assert values.shape[1] > _HOLDER_BLOCK and values.shape[1] % _HOLDER_BLOCK != 0
+        monkeypatch.setattr(spaces, "_HOLDER_BLOCK", values.shape[1] if block == "n" else block)
         d_eta = dist**0.4
         d_eta[d_eta == 0] = np.inf
         full = np.array([(np.abs(v[:, None] - v[None, :]) / d_eta).max() for v in values])
