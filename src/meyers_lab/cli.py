@@ -28,7 +28,9 @@ def _epilog() -> str:
         "experiment ships defaults matching the acceptance setups; summaries are",
         "recomputable from the row CSVs via `meyers-lab report`. Besides seed and",
         "out, a config may set only the keys its experiment lists above; any other",
-        "key is refused.",
+        "key is refused. The seed moves embeddings always and geometry only with",
+        "an integer sample_count; the other six experiments write the same rows at",
+        "every seed.",
     ]
     return "\n".join(lines) + "\n"
 

@@ -430,7 +430,7 @@ def run_resolvent_sweep(cfg: ExperimentConfig):
     lam_all = [complex(l * _RAY_PHASES[ray]) for ray in rays for l in lams]
     sup, hol = operators.resolvent_bound_sweep(
         [operators.build_operator(g, coeffs) for _, coeffs in variants],
-        lam_all, eta=eta, seed=cfg.seed)
+        lam_all, eta=eta)
     rows = []
     for (vname, _), sup_v, hol_v in zip(variants, sup.tolist(), hol.tolist()):
         for i, (lam, s, h) in enumerate(zip(lam_all, sup_v, hol_v)):

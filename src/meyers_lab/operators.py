@@ -25,8 +25,6 @@ from .graph import WeightedGraph, box_window, distances_from, edge_gram, h_star
 from .spaces import _holder_sup
 
 TWO_PI_I = 2j * math.pi
-# random window-supported data per lambda in the resolvent sweep
-_RANDOM_DATA = 3
 # kernel values at or below this are round-off, left out of the decay fits
 _KERNEL_NOISE_FLOOR = 1e-12
 # probe vertices of the resolvent sweep, spread over the window
@@ -49,7 +47,7 @@ class OperatorError(ValueError):
 
 
 class EdgeCoefficients:
-    """Oriented complex coefficients with bounds C_inf and delta_edge.
+    """Oriented complex coefficients and their ellipticity constant.
 
     ``delta_edge`` (the minimum of Re(c_xy + c_yx)/2 over edges) must be
     positive; it is a sufficient ellipticity constant.
@@ -64,7 +62,6 @@ class EdgeCoefficients:
             raise OperatorError("coefficients must be finite")
         self.graph = graph
         self.c_plus = c_f + c_b
-        self.C_inf = float(max(np.abs(c_f).max(), np.abs(c_b).max()))
         self.delta_edge = float(np.real(self.c_plus).min() / 2.0)
         if not self.delta_edge > 0:
             raise OperatorError(
@@ -164,30 +161,27 @@ def _checked_solve(a, lu, rhs) -> tuple[np.ndarray, list[float]]:
     return u, rel
 
 
-def resolvent_bound_sweep(ops, lams, eta: float = 0.5,
-                          seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def resolvent_bound_sweep(ops, lams, eta: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """Resolvent decay probe over a lambda list spanning several decades,
     for operators ``ops`` all on one graph: ``(sup_ratio, holder_ratio)``,
     each of shape (operators, lambdas), with sup_ratio the max over data f
     of ||u||_inf,window / ||f||_2 and holder_ratio that of
     |u|_{C^eta,window} / ||f||_2.
 
-    For each lambda the L2 -> L^inf and L2 -> Holder ratios are maximized
-    over random data supported in the interior window plus near-optimal data
-    built from resolvent rows (the rows themselves realize the L2 -> L^inf
-    operator norm at the probed vertices, which fixed smooth data cannot).
+    The data are the resolvent rows at _SWEEP_PROBES probe vertices spread
+    over the interior window: at a vertex, the row realizes the L2 -> L^inf
+    operator norm (Cauchy-Schwarz in l2(m)), which fixed smooth data cannot.
     Data is projected onto the mean-zero subspace: the constant eigenmode of
     a finite box is a truncation artifact with no counterpart in L2 of the
-    unbounded graph being modeled. Every operator sees the same random data,
-    the one draw of ``seed``, so each operator's row equals a call on that
-    operator alone. The Holder sups of all operators and lambdas are one
-    pass over the window distances, which reads each window row once.
+    unbounded graph being modeled. The data depend on the operator alone,
+    so each operator's row equals a call on that operator alone. The Holder
+    sups of all operators and lambdas are one pass over the window
+    distances, which reads each window row once.
     """
     if not ops or any(op.graph is not ops[0].graph for op in ops):
         raise OperatorError("the sweep needs operators on one graph")
     g = ops[0].graph
     lams = [complex(lam) for lam in lams]
-    rng = np.random.default_rng(seed)
     window = box_window(g)
     total_m = float(g.m.sum())
 
@@ -198,31 +192,25 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5,
     take = np.unique(np.linspace(0, len(window) - 1, _SWEEP_PROBES).astype(int))
     probe_vertices = window[take]
 
-    fs = []
-    for _ in range(_RANDOM_DATA):
-        f = np.zeros(g.n)
-        f[window] = rng.standard_normal(len(window))
-        fs.append(prep(f))
-
-    # per (operator, lambda, candidate): ||f||_2, and the solution's window
+    # per (operator, lambda, probe): ||f||_2, and the solution's window
     # restriction as a row of uw. uw is allocated once and each block's
     # temporaries are freed before the next factorization: rows kept between
     # the freed block temporaries raised the peak RSS of a box-64 sweep by
     # about 8 MiB
     units = np.zeros((g.n, len(probe_vertices)), dtype=complex)
     units[probe_vertices, np.arange(len(probe_vertices))] = 1.0
-    fl2 = np.empty((len(ops), len(lams), len(fs) + len(probe_vertices)))
+    fl2 = np.empty((len(ops), len(lams), len(probe_vertices)))
     uw = np.empty(fl2.shape + (len(window),), dtype=complex)
     for i, op in enumerate(ops):
         for j, lam in enumerate(lams):
             a = op.matrix(lam)
             lu = _resolvent_lu(a)
             # resolvent rows by symmetry of S, one per probe vertex
-            cands = fs + [prep(np.conj(row)) for row in lu.solve(units).T]
-            u, _ = _checked_solve(a, lu, np.column_stack([op.m * f for f in cands]))
-            fl2[i, j] = [math.sqrt(float(g.m @ np.abs(f) ** 2)) for f in cands]
+            fs = [prep(np.conj(row)) for row in lu.solve(units).T]
+            u, _ = _checked_solve(a, lu, np.column_stack([op.m * f for f in fs]))
+            fl2[i, j] = [math.sqrt(float(g.m @ np.abs(f) ** 2)) for f in fs]
             uw[i, j] = u[window].T
-            del a, lu, u, cands
+            del a, lu, u, fs
 
     semi = _holder_sup(uw.reshape(-1, len(window)), lambda rows, cols: distances_from(
         g, window[rows])[:, window[cols]], eta).reshape(fl2.shape)
