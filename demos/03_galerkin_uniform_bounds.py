@@ -21,7 +21,7 @@ for k in range(3, 7):
     extra = f", center value {center:.6f}" if center is not None else ""
     print(f"  h = {tri.h:.4f}: W^(1,2) error {err:.5f}{extra}")
 print(f"  series value at the center: {reference.torsion_center_value():.6f}")
-print(f"  fitted W^(1,2) order: {fit_loglog(errs).slope:.3f}")
+print(f"  fitted W^(1,2) order: {fit_loglog(errs):.3f}")
 
 print("\ncheckerboard coefficients with contrast 4, p = 2.2:")
 vals = []
@@ -32,7 +32,7 @@ for k in range(3, 7):
     fld = ml.reconstruct(tri, ml.solve(system, b))
     vals.append((tri.h, fld.w1p_norm(2.2)))
     print(f"  h = {tri.h:.4f}: ||u_h||_W(1,2.2) = {vals[-1][1]:.6f}")
-print(f"  fitted slope {fit_loglog(vals).slope:+.4f}: "
+print(f"  fitted slope {fit_loglog(vals):+.4f}: "
       "flat, the bound is uniform in h")
 
 print("\nradial/tangential coefficients with eps = 0.5 (critical p = 4):")
@@ -46,7 +46,7 @@ for p in (2.5, 6.0):
         b = ml.load(system, prob.f)
         fld = ml.reconstruct(tri, ml.solve(system, b))
         vals.append((tri.h, fld.w1p_norm(p)))
-    slope = fit_loglog(vals).slope
+    slope = fit_loglog(vals)
     state = "bounded" if p < prob.p_c else "diverging as h -> 0"
     print(f"  p = {p}: norms {[round(v, 3) for _, v in vals]}  "
           f"slope {slope:+.3f}  ({state})")

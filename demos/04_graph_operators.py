@@ -16,7 +16,7 @@ def spread(values):
 
 
 def sup_slope(lams, sup):
-    return ml.fit_loglog([(abs(lam), s) for lam, s in zip(lams, sup)]).slope
+    return ml.fit_loglog([(abs(lam), s) for lam, s in zip(lams, sup)])
 
 
 def r_inf(lams, sup):

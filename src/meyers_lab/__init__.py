@@ -18,7 +18,7 @@ from .operators import (EdgeCoefficients, GraphOperator, KernelBoundFit,
                         kernel_holder_fit, perturbed_coefficients,
                         resolvent_bound_sweep, resolvent_solve, semigroup_apply,
                         uniform_coefficients)
-from .fitting import FitError, FitResult, fit_loglog
+from .fitting import FitError, fit_loglog
 from . import reference
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -91,6 +91,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     out = raw.pop("out", "results")
+    if not out:
+        raise ConfigError("out is empty; it names the directory the CSVs go to")
     for key in raw:
         if key not in exp.keys:
             raise ConfigError(f"{name} reads no key {key!r}; its keys are "
@@ -296,13 +298,13 @@ def run_meyers_sweep(cfg: ExperimentConfig):
 def verdicts_meyers_sweep(rows):
     out = []
     for (p,), sub in _groups(rows, "p"):
-        fit = fit_loglog([(r["h"], r["ratio"]) for r in sub])
+        slope = fit_loglog([(r["h"], r["ratio"]) for r in sub])
         ratios = [r["ratio"] for r in sub]
         mm = max(ratios) / min(ratios)
         t1 = THRESHOLDS[("meyers_sweep", "slope_abs_max")]
         t2 = THRESHOLDS[("meyers_sweep", "maxmin_max")]
-        out.append(_verdict(f"uniform_bound_slope[p={p}]", fit.slope,
-                            abs(fit.slope) <= t1, f"|slope| <= {t1}"))
+        out.append(_verdict(f"uniform_bound_slope[p={p}]", slope,
+                            abs(slope) <= t1, f"|slope| <= {t1}"))
         out.append(_verdict(f"uniform_bound_maxmin[p={p}]", mm, mm <= t2,
                             f"max/min <= {t2}"))
     return out
@@ -325,12 +327,12 @@ def verdicts_counterexample(rows):
     out = []
     for (p,), sub in _groups(rows, "p"):
         p_c = sub[0]["p_c"]
-        fit = fit_loglog([(r["h"], r["w1p"]) for r in sub])
+        slope = fit_loglog([(r["h"], r["w1p"]) for r in sub])
         vals = [r["w1p"] for r in sub]
         mm = max(vals) / min(vals)
         if p > p_c:
             t = THRESHOLDS[("counterexample", "blowup_slope_max")]
-            out.append(_verdict(f"blowup_slope[p={p}]", fit.slope, fit.slope <= t,
+            out.append(_verdict(f"blowup_slope[p={p}]", slope, slope <= t,
                                 f"slope <= {t}"))
         else:
             t = THRESHOLDS[("counterexample", "bounded_maxmin_max")]
@@ -403,7 +405,7 @@ def verdicts_rate_theta(rows):
     out = []
     theta = rows[0]["theta"]
     p_probe, p_hi = rows[0]["p_probe"], rows[0]["p_hi"]
-    orders = {p: fit_loglog([(r["h"], r["w1p_error"]) for r in sub]).slope
+    orders = {p: fit_loglog([(r["h"], r["w1p_error"]) for r in sub])
               for (p,), sub in _groups(rows, "p")}
     crow = [r for r in rows if r["level"] == rows[0]["center_level"]][0]
     cerr = abs(crow["center_value"] - crow["center_ref"])
@@ -449,15 +451,15 @@ def verdicts_resolvent(rows):
     for (vname, ray), sub in _groups(rows, "variant", "ray"):
         rinf = [r["R_inf"] for r in sub]
         reta = [r["R_eta"] for r in sub]
-        fit = fit_loglog([(r["abs_lam"], r["sup_ratio"]) for r in sub])
+        slope = fit_loglog([(r["abs_lam"], r["sup_ratio"]) for r in sub])
         mm_i = max(rinf) / min(rinf)
         mm_e = max(reta) / min(reta)
         t_i = THRESHOLDS[("resolvent_sweep", "r_inf_maxmin_max")]
         t_e = THRESHOLDS[("resolvent_sweep", "r_eta_maxmin_max")]
         tag = f"[{vname},{ray}]"
         out.append(_verdict(f"R_inf_maxmin{tag}", mm_i, mm_i <= t_i, f"<= {t_i}"))
-        out.append(_verdict(f"sup_slope{tag}", fit.slope,
-                            lam_dec[0] <= fit.slope <= lam_dec[1],
+        out.append(_verdict(f"sup_slope{tag}", slope,
+                            lam_dec[0] <= slope <= lam_dec[1],
                             f"in [{lam_dec[0]}, {lam_dec[1]}]"))
         out.append(_verdict(f"R_eta_maxmin{tag}", mm_e, mm_e <= t_e, f"<= {t_e}"))
     return out

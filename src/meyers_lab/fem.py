@@ -291,11 +291,14 @@ class P1Field:
 
     def _quad_lp(self, vals, p: float) -> float:
         """L^p norm of nonnegative values at the quadrature points of each
-        triangle; p = inf takes their max."""
+        triangle; p = inf takes their max. ``np.einsum`` sums in an order
+        fixed by its operands, so the norm does not depend on the BLAS
+        thread count."""
         _check_p(p, FemError)
         if np.isinf(p):
             return float(vals.max())
-        return float((((vals**p) @ _Q4_W) @ self.tri.areas) ** (1.0 / p))
+        per_tri = np.einsum("tq,q->t", vals**p, _Q4_W)
+        return float(np.einsum("t,t->", per_tri, self.tri.areas) ** (1.0 / p))
 
     def lp_norm(self, p: float) -> float:
         if p == np.inf:  # a P1 field takes its max at a vertex
@@ -303,11 +306,12 @@ class P1Field:
         return self._quad_lp(np.abs(self._quad_values()), p)
 
     def grad_lp_norm(self, p: float) -> float:
+        """L^p norm of the piecewise-constant gradient, summed as in _quad_lp."""
         _check_p(p, FemError)
         mags = np.hypot(self.tri_gradients[:, 0], self.tri_gradients[:, 1])
         if np.isinf(p):
             return float(mags.max())
-        return float((self.tri.areas @ mags**p) ** (1.0 / p))
+        return float(np.einsum("i,i->", self.tri.areas, mags**p) ** (1.0 / p))
 
     def w1p_norm(self, p: float) -> float:
         return self.lp_norm(p) + self.grad_lp_norm(p)

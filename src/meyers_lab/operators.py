@@ -173,10 +173,11 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5) -> tuple[np.ndarray, np.n
     operator norm (Cauchy-Schwarz in l2(m)), which fixed smooth data cannot.
     Data is projected onto the mean-zero subspace: the constant eigenmode of
     a finite box is a truncation artifact with no counterpart in L2 of the
-    unbounded graph being modeled. The data depend on the operator alone,
-    so each operator's row equals a call on that operator alone. The Holder
-    sups of all operators and lambdas are one pass over the window
-    distances, which reads each window row once.
+    unbounded graph being modeled. The mean and ||f||_2 are ``np.einsum``
+    sums, whose order does not depend on the BLAS thread count. The data
+    depend on the operator alone, so each operator's row equals a call on
+    that operator alone. The Holder sups of all operators and lambdas are
+    one pass over the window distances, which reads each window row once.
     """
     if not ops or any(op.graph is not ops[0].graph for op in ops):
         raise OperatorError("the sweep needs operators on one graph")
@@ -186,7 +187,7 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5) -> tuple[np.ndarray, np.n
     total_m = float(g.m.sum())
 
     def prep(f):
-        return f - (g.m @ f) / total_m
+        return f - np.einsum("i,i->", g.m, f) / total_m
 
     # probe vertices spread over the window
     take = np.unique(np.linspace(0, len(window) - 1, _SWEEP_PROBES).astype(int))
@@ -208,7 +209,7 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5) -> tuple[np.ndarray, np.n
             # resolvent rows by symmetry of S, one per probe vertex
             fs = [prep(np.conj(row)) for row in lu.solve(units).T]
             u, _ = _checked_solve(a, lu, np.column_stack([op.m * f for f in fs]))
-            fl2[i, j] = [math.sqrt(float(g.m @ np.abs(f) ** 2)) for f in fs]
+            fl2[i, j] = [math.sqrt(np.einsum("i,i->", g.m, np.abs(f) ** 2)) for f in fs]
             uw[i, j] = u[window].T
             del a, lu, u, fs
 

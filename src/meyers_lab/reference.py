@@ -15,10 +15,8 @@ import numpy as np
 # terms of the torsion series (odd k up to this cap), and the band caps
 _TORSION_TERMS = 2001
 _TORSION_CAPS = (65, 129, 257, 513, 1025, _TORSION_TERMS)
-# points x terms per chunk of a band's points, and the multiple of points at
-# which chunks start; see _torsion_bands
+# points x terms per chunk of a band's points; see _torsion_bands
 _TORSION_CELLS = 1 << 16
-_TORSION_ALIGN = 64
 
 
 def _torsion_bands(y: np.ndarray):
@@ -30,12 +28,10 @@ def _torsion_bands(y: np.ndarray):
     A chunk holds about _TORSION_CELLS = 2^16 points x terms, 512 KiB per
     factor array, so a caller's few factor arrays stay a few MiB at any
     point count; whole bands of a level-6 mesh's quadrature points held tens
-    of MiB and set rate_theta's peak memory. The sums are BLAS matrix-vector
-    products: a kernel sums a row's terms in an order that depends on the
-    row's place in its group of rows, and numpy sums a lone row as a dot
-    product. So chunks start at multiples of _TORSION_ALIGN = 64 points, a
-    multiple of those groups, and never end in a lone point; with one BLAS
-    thread every value is then bitwise the one the whole band gives."""
+    of MiB and set rate_theta's peak memory. Callers sum each point's terms
+    with ``np.einsum`` in an order fixed by the terms alone, so every value
+    is bitwise the one the whole band gives, at any chunk size and BLAS
+    thread count."""
     dist = np.minimum(y, 1.0 - y)
     with np.errstate(divide="ignore"):
         needed = np.where(dist > 0, np.log(1e9) / (np.pi * np.maximum(dist, 1e-300)),
@@ -46,8 +42,8 @@ def _torsion_bands(y: np.ndarray):
         members = np.flatnonzero(band_of == band)
         if len(members):
             k = np.arange(1, cap + 1, 2, dtype=float)
-            step = max(1, _TORSION_CELLS // len(k) // _TORSION_ALIGN) * _TORSION_ALIGN
-            for pts in np.split(members, np.arange(step, len(members) - 1, step)):
+            step = max(1, _TORSION_CELLS // len(k))
+            for pts in np.split(members, np.arange(step, len(members), step)):
                 yield pts, k, np.pi * k
 
 
@@ -64,7 +60,8 @@ def torsion_value(points) -> np.ndarray:
         # cosh(k pi (y - 1/2)) / cosh(k pi / 2), overflow-free
         ratio = (np.exp(-np.outer(1.0 - y[pts], kpi)) + np.exp(-np.outer(y[pts], kpi))) \
             / (1.0 + np.exp(-kpi))
-        out[pts] -= (np.sin(np.outer(x[pts], kpi)) * ratio) @ (4.0 / (np.pi**3 * k**3))
+        out[pts] -= np.einsum("ij,j->i", np.sin(np.outer(x[pts], kpi)) * ratio,
+                              4.0 / (np.pi**3 * k**3))
     return out
 
 
@@ -78,8 +75,10 @@ def torsion_gradient(points) -> np.ndarray:
         e_bot = np.exp(-np.outer(y[pts], kpi))
         denom = 1.0 + np.exp(-kpi)
         coef = 4.0 / (np.pi**2 * k**2)
-        ux[pts] -= (np.cos(np.outer(x[pts], kpi)) * (e_top + e_bot) / denom) @ coef
-        uy[pts] -= (np.sin(np.outer(x[pts], kpi)) * (e_top - e_bot) / denom) @ coef
+        ux[pts] -= np.einsum("ij,j->i", np.cos(np.outer(x[pts], kpi)) * (e_top + e_bot) / denom,
+                             coef)
+        uy[pts] -= np.einsum("ij,j->i", np.sin(np.outer(x[pts], kpi)) * (e_top - e_bot) / denom,
+                             coef)
     return np.column_stack([ux, uy])
 
 

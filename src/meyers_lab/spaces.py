@@ -65,21 +65,23 @@ def gradient_length(g: WeightedGraph, v) -> np.ndarray:
 
 
 def lp_norm(g: WeightedGraph, v, p: float) -> float:
-    """L^p(Gamma, m) norm of a vertex function; p may be inf."""
+    """L^p(Gamma, m) norm of a vertex function; p may be inf. ``np.einsum``
+    sums in an order fixed by its operands, at any BLAS thread count."""
     v = np.abs(_checked(v, g.n))
     _check_p(p)
     if np.isinf(p):
         return float(v.max()) if len(v) else 0.0
-    return float((g.m @ v**p) ** (1.0 / p))
+    return float(np.einsum("i,i->", g.m, v**p) ** (1.0 / p))
 
 
 def edge_lp_norm(g: WeightedGraph, dv, p: float) -> float:
-    """L^p(E, mu) norm; the sum runs over ordered pairs (factor 2)."""
+    """L^p(E, mu) norm, summed as in lp_norm; the sum runs over ordered
+    pairs (factor 2)."""
     v = np.abs(_checked(dv, g.n_edges))
     _check_p(p)
     if np.isinf(p):
         return float(v.max()) if len(v) else 0.0
-    return float((2.0 * (g.edge_mu @ v**p)) ** (1.0 / p))
+    return float((2.0 * np.einsum("i,i->", g.edge_mu, v**p)) ** (1.0 / p))
 
 
 def w1p_norm(g: WeightedGraph, v, p: float) -> float:

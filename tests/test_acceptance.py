@@ -58,14 +58,14 @@ def holder_rows(tmp_path_factory):
 def test_01_meyers_uniform_bound(meyers_rows):
     rows, elapsed = meyers_rows
     sub = [r for r in rows if r["p"] == 2.2]
-    fit = fit_loglog([(r["h"], r["ratio"]) for r in sub])
+    slope = fit_loglog([(r["h"], r["ratio"]) for r in sub])
     ratios = [r["ratio"] for r in sub]
     mm = max(ratios) / min(ratios)
-    ok = abs(fit.slope) <= 0.05 and mm <= 1.3 and elapsed < 60.0
+    ok = abs(slope) <= 0.05 and mm <= 1.3 and elapsed < 60.0
     report(1, "uniform W1p bound", ok,
-           f"slope={fit.slope:+.4f} (<=0.05), max/min={mm:.4f} (<=1.3), "
+           f"slope={slope:+.4f} (<=0.05), max/min={mm:.4f} (<=1.3), "
            f"runtime={elapsed:.1f}s (<60)")
-    assert abs(fit.slope) <= 0.05
+    assert abs(slope) <= 0.05
     assert mm <= 1.3
     assert elapsed < 60.0
 
@@ -85,12 +85,12 @@ def test_02a_optimality_bounded_below_critical(counterexample_rows):
 def test_02b_optimality_blowup_above_critical(counterexample_rows):
     rows, _ = counterexample_rows
     sub = [r for r in rows if r["p"] == 6.0]
-    fit = fit_loglog([(r["h"], r["w1p"]) for r in sub])
-    ok = fit.slope <= -0.2
+    slope = fit_loglog([(r["h"], r["w1p"]) for r in sub])
+    ok = slope <= -0.2
     report("2b", "blow-up at p=6 > p_c", ok,
-           f"slope={fit.slope:+.4f} (required <= -0.2; the gradient of the "
+           f"slope={slope:+.4f} (required <= -0.2; the gradient of the "
            f"exact singular solution caps the rate at (eps-1)+2/p = -1/6)")
-    assert fit.slope <= -0.2
+    assert slope <= -0.2
 
 
 def test_03_convergence_rates(rate_rows):

@@ -163,20 +163,25 @@ class TestLoad:
         assert np.allclose(b1, b2)
 
 
-# evaluates the torsion series at the points saved in argv[1] whole and in
-# chunks, and fails unless the values are bitwise equal; run in a fresh
-# process because BLAS reads its thread count when it loads
-_CHUNKED_EQUALS_WHOLE = """
-import sys
+# prints a digest of the row reductions on inputs large enough for a
+# threaded BLAS to split: 200,000 torsion series points and a mesh of 32,768
+# triangles and 16,641 vertices; run in a fresh process because BLAS reads
+# its thread count when it loads
+_ROW_SUMS = """
+import hashlib
 import numpy as np
-from meyers_lab import reference
-pts = np.load(sys.argv[1])
-out = []
-for cells in (1, reference._TORSION_CELLS, 1 << 40):
-    reference._TORSION_CELLS = cells
-    out.append(reference.torsion_value(pts).tobytes()
-               + reference.torsion_gradient(pts).tobytes())
-assert out[0] == out[1] == out[2], "chunked series values differ"
+from meyers_lab import (Polygon, from_triangulation, lp_norm, reconstruct,
+                        reference, triangulate)
+rng = np.random.default_rng(7)
+pts = rng.uniform(size=(200_000, 2))
+tri = triangulate(Polygon.unit_square(), 2.0**-7)
+values = rng.standard_normal(tri.n_vertices)
+g = from_triangulation(tri)
+field = reconstruct(tri, values)
+out = (reference.torsion_value(pts).tobytes() + reference.torsion_gradient(pts).tobytes()
+       + np.array([field.w1p_norm(p) for p in (1.5, 2.0, 6.0)]).tobytes()
+       + np.array([lp_norm(g, values, p) for p in (1.5, 2.0, 6.0)]).tobytes())
+print(hashlib.sha256(out).hexdigest())
 """
 
 
@@ -185,8 +190,7 @@ class TestTorsionSeries:
     # y = 1 and interior
     YS = (0.5, 0.07, 0.04, 0.02, 0.01, 0.003, 0.0005,
           0.93, 0.96, 0.98, 0.99, 0.997, 0.9995)
-    # (y range, points) for each band, fewest terms first; 129, 65 and 257
-    # points leave one point after whole chunks of 64
+    # (y range, points) for each band, fewest terms first
     BAND_POINTS = ((0.2, 0.8, 129), (0.06, 0.09, 65), (0.03, 0.045, 200),
                    (0.015, 0.024, 64), (0.007, 0.012, 131), (0.0, 0.006, 257))
 
@@ -197,10 +201,8 @@ class TestTorsionSeries:
 
     @pytest.mark.parametrize("cells", [1, 1 << 16, 1 << 40])
     def test_chunks_partition_each_band(self, monkeypatch, cells):
-        # the chunks hold every point once, in order; within a band they
-        # start at multiples of _TORSION_ALIGN points, hold at most ``cells``
-        # points x terms unless one aligned step is more, and never end in
-        # a lone point
+        # the chunks hold every point once, in order, and each holds at most
+        # ``cells`` points x terms unless one point is more
         y = self.band_points()[:, 1]
         monkeypatch.setattr(reference, "_TORSION_CELLS", cells)
         bands = {}
@@ -208,25 +210,34 @@ class TestTorsionSeries:
             bands.setdefault(len(k), []).append(pts)
         assert np.array_equal(np.concatenate(sum(bands.values(), [])), np.arange(len(y)))
         assert [sum(map(len, c)) for c in bands.values()] == [n for *_, n in self.BAND_POINTS]
-        align = reference._TORSION_ALIGN
         for terms, chunks in bands.items():
-            sizes = [len(c) for c in chunks]
-            assert sizes[-1] > 1
-            assert all(s % align == 0 and s * terms <= max(cells, align * terms)
-                       for s in sizes[:-1])
+            assert all(len(c) * terms <= max(cells, terms) for c in chunks)
 
-    def test_chunking_leaves_values_bitwise(self, tmp_path):
-        # with one BLAS thread, as the benchmark runs, chunks of 64 points,
-        # of the default size and whole bands give the same bits
-        np.save(tmp_path / "pts.npy", self.band_points())
+    def test_chunking_leaves_values_bitwise(self, monkeypatch):
+        # single points, 7 cells, the default size and whole bands give the
+        # same bits: each point's terms are summed in one fixed order
+        pts = self.band_points()
+        out = set()
+        for cells in (1, 7, 1 << 16, 1 << 40):
+            monkeypatch.setattr(reference, "_TORSION_CELLS", cells)
+            out.add(reference.torsion_value(pts).tobytes()
+                    + reference.torsion_gradient(pts).tobytes())
+        assert len(out) == 1
+
+    def test_row_sums_independent_of_blas_threads(self):
+        # the torsion series and the P1 and graph norms give the same bits
+        # at one and at two BLAS threads
         src = str(Path(reference.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _CHUNKED_EQUALS_WHOLE,
-                               str(tmp_path / "pts.npy")],
-                              env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-c", _ROW_SUMS],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] == out[1]
 
     def test_gradient_matches_central_differences(self):
         pts = np.array([(x, y) for x in (0.13, 0.5, 0.81) for y in self.YS])
