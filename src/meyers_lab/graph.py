@@ -19,8 +19,8 @@ from scipy.sparse import csgraph
 _DENSE_LIMIT = 600
 # Poincare balls are sampled at these fractions of the radius cap r0
 _POINCARE_RADIUS_FRACTIONS = (0.25, 0.5, 1.0)
-# centers per block of range-limited distance rows in geometry_report
-_CENTER_BLOCK = 256
+# centers per block of range-limited distance rows; see geometry_report for the size
+_CENTER_BLOCK = 64
 # the interior window keeps this fraction of the extent off each side of a box
 _WINDOW_MARGIN = 0.25
 
@@ -176,9 +176,11 @@ def distances_from(g: WeightedGraph, sources, limit=np.inf) -> np.ndarray:
     """Shortest-path distances (edge lengths h) from one or more sources.
 
     Distances beyond ``limit`` read inf; those within it are bitwise the
-    distances of the unlimited search.
+    distances of the unlimited search. The stored metric holds each edge in
+    both directions with the same length, so the directed search is the
+    undirected one, bitwise, without scipy transposing the graph per call.
     """
-    return csgraph.dijkstra(g._metric, directed=False, indices=sources, limit=limit)
+    return csgraph.dijkstra(g._metric, directed=True, indices=sources, limit=limit)
 
 
 def distances_all(g: WeightedGraph) -> np.ndarray:
@@ -328,6 +330,15 @@ def geometry_report(g: WeightedGraph, r0: float, sample_count: int | None = None
     the (ball, member) pairs whose one expansion gives every ball's edges,
     closure and pencil inputs. Only the memo lookup and the eigensolve of a
     new pencil run per ball.
+
+    Blocks are _CENTER_BLOCK = 64 rows because a block's arrays set the
+    peak memory: its dense rows grow with rows times n, and the arrays over
+    its finite entries (the padded volume profiles, the (ball, member)
+    expansion) with rows times ball size. On the level-6 unit-square mesh
+    (4,225 vertices, r0 = 2.5 h) the traced peak is 3.8 MiB with 64-row
+    blocks against 15.0 MiB with 256-row blocks, for about 5 % more time;
+    32-row blocks save 1.8 MiB more for about 9 % more time. The report
+    does not depend on the block size.
     """
     if not r0 > float(g.edge_h.min()):
         raise GraphError("r0 must exceed the smallest edge length")

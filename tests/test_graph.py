@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
 from meyers_lab import (GraphError, Polygon, WeightedGraph, ball, box_window,
                         distance, distances_from, from_triangulation,
@@ -191,6 +192,33 @@ class TestDistanceAndBalls:
         # triangle inequality
         for k in range(g.n):
             assert np.all(d <= d[:, [k]] + d[[k], :] + 1e-12)
+
+
+class TestDirectedSearch:
+    """distances_from runs Dijkstra directed over the stored metric, which
+    holds each edge both ways with one length; that is the undirected search."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: from_triangulation(triangulate(Polygon.unit_square(), 2.0**-3)),
+        lambda: from_triangulation(triangulate(Polygon([(0, 0), (1, 0), (0.3, 0.8)]), 0.2)),
+        lambda: lattice_box(6, 4),
+        lambda: path_graph([1.0, 0.3, 2.5, 1e-3]),
+        lambda: rescale(from_triangulation(triangulate(Polygon.unit_square(), 0.25)), 0.1),
+    ], ids=["square_mesh", "triangle_mesh", "lattice_box", "path_graph", "rescale"])
+    def test_metric_is_bitwise_symmetric(self, make):
+        metric = make()._metric
+        assert (metric != metric.T).nnz == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.data())
+    def test_equals_undirected_search(self, seed, data):
+        g = random_graph(np.random.default_rng(seed))
+        sources = data.draw(st.one_of(
+            st.integers(0, g.n - 1),
+            st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n)))
+        limit = data.draw(st.one_of(st.just(np.inf), st.floats(0.1, 20.0)))
+        want = csgraph.dijkstra(g._metric, directed=False, indices=sources, limit=limit)
+        assert np.array_equal(distances_from(g, sources, limit=limit), want)
 
 
 def poincare(g, members, r, memo=None):
@@ -479,10 +507,24 @@ class TestBlockEdgeCases:
         self.assert_dense(g, 5.0)
 
     def test_partial_last_block(self):
+        # 1089 = 17 * 64 + 1 centers: the last block is a lone row
         tri = triangulate(Polygon.unit_square(), 2.0**-5)
         g = from_triangulation(tri)
-        assert g.n == 4 * graph._CENTER_BLOCK + 65
+        assert g.n % graph._CENTER_BLOCK == 1 < g.n
         self.assert_dense(g, 2.5 * tri.h)
+
+    @pytest.mark.parametrize("case", ["level5_all", "box_sampled"])
+    def test_report_independent_of_block_size(self, monkeypatch, case):
+        if case == "level5_all":
+            tri = triangulate(Polygon.unit_square(), 2.0**-5)
+            g, r0, sample_count = from_triangulation(tri), 2.5 * tri.h, None
+        else:
+            g, r0, sample_count = lattice_box(9, 9), 2.5, 30
+        reports = []
+        for size in (1, 7, 64, 256, g.n + 1):
+            monkeypatch.setattr(graph, "_CENTER_BLOCK", size)
+            reports.append(geometry_report(g, r0, sample_count=sample_count, seed=5))
+        assert all(rep == reports[0] for rep in reports[1:])
 
     # unit path, r0 = 2: the balls at r0 hold 3 vertices and their closures 5
     @pytest.mark.parametrize("limit", [4, 2])
