@@ -705,15 +705,6 @@ def run(cfg: ExperimentConfig) -> RunSummary:
                       all(v["verdict"] == "pass" for v in verdicts))
 
 
-def _header(path: str) -> str:
-    """The comma-joined first non-blank line of a CSV file; an empty file is refused."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next((cells for cells in csv.reader(fh) if cells), None)
-    if header is None:
-        raise ConfigError(f"{path}: empty file")
-    return ",".join(header)
-
-
 def _parse_csv(path: str) -> tuple[list[str], list[dict]]:
     """The header and the rows of a CSV file, each cell a float where it
     parses as one. An empty file and a row whose cell count is not the
@@ -742,14 +733,15 @@ def _parse_csv(path: str) -> tuple[list[str], list[dict]]:
 def recompute_verdicts(paths: list[str]) -> list[dict]:
     """Derive summary verdicts from emitted row CSVs alone, judging each
     experiment's verdict file, the first of its ``files``; two are refused,
-    and so is an input without one. Every file is recognized by its header;
-    only verdict files are parsed."""
+    and so is an input without one. Every file is parsed, so a malformed one
+    is refused, and recognized by its header."""
     by_header = {header: (exp, i) for exp in REGISTRY.values()
                  for i, (_, header) in enumerate(exp.files)}
     judged: dict[str, tuple[str, list[dict]]] = {}
     others = []  # what each input that is not a verdict file is
     for path in paths:
-        key = _header(path)
+        header, rows = _parse_csv(path)
+        key = ",".join(header)
         if key == SUMMARY_HEADER:  # summaries are outputs, not inputs
             others.append(f"{path} is a summary")
             continue
@@ -760,10 +752,9 @@ def recompute_verdicts(paths: list[str]) -> list[dict]:
             others.append(f"{path} belongs with {exp.files[0][0]}")
         elif exp.name in judged:  # two runs' rows do not form one family
             raise ConfigError(f"{judged[exp.name][0]} and {path}: two {exp.name} verdict files")
+        elif not rows:
+            raise ConfigError(f"{path}: a verdict file without rows")
         else:
-            _, rows = _parse_csv(path)
-            if not rows:
-                raise ConfigError(f"{path}: a verdict file without rows")
             judged[exp.name] = (path, rows)
     if not judged:
         raise ConfigError("no verdict file among the inputs: " + ("; ".join(others) or "none"))

@@ -9,10 +9,10 @@ data are plain arrays with one value per mesh vertex: ``solve``, ``f_h`` and
 ``apply_Lh`` return them zero on the boundary, and ``reconstruct`` takes one.
 
 Quadrature: one-point (barycenter) rule for the coefficient matrix, exact for
-per-triangle-constant A; three-point vertex rule for scalar loads; edge
-midpoint rule (degree 2) for divergence-form loads; six-point degree-4 rule
-for L^p norms of reconstructions (exact only for even integer p, the small
-quadrature error elsewhere is dominated by the effects under study).
+per-triangle-constant A; three-point vertex rule for loads; six-point
+degree-4 rule for L^p norms of reconstructions (exact only for even integer
+p, the small quadrature error elsewhere is dominated by the effects under
+study).
 """
 from __future__ import annotations
 
@@ -47,8 +47,6 @@ _Q4_BARY = np.array(
     ]
 )
 _Q4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
-
-_MID_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
 # the relative residual a solve must meet, and the round-off allowance of the
 # coefficient spot check
@@ -122,17 +120,9 @@ def meyers_field(eps: float) -> CoefficientField:
     )
 
 
-def smooth_field() -> CoefficientField:
-    def matrix(pts):
-        vals = 1.0 + 0.5 * np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
-        return vals[:, None, None] * np.eye(2)
-
-    return CoefficientField(matrix, ellipticity=0.5, bound=1.5, kind="smooth")
-
-
 def coefficient_field(spec: str) -> CoefficientField:
     """Field from a config spec: ``checkerboard:a1:a2``, ``meyers:eps``,
-    ``constant[:scale]`` (scale times the identity) or ``smooth``."""
+    or ``constant[:scale]`` (scale times the identity)."""
     kind, *args = str(spec).split(":")
     try:
         nums = [float(a) for a in args]
@@ -146,8 +136,6 @@ def coefficient_field(spec: str) -> CoefficientField:
         return meyers_field(nums[0])
     if kind == "constant" and len(nums) <= 1:
         return constant_field((nums[0] if nums else 1.0) * np.eye(2))
-    if kind == "smooth" and not nums:
-        return smooth_field()
     raise FemError(f"unknown coefficient {spec!r}")
 
 
@@ -200,36 +188,14 @@ def assemble(tri: Triangulation, field: CoefficientField) -> P1System:
     return P1System(tri, K, interior)
 
 
-def load(system: P1System, f) -> np.ndarray:
-    """Load vector b[x] = -<f, phi_x> over interior vertices.
-
-    ``f`` is a callable on points, an array of vertex samples, or a
-    divergence-form pair ("div", F1, F2) with <div F, phi> = -int F . grad phi.
-    """
+def load(system: P1System, f: Callable) -> np.ndarray:
+    """Load vector b[x] = -<f, phi_x> over interior vertices, for a callable
+    ``f`` on points; a scalar return is broadcast to every vertex."""
     tri = system.tri
-    if isinstance(f, tuple) and len(f) == 3 and f[0] == "div":
-        _, f1, f2 = f
-        pts = np.einsum("qk,tkd->tqd", _MID_BARY, tri.points[tri.triangles])
-        flat = pts.reshape(-1, 2)
-        fbar = np.stack([np.asarray(f1(flat)), np.asarray(f2(flat))], axis=-1)
-        fbar = fbar.reshape(len(tri.triangles), 3, 2).mean(axis=1)
-        # <div F, phi_x> = -sum_T area * F_T . grad phi_x ; b = -<f, phi>
-        contrib = np.einsum("td,tid->ti", fbar, tri.gradients) * tri.areas[:, None]
-        b_full = np.zeros(tri.n_vertices)
-        np.add.at(b_full, tri.triangles.ravel(), contrib.ravel())
-    else:
-        if callable(f):
-            samples = np.asarray(f(tri.points), dtype=float)
-            samples = np.broadcast_to(samples, (tri.n_vertices,))
-        else:
-            samples = np.asarray(f, dtype=float)
-            if samples.shape != (tri.n_vertices,):
-                raise FemError("vertex samples must cover every vertex")
-        lumped = np.zeros(tri.n_vertices)
-        np.add.at(lumped, tri.triangles.ravel(),
-                  np.repeat(system.tri.areas / 3.0, 3))
-        b_full = -samples * lumped
-    return b_full[system.interior]
+    samples = np.broadcast_to(np.asarray(f(tri.points), dtype=float), (tri.n_vertices,))
+    lumped = np.zeros(tri.n_vertices)
+    np.add.at(lumped, tri.triangles.ravel(), np.repeat(tri.areas / 3.0, 3))
+    return (-samples * lumped)[system.interior]
 
 
 def f_h(system: P1System, b: np.ndarray) -> np.ndarray:

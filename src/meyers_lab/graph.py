@@ -66,18 +66,19 @@ class WeightedGraph:
         if np.any(self.m <= 0):
             raise GraphError("isolated vertex")
 
-        # adjacency in CSR layout, for per-vertex iteration; each slot also
-        # holds the id of its edge, and no vertex has an empty segment
+        # the metric in CSR layout is also the adjacency: its slots hold each
+        # edge once from each end, in (vertex, neighbor) order, and _adj_edge
+        # the id of each slot's edge; no vertex has an empty segment
         ends, nbrs = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-        order = np.argsort(ends, kind="stable")
-        self._adj_nbr = nbrs[order]
+        order = np.lexsort((nbrs, ends))
         self._adj_edge = np.tile(np.arange(len(lo)), 2)[order]
-        self._adj_ptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+        self._metric = sp.csr_matrix((h[self._adj_edge], nbrs[order], indptr), shape=(n, n))
 
-        self.degree = np.diff(self._adj_ptr)
+        self.degree = np.diff(self._metric.indptr)
         self.N = int(self.degree.max())
-        starts = self._adj_ptr[:-1]
-        h_at, mu_at = h[self._adj_edge], mu[self._adj_edge]
+        starts = self._metric.indptr[:-1]
+        h_at, mu_at = self._metric.data, mu[self._adj_edge]
         self.h_x = np.maximum.reduceat(h_at, starts)
         self.C_W = float((self.h_x / np.minimum.reduceat(h_at, starts)).max())
         self.C_mu = float((np.maximum.reduceat(mu_at, starts)
@@ -86,8 +87,6 @@ class WeightedGraph:
         self.m_over_hx2_bracket = (float(ratio.min()), float(ratio.max()))
         self.h = float(h.max())
 
-        self._metric = sp.coo_matrix((np.concatenate([h, h]), (ends, nbrs)),
-                                     shape=(n, n)).tocsr()
         if csgraph.connected_components(self._metric, directed=False, return_labels=False) != 1:
             raise GraphError("graph is not connected")
 
@@ -108,7 +107,7 @@ class WeightedGraph:
         return len(self.edge_u)
 
     def neighbors(self, x: int) -> np.ndarray:
-        return self._adj_nbr[self._adj_ptr[x]:self._adj_ptr[x + 1]]
+        return self._metric.indices[self._metric.indptr[x]:self._metric.indptr[x + 1]]
 
     def export_text(self) -> str:
         lines = [f"vertex {x} {float(self.m[x])!r}" for x in range(self.n)]
@@ -197,13 +196,6 @@ def edge_gram(u, v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, data
 
 
-def distance(g: WeightedGraph, x: int, y: int) -> float:
-    d = distances_from(g, x)[y]
-    if not np.isfinite(d):
-        raise GraphError(f"vertex {y} unreachable from {x}")
-    return float(d)
-
-
 def ball(g: WeightedGraph, x: int, r: float):
     """Strict metric ball B(x, r) and its volume V(x, r) = sum of m over the ball."""
     if not r > 0:
@@ -248,8 +240,8 @@ def _poincare_constants(g: WeightedGraph, balls: np.ndarray, members: np.ndarray
     multi = (sizes > 1)[balls]
     balls, ys = balls[multi], members[multi]
     # the edges at the members, each ball's in ascending order
-    starts = g._adj_ptr[ys]
-    counts = g._adj_ptr[ys + 1] - starts
+    starts = g._metric.indptr[ys]
+    counts = g._metric.indptr[ys + 1] - starts
     slots = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
     eb, edges = np.divmod(np.unique(np.repeat(balls, counts) * n_edges + g._adj_edge[slots]),
                           n_edges)

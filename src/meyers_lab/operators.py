@@ -98,10 +98,10 @@ class GraphOperator:
                                    shape=self.S.shape)
         self.m = graph.m
         # every vertex has an edge, so S stores its whole diagonal and
-        # S + lam diag(m) has exactly S's pattern
-        self._csc = self.S.tocsc()
-        cols = np.repeat(np.arange(graph.n), np.diff(self._csc.indptr))
-        self._diag = np.flatnonzero(self._csc.indices == cols)
+        # S + lam diag(m) has exactly S's pattern; S is symmetric, so its CSR
+        # arrays are bitwise those of its CSC form
+        cols = np.repeat(np.arange(graph.n), np.diff(self.S.indptr))
+        self._diag = np.flatnonzero(self.S.indices == cols)
 
     def apply(self, u) -> np.ndarray:
         return (self.S @ np.asarray(u)) / self.m
@@ -115,11 +115,11 @@ class GraphOperator:
         ``(S + lam * sp.diags(m)).tocsr().tocsc()``; each call fills a fresh
         copy of S's CSC data. Real S and real lam give a real matrix.
         """
-        c = self._csc
+        S = self.S
         shift = self.m * lam  # the product lam * sp.diags(m) stores
-        data = c.data.astype(np.result_type(c.data, shift))
+        data = S.data.astype(np.result_type(S.data, shift))
         data[self._diag] += shift
-        out = sp.csc_matrix((data, c.indices.copy(), c.indptr.copy()), shape=c.shape)
+        out = sp.csc_matrix((data, S.indices.copy(), S.indptr.copy()), shape=S.shape)
         if not data[self._diag].all():
             out.eliminate_zeros()  # a sparse sum drops entries that cancel
         return out
@@ -315,7 +315,7 @@ def kernel_column(op: GraphOperator, ts, y: int) -> KernelColumn:
     distance rows are freed before the first factorization."""
     g = op.graph
     ts = np.asarray(ts, dtype=float)
-    window = box_window(g) if g.coords is not None else np.arange(g.n)
+    window = box_window(g)
     d = distances_from(g, y)[window]
     hs = h_star(g, y, window)
     inw = np.zeros(g.n, dtype=bool)

@@ -192,7 +192,7 @@ def _candidate_functions(g: WeightedGraph, trials: int, rng) -> list[np.ndarray]
 
 
 def embedding_report(g: WeightedGraph, p_sobolev: float, p_holder: float,
-                     trials: int = 40, seed: int = 0) -> EmbeddingReport:
+                     trials: int, seed: int = 0) -> EmbeddingReport:
     """Empirical embedding ratios with volume exponent sigma = 2, both over
     one candidate set: max ||f||_{p*} / ||grad f||_p with p* = 2p / (2 - p)
     at p = p_sobolev, and max ||f||_{C^eta} / ||f||_{W^{1,p}} with

@@ -522,23 +522,33 @@ def test_kernel_table_regimes_and_bounds_match_meta(small_run):
         assert sub and np.mean(k <= bound * (1 + 1e-12)) == meta[0][f"pass_rate_{regime}"]
 
 
-@pytest.mark.parametrize("small_run", ["rate_theta"], indirect=True)
-@pytest.mark.parametrize("doctor, message", [
-    (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]], "line 2: 11 cells"),
-    (lambda lines: [lines[0], lines[1] + ",0.5", *lines[2:]], "line 2: 13 cells"),
-    (lambda lines: [], "empty file"),
-    (lambda lines: lines[:1], "a verdict file without rows"),
-], ids=["cell_cut_off", "extra_cell", "empty", "header_only"])
-def test_report_refuses_malformed_rows_files(small_run, tmp_path, capsys, doctor, message):
-    # a row one cell short or long used to be judged, every verdict PASS
+@pytest.mark.parametrize("small_run, name, doctor, message", [
+    ("rate_theta", "rate_theta_rows.csv",
+     lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]], "line 2: 11 cells"),
+    ("rate_theta", "rate_theta_rows.csv",
+     lambda lines: [lines[0], lines[1] + ",0.5", *lines[2:]], "line 2: 13 cells"),
+    ("rate_theta", "rate_theta_rows.csv", lambda lines: [], "empty file"),
+    ("rate_theta", "rate_theta_rows.csv", lambda lines: lines[:1], "a verdict file without rows"),
+    ("kernel_bounds", "kernel_table.csv",
+     lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0], *lines[3:]],
+     "line 3: 8 cells under a header of 9"),
+], indirect=["small_run"], ids=["cell_cut_off-rate_theta", "extra_cell-rate_theta",
+                                "empty-rate_theta", "header_only-rate_theta",
+                                "table_cell_cut_off-kernel_bounds"])
+def test_report_refuses_malformed_rows_files(small_run, tmp_path, capsys, name, doctor,
+                                             message):
+    # a row one cell short or long used to be judged, every verdict PASS, and
+    # a table passed with its verdict file used to be read by its header alone
     _, summary, _ = small_run
-    lines = Path(summary.csv_paths[0]).read_text().splitlines()
-    bad = tmp_path / "rate_theta_rows.csv"
+    rows_files = summary.csv_paths[:-1]
+    lines = Path(next(p for p in rows_files if p.endswith(name))).read_text().splitlines()
+    bad = tmp_path / name
     bad.write_text("".join(line + "\n" for line in doctor(lines)))
+    inputs = [p for p in rows_files if not p.endswith(name)] + [str(bad)]
     with pytest.raises(ConfigError, match=message) as err:
-        recompute_verdicts([str(bad)])
+        recompute_verdicts(inputs)
     assert str(bad) in str(err.value)
-    assert cli.main(["report", str(bad)]) == 1
+    assert cli.main(["report", *inputs]) == 1
     assert str(bad) in capsys.readouterr().err
 
 

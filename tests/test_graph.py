@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from meyers_lab import (GraphError, Polygon, WeightedGraph, ball, box_window,
-                        distance, distances_from, from_triangulation,
-                        geometry_report, h_star, lattice_box, refine_red,
-                        rescale, triangulate)
+                        distances_from, from_triangulation, geometry_report,
+                        h_star, lattice_box, refine_red, rescale, triangulate)
 from meyers_lab import graph
 from meyers_lab.graph import _poincare_constants, _volume_profiles
 
@@ -138,17 +137,17 @@ class TestAdjacencyConstants:
 
 class TestDistanceAndBalls:
     def test_distance_zero_on_diagonal(self, small_path):
-        assert distance(small_path, 1, 1) == 0.0
+        assert distances_from(small_path, 1)[1] == 0.0
 
     def test_path_distance_sums_weights(self, small_path):
-        assert distance(small_path, 0, 3) == pytest.approx(6.0)
+        assert distances_from(small_path, 0)[3] == pytest.approx(6.0)
 
     def test_structured_mesh_corner_to_corner(self, coarse_square_mesh,
                                               coarse_square_graph):
         tri, g = coarse_square_mesh, coarse_square_graph
         a = int(np.nonzero((tri.points == 0).all(axis=1))[0][0])
         b = int(np.nonzero((tri.points == 1).all(axis=1))[0][0])
-        d = distance(g, a, b)
+        d = distances_from(g, a)[b]
         assert SQRT2 <= d <= SQRT2 + 2 * g.h + 1e-12
         assert d == pytest.approx(SQRT2)  # the two diagonals through the center
 
@@ -219,6 +218,30 @@ class TestDirectedSearch:
         limit = data.draw(st.one_of(st.just(np.inf), st.floats(0.1, 20.0)))
         want = csgraph.dijkstra(g._metric, directed=False, indices=sources, limit=limit)
         assert np.array_equal(distances_from(g, sources, limit=limit), want)
+
+
+class TestMetricSlots:
+    """The metric's CSR slots are the adjacency: each row's neighbors in
+    ascending order, each slot carrying its edge's id and length."""
+
+    @staticmethod
+    def assert_slots_match_edges(g):
+        M = g._metric
+        rows = np.repeat(np.arange(g.n), np.diff(M.indptr))
+        e = g._adj_edge
+        assert len(e) == M.nnz == 2 * g.n_edges
+        ends = np.sort(np.column_stack([rows, M.indices]), axis=1)
+        assert np.array_equal(ends, np.column_stack([g.edge_u[e], g.edge_v[e]]))
+        assert M.data.tobytes() == g.edge_h[e].tobytes()
+        assert all(np.all(np.diff(g.neighbors(x)) > 0) for x in range(g.n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_graphs(self, seed):
+        self.assert_slots_match_edges(random_graph(np.random.default_rng(seed)))
+
+    def test_mesh_graph(self, unit_square):
+        self.assert_slots_match_edges(from_triangulation(triangulate(unit_square, 2.0**-3)))
 
 
 def poincare(g, members, r, memo=None):

@@ -8,12 +8,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from meyers_lab import operators
-from meyers_lab import (EdgeCoefficients, OperatorError, box_window,
+from meyers_lab import (EdgeCoefficients, OperatorError, Polygon, box_window,
                         build_operator, contour_nodes, df_grad_bracket,
-                        distances_from, expm_oracle, gradient_length, h_star,
-                        kernel_bound_check, kernel_column, kernel_holder_fit,
-                        lattice_box, perturbed_coefficients, rescale,
-                        resolvent_bound_sweep, resolvent_solve, semigroup_apply,
+                        distances_from, expm_oracle, from_triangulation,
+                        gradient_length, h_star, kernel_bound_check,
+                        kernel_column, kernel_holder_fit, lattice_box,
+                        perturbed_coefficients, rescale, resolvent_bound_sweep,
+                        resolvent_solve, semigroup_apply, triangulate,
                         uniform_coefficients)
 from meyers_lab.spaces import _HOLDER_BLOCK
 
@@ -141,6 +142,22 @@ class TestSector:
 
 class TestShiftedMatrix:
     LAMS = (0.0, 1.0, 2 - 5j, 7 * cmath.exp(0.6j * math.pi))
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("make", [
+        lambda: lattice_box(9, 7),
+        lambda: rescale(lattice_box(12, 12), 0.3),
+        lambda: from_triangulation(triangulate(Polygon.unit_square(), 2.0**-3)),
+    ], ids=["lattice_box", "rescale", "mesh"])
+    def test_S_is_its_own_csc(self, make, perturbed):
+        # matrix() fills S's CSR arrays as CSC ones: S must be symmetric bitwise
+        g = make()
+        c = perturbed_coefficients(g, 0.3) if perturbed else uniform_coefficients(g)
+        S = build_operator(g, c).S
+        csc = S.tocsc()
+        for name in ("indptr", "indices"):
+            assert np.array_equal(getattr(S, name), getattr(csc, name))
+        assert S.data.tobytes() == csc.data.tobytes()
 
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_bitwise_equal_to_sparse_sum(self, box16, perturbed):

@@ -306,4 +306,4 @@ class TestEmbeddings:
 
     def test_p_equals_sigma_rejected(self, coarse_square_graph):
         with pytest.raises(SpaceError):
-            embedding_report(coarse_square_graph, 2.0, 4.0)
+            embedding_report(coarse_square_graph, 2.0, 4.0, trials=5)
