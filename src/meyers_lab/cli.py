@@ -11,11 +11,12 @@ from . import experiments, mesh
 
 
 def _epilog() -> str:
-    """Experiments, defaults and row-file headers, from the experiment records."""
-    lines = ["experiments, their defaults and row files (name: CSV header)"]
+    """Experiments, defaults, limits and row-file headers, from the experiment records."""
+    lines = ["experiments, their defaults, limits and row files (name: CSV header)"]
     for exp in experiments.REGISTRY.values():
         lines.append(f"  {exp.name}")
         lines.append("    defaults: " + "; ".join(f"{k} = {v}" for k, v in exp.defaults.items()))
+        lines.append("    limits: " + "; ".join(f"{k} = {v}" for k, v in exp.limits.items()))
         lines += [f"    {name}: {header}" for name, header in exp.files]
     lines += [
         f"every run also writes <experiment>_summary.csv: {experiments.SUMMARY_HEADER}",

@@ -27,24 +27,6 @@ import numpy as np
 from . import fem, graph, mesh, operators, reference, spaces
 from .fitting import fit_loglog
 
-# fixed acceptance thresholds, keyed by (experiment, check)
-THRESHOLDS = {
-    ("meyers_sweep", "slope_abs_max"): 0.05,
-    ("meyers_sweep", "maxmin_max"): 1.3,
-    ("counterexample", "blowup_slope_max"): -0.2,
-    ("counterexample", "bounded_maxmin_max"): 1.5,
-    ("holder_convergence", "maxmin_max"): 2.0,
-    ("rate_theta", "center_tol"): 0.002,
-    ("rate_theta", "w12_order_min"): 0.9,
-    ("rate_theta", "theta_order_tol"): 0.15,
-    ("resolvent_sweep", "r_inf_maxmin_max"): 3.0,
-    ("resolvent_sweep", "slope_range"): (-0.6, -0.4),
-    ("resolvent_sweep", "r_eta_maxmin_max"): 4.0,
-    ("kernel_bounds", "oracle_dev_max"): 1e-8,
-    ("embeddings", "factor_max"): 2.0,
-    ("geometry", "factor_max"): 2.0,
-}
-
 SUMMARY_HEADER = "check,value,threshold,verdict"
 
 
@@ -270,6 +252,17 @@ def _verdict(name, value, ok, threshold) -> dict:
             "verdict": "pass" if ok else "fail"}
 
 
+def _maxmin(rows, key) -> float:
+    """max/min of column ``key`` over the rows."""
+    vals = [r[key] for r in rows]
+    return max(vals) / min(vals)
+
+
+def _slope(rows, x, y) -> float:
+    """The log-log slope of column ``y`` against column ``x`` over the rows."""
+    return fit_loglog([(r[x], r[y]) for r in rows])
+
+
 def _groups(rows, *keys) -> list[tuple[tuple, list[dict]]]:
     """(values of ``keys``, the rows holding them, in order) per distinct values, sorted."""
     groups: dict[tuple, list[dict]] = {}
@@ -295,14 +288,11 @@ def run_meyers_sweep(cfg: ExperimentConfig):
     return (rows,)
 
 
-def verdicts_meyers_sweep(rows):
+def verdicts_meyers_sweep(rows, limits):
+    t1, t2 = limits["slope_abs_max"], limits["maxmin_max"]
     out = []
     for (p,), sub in _groups(rows, "p"):
-        slope = fit_loglog([(r["h"], r["ratio"]) for r in sub])
-        ratios = [r["ratio"] for r in sub]
-        mm = max(ratios) / min(ratios)
-        t1 = THRESHOLDS[("meyers_sweep", "slope_abs_max")]
-        t2 = THRESHOLDS[("meyers_sweep", "maxmin_max")]
+        slope, mm = _slope(sub, "h", "ratio"), _maxmin(sub, "ratio")
         out.append(_verdict(f"uniform_bound_slope[p={p}]", slope,
                             abs(slope) <= t1, f"|slope| <= {t1}"))
         out.append(_verdict(f"uniform_bound_maxmin[p={p}]", mm, mm <= t2,
@@ -323,19 +313,15 @@ def run_counterexample(cfg: ExperimentConfig):
     return (rows,)
 
 
-def verdicts_counterexample(rows):
+def verdicts_counterexample(rows, limits):
     out = []
     for (p,), sub in _groups(rows, "p"):
-        p_c = sub[0]["p_c"]
-        slope = fit_loglog([(r["h"], r["w1p"]) for r in sub])
-        vals = [r["w1p"] for r in sub]
-        mm = max(vals) / min(vals)
-        if p > p_c:
-            t = THRESHOLDS[("counterexample", "blowup_slope_max")]
+        if p > sub[0]["p_c"]:
+            slope, t = _slope(sub, "h", "w1p"), limits["blowup_slope_max"]
             out.append(_verdict(f"blowup_slope[p={p}]", slope, slope <= t,
                                 f"slope <= {t}"))
         else:
-            t = THRESHOLDS[("counterexample", "bounded_maxmin_max")]
+            mm, t = _maxmin(sub, "w1p"), limits["bounded_maxmin_max"]
             out.append(_verdict(f"bounded_maxmin[p={p}]", mm, mm <= t,
                                 f"max/min <= {t}"))
     return out
@@ -359,12 +345,11 @@ def run_holder_convergence(cfg: ExperimentConfig):
     return (rows,)
 
 
-def verdicts_holder(rows):
+def verdicts_holder(rows, limits):
+    t = limits["maxmin_max"]
     out = []
     for (p,), sub in _groups(rows, "p"):
-        vals = [r["holder_norm"] for r in sub]
-        mm = max(vals) / min(vals)
-        t = THRESHOLDS[("holder_convergence", "maxmin_max")]
+        mm = _maxmin(sub, "holder_norm")
         out.append(_verdict(f"holder_maxmin[p={p}]", mm, mm <= t, f"max/min <= {t}"))
         diffs = [r["cauchy_diff"] for r in sub if r["cauchy_diff"] != ""]
         dec = all(a > b for a, b in zip(diffs, diffs[1:])) and len(diffs) >= 2
@@ -401,21 +386,20 @@ def run_rate_theta(cfg: ExperimentConfig):
     return (rows,)
 
 
-def verdicts_rate_theta(rows):
+def verdicts_rate_theta(rows, limits):
     out = []
     theta = rows[0]["theta"]
     p_probe, p_hi = rows[0]["p_probe"], rows[0]["p_hi"]
-    orders = {p: fit_loglog([(r["h"], r["w1p_error"]) for r in sub])
-              for (p,), sub in _groups(rows, "p")}
+    orders = {p: _slope(sub, "h", "w1p_error") for (p,), sub in _groups(rows, "p")}
     crow = [r for r in rows if r["level"] == rows[0]["center_level"]][0]
     cerr = abs(crow["center_value"] - crow["center_ref"])
-    t_c = THRESHOLDS[("rate_theta", "center_tol")]
+    t_c = limits["center_tol"]
     out.append(_verdict("center_value_error", cerr, cerr <= t_c, f"<= {t_c}"))
-    t_w = THRESHOLDS[("rate_theta", "w12_order_min")]
+    t_w = limits["w12_order_min"]
     out.append(_verdict("w12_order", orders[2.0], orders[2.0] >= t_w, f">= {t_w}"))
     # interpolation of the measured endpoint orders with the theta exponent
     pred = theta * orders[2.0] + (1.0 - theta) * orders[p_hi]
-    t_t = THRESHOLDS[("rate_theta", "theta_order_tol")]
+    t_t = limits["theta_order_tol"]
     diff = abs(orders[p_probe] - pred)
     out.append(_verdict(f"theta_order[p={p_probe},theta={theta:.4f}]", diff,
                         diff <= t_t, f"|order - interp| <= {t_t}"))
@@ -445,17 +429,13 @@ def run_resolvent_sweep(cfg: ExperimentConfig):
     return (rows,)
 
 
-def verdicts_resolvent(rows):
+def verdicts_resolvent(rows, limits):
     out = []
-    lam_dec = THRESHOLDS[("resolvent_sweep", "slope_range")]
+    t_i, t_e = limits["r_inf_maxmin_max"], limits["r_eta_maxmin_max"]
+    lam_dec = limits["slope_range"]
     for (vname, ray), sub in _groups(rows, "variant", "ray"):
-        rinf = [r["R_inf"] for r in sub]
-        reta = [r["R_eta"] for r in sub]
-        slope = fit_loglog([(r["abs_lam"], r["sup_ratio"]) for r in sub])
-        mm_i = max(rinf) / min(rinf)
-        mm_e = max(reta) / min(reta)
-        t_i = THRESHOLDS[("resolvent_sweep", "r_inf_maxmin_max")]
-        t_e = THRESHOLDS[("resolvent_sweep", "r_eta_maxmin_max")]
+        mm_i, mm_e = _maxmin(sub, "R_inf"), _maxmin(sub, "R_eta")
+        slope = _slope(sub, "abs_lam", "sup_ratio")
         tag = f"[{vname},{ray}]"
         out.append(_verdict(f"R_inf_maxmin{tag}", mm_i, mm_i <= t_i, f"<= {t_i}"))
         out.append(_verdict(f"sup_slope{tag}", slope,
@@ -494,10 +474,10 @@ def run_kernel_bounds(cfg: ExperimentConfig):
     return meta_rows, table_rows
 
 
-def verdicts_kernel(meta_rows):
+def verdicts_kernel(meta_rows, limits):
     out = []
     dev = max(r["oracle_dev"] for r in meta_rows)
-    t_d = THRESHOLDS[("kernel_bounds", "oracle_dev_max")]
+    t_d = limits["oracle_dev_max"]
     out.append(_verdict("contour_vs_oracle", dev, dev <= t_d, f"<= {t_d}"))
     beta = meta_rows[0]["beta"]
     rate_b = min(r["pass_rate_b"] for r in meta_rows)
@@ -521,19 +501,18 @@ def run_embeddings(cfg: ExperimentConfig):
     return (rows,)
 
 
-def _stability_verdicts(rows, experiment: str, keys) -> list[dict]:
-    """max/min of each column across the family, below factor_max."""
+def _stability_verdicts(rows, keys, t) -> list[dict]:
+    """max/min of each column across the family, below ``t``."""
     out = []
-    t = THRESHOLDS[(experiment, "factor_max")]
     for key in keys:
-        vals = [r[key] for r in rows]
-        factor = max(vals) / min(vals)
+        factor = _maxmin(rows, key)
         out.append(_verdict(f"{key}_stability", factor, factor < t, f"< {t}"))
     return out
 
 
-def verdicts_embeddings(rows):
-    return _stability_verdicts(rows, "embeddings", ("sobolev_ratio_max", "holder_ratio_max"))
+def verdicts_embeddings(rows, limits):
+    return _stability_verdicts(rows, ("sobolev_ratio_max", "holder_ratio_max"),
+                               limits["factor_max"])
 
 
 def run_geometry(cfg: ExperimentConfig):
@@ -548,8 +527,8 @@ def run_geometry(cfg: ExperimentConfig):
     return (rows,)
 
 
-def verdicts_geometry(rows):
-    return _stability_verdicts(rows, "geometry", ("C_D", "c_L", "C_P"))
+def verdicts_geometry(rows, limits):
+    return _stability_verdicts(rows, ("C_D", "c_L", "C_P"), limits["factor_max"])
 
 
 # ---------------------------------------------------------------------------
@@ -559,14 +538,16 @@ def verdicts_geometry(rows):
 class Experiment:
     """One experiment: the config keys it reads, each as ``key: (default
     text, parser)``, the runner, the verdicts, the row files it writes as
-    (file name, comma-joined header) pairs, and ``check(name, values)`` for
-    the rules that span keys.
+    (file name, comma-joined header) pairs, its acceptance limits as
+    ``{name: value}``, and ``check(name, values)`` for the rules that span
+    keys.
 
     A parser turns the text into the value ``run`` reads from ``cfg.values``
     and raises ValueError on malformed or out-of-range text. ``run(cfg)``
     returns the row tables only, one row list per entry of ``files``.
-    ``verdicts(rows)`` judges the parsed rows of the first file, the verdict
-    file; only ``recompute_verdicts`` calls it.
+    ``verdicts(rows, limits)`` judges the parsed rows of the first file, the
+    verdict file, against the record's ``limits``; only
+    ``recompute_verdicts`` calls it.
     """
 
     name: str
@@ -574,6 +555,7 @@ class Experiment:
     run: Callable
     verdicts: Callable
     files: tuple
+    limits: dict
     check: Callable = lambda name, values: None
 
     @property
@@ -581,15 +563,17 @@ class Experiment:
         return {key: text for key, (text, _) in self.keys.items()}
 
 
+# the keys of the two f = 1 Galerkin records, meyers_sweep and holder_convergence
+_LOAD_ONE_KEYS = dict(domain=("unit_square", _domain),
+                      coefficient=("checkerboard:1:4", fem.coefficient_field),
+                      levels=("3,4,5,6", _levels(3)), p_list=("2.2", _p_list(2)))
+
 REGISTRY = {exp.name: exp for exp in (
     Experiment(
-        "meyers_sweep",
-        dict(domain=("unit_square", _domain),
-             coefficient=("checkerboard:1:4", fem.coefficient_field),
-             levels=("3,4,5,6", _levels(3)), p_list=("2.2", _p_list(2))),
-        run_meyers_sweep, verdicts_meyers_sweep,
+        "meyers_sweep", _LOAD_ONE_KEYS, run_meyers_sweep, verdicts_meyers_sweep,
         (("meyers_sweep_rows.csv",
           "experiment,p,level,h,n_vertices,w1p,f_l2,ratio,lhuh_rel"),),
+        dict(slope_abs_max=0.05, maxmin_max=1.3),
         _check_domain_family),
     Experiment(
         "counterexample",
@@ -598,15 +582,13 @@ REGISTRY = {exp.name: exp for exp in (
              levels=("3,4,5,6", _levels(3)), p_list=("2.5,6", _p_list(1))),
         run_counterexample, verdicts_counterexample,
         (("counterexample_rows.csv", "experiment,p,p_c,level,h,w1p,lhuh_rel"),),
+        dict(blowup_slope_max=-0.2, bounded_maxmin_max=1.5),
         _check_counterexample),
     Experiment(
-        "holder_convergence",
-        dict(domain=("unit_square", _domain),
-             coefficient=("checkerboard:1:4", fem.coefficient_field),
-             levels=("3,4,5,6", _levels(3)), p_list=("2.2", _p_list(2))),
-        run_holder_convergence, verdicts_holder,
+        "holder_convergence", _LOAD_ONE_KEYS, run_holder_convergence, verdicts_holder,
         (("holder_convergence_rows.csv",
           "experiment,p,eta,level,h,holder_norm,cauchy_diff,lhuh_rel"),),
+        dict(maxmin_max=2.0),
         _check_domain_family),
     Experiment(
         "rate_theta",
@@ -616,6 +598,7 @@ REGISTRY = {exp.name: exp for exp in (
         (("rate_theta_rows.csv",
           "experiment,level,h,p,w1p_error,center_value,center_ref,center_level,"
           "theta,p_probe,p_hi,lhuh_rel"),),
+        dict(center_tol=0.002, w12_order_min=0.9, theta_order_tol=0.15),
         _check_rate_theta),
     Experiment(
         "resolvent_sweep",
@@ -626,7 +609,8 @@ REGISTRY = {exp.name: exp for exp in (
         run_resolvent_sweep, verdicts_resolvent,
         (("resolvent_sweep_rows.csv",
           "experiment,variant,ray,lam_re,lam_im,abs_lam,sup_ratio,holder_ratio,"
-          "R_inf,R_eta,eta"),)),
+          "R_inf,R_eta,eta"),),
+        dict(r_inf_maxmin_max=3.0, slope_range=(-0.6, -0.4), r_eta_maxmin_max=4.0)),
     Experiment(
         "kernel_bounds",
         # one time gives the increment fit a single abscissa on a unit lattice
@@ -636,7 +620,8 @@ REGISTRY = {exp.name: exp for exp in (
         (("kernel_bounds_rows.csv",
           "experiment,t,y,oracle_dev,mass,neighbor_d,max_neighbor_increment,C,beta,"
           "pass_rate_b,pass_rate_a,C_holder,eta_increment,pass_rate_holder,c_prime"),
-         ("kernel_table.csv", "t,y,x,d,h_star,regime,K_re,K_im,bound_value"))),
+         ("kernel_table.csv", "t,y,x,d,h_star,regime,K_re,K_im,bound_value")),
+        dict(oracle_dev_max=1e-8)),
     Experiment(
         "embeddings",
         dict(domain=("unit_square", _domain), levels=("2,3,4,5", _levels(2)),
@@ -646,6 +631,7 @@ REGISTRY = {exp.name: exp for exp in (
         (("embeddings_rows.csv",
           "experiment,level,h,n_vertices,p_sobolev,p_star,sobolev_ratio_max,"
           "p_holder,eta,holder_ratio_max"),),
+        dict(factor_max=2.0),
         _check_domain_family),
     Experiment(
         "geometry",
@@ -653,6 +639,7 @@ REGISTRY = {exp.name: exp for exp in (
              r0=("auto", _r0), sample_count=("all", _sample_count)),
         run_geometry, verdicts_geometry,
         (("geometry_rows.csv", "experiment,level,h,r0,C_D,c_L,C_P,D,balls"),),
+        dict(factor_max=2.0),
         _check_domain_family),
 )}
 
@@ -759,4 +746,4 @@ def recompute_verdicts(paths: list[str]) -> list[dict]:
     if not judged:
         raise ConfigError("no verdict file among the inputs: " + ("; ".join(others) or "none"))
     return [v for name, (_, rows) in sorted(judged.items())
-            for v in REGISTRY[name].verdicts(rows)]
+            for v in REGISTRY[name].verdicts(rows, REGISTRY[name].limits)]

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -483,6 +484,18 @@ class TestRecords:
             assert got["verdict"] == want["verdict"]
             assert _same(float(got["value"]), float(want["value"])), got["check"]
 
+    def test_every_limit_is_read(self, small_run):
+        """Each value of the record's limits is printed in a threshold cell of
+        the summary, so a limit that no verdict reads is caught."""
+        name, summary, _ = small_run
+        header, *rows = _csv_rows(summary.csv_paths[-1])
+        printed = {float(num) for row in rows
+                   for num in re.findall(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?",
+                                         row[header.index("threshold")])}
+        for key, value in REGISTRY[name].limits.items():
+            for v in np.atleast_1d(value).tolist():
+                assert v in printed, (key, v)
+
     def test_help_lists_the_emitted_headers(self, small_run, capsys):
         name, summary, written = small_run
         with pytest.raises(SystemExit):
@@ -495,7 +508,9 @@ class TestRecords:
                 break
             section.append(line.strip())
         listed = dict(line.split(": ", 1) for line in section
-                      if not line.startswith("defaults:"))
+                      if not line.startswith(("defaults:", "limits:")))
+        limits = "; ".join(f"{k} = {v}" for k, v in REGISTRY[name].limits.items())
+        assert f"limits: {limits}" in section
         emitted = {os.path.basename(p): ",".join(_csv_rows(p)[0])
                    for p in summary.csv_paths if not p.endswith("_summary.csv")}
         assert listed == emitted
