@@ -13,6 +13,15 @@ per-triangle-constant A; three-point vertex rule for loads; six-point
 degree-4 rule for L^p norms of reconstructions (exact only for even integer
 p, the small quadrature error elsewhere is dominated by the effects under
 study).
+
+Solves use the mesh's red-refinement family (``Triangulation.parent``): a
+refined level is solved by conjugate gradients preconditioned with one
+multigrid V-cycle down its ancestors, whose operators are the Galerkin
+products P^T K P of the exact P1 prolongations; the coarsest ancestor, and a
+mesh without a parent, is solved by sparse direct factorization. Every inner
+product of the iteration is an ``np.einsum``, summed in an order fixed by its
+operands, so the iterates and the stopping step do not depend on the BLAS
+thread count.
 """
 from __future__ import annotations
 
@@ -52,6 +61,13 @@ _Q4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 # coefficient spot check
 _SOLVE_RTOL = 1e-10
 _VALIDATE_SLACK = 1e-9
+# conjugate gradients stop at this relative residual or after _CG_MAXITER
+# steps; each V-cycle level smooths with _SMOOTH_SWEEPS damped-Jacobi sweeps
+# (weight _JACOBI_OMEGA) before and after its coarse correction
+_CG_RTOL = 1e-13
+_CG_MAXITER = 100
+_SMOOTH_SWEEPS = 2
+_JACOBI_OMEGA = 0.8
 
 
 @dataclass
@@ -205,12 +221,82 @@ def f_h(system: P1System, b: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _prolongation(parent: Triangulation, fine_interior: np.ndarray,
+                  coarse_interior: np.ndarray) -> sp.csr_matrix:
+    """``red_prolong`` of ``parent`` as a sparse matrix, restricted to the
+    refined mesh's interior rows and the parent's interior columns: the
+    identity on the parent's vertices, 1/2 and 1/2 on each edge midpoint."""
+    n, e = parent.n_vertices, parent.edge_array
+    rows = np.concatenate([np.arange(n), np.repeat(n + np.arange(len(e)), 2)])
+    cols = np.concatenate([np.arange(n), e.ravel()])
+    vals = np.concatenate([np.ones(n), np.full(2 * len(e), 0.5)])
+    full = sp.csr_matrix((vals, (rows, cols)), shape=(n + len(e), n))
+    return full[fine_interior][:, coarse_interior]
+
+
+def _hierarchy(system: P1System) -> list[tuple]:
+    """(operator, inverse diagonal, prolongation from the next coarser level)
+    per level, finest first, down the mesh's parents; the coarsest level,
+    the mesh without a parent, carries no prolongation."""
+    A, tri, interior = system.K, system.tri, system.interior
+    levels = []
+    while tri.parent is not None:
+        coarse = tri.parent.interior_vertices()
+        P = _prolongation(tri.parent, interior, coarse)
+        levels.append((A, 1.0 / A.diagonal(), P))
+        A, tri, interior = (P.T @ A @ P).tocsr(), tri.parent, coarse
+    return levels + [(A, None, None)]
+
+
+def _vcycle(levels: list[tuple], r: np.ndarray) -> np.ndarray:
+    """One V-cycle for A x = r on levels[0]: damped-Jacobi sweeps around
+    the correction from the next level, a direct solve on the last."""
+    A, dinv, P = levels[0]
+    if P is None:
+        return spla.spsolve(A.tocsc(), r)
+    x = _JACOBI_OMEGA * dinv * r
+    for _ in range(_SMOOTH_SWEEPS - 1):
+        x += _JACOBI_OMEGA * dinv * (r - A @ x)
+    x += P @ _vcycle(levels[1:], P.T @ (r - A @ x))
+    for _ in range(_SMOOTH_SWEEPS):
+        x += _JACOBI_OMEGA * dinv * (r - A @ x)
+    return x
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.einsum("i,i->", a, b))
+
+
 def solve(system: P1System, b: np.ndarray) -> np.ndarray:
-    """Solve K u = b by sparse direct factorization and return u on every
-    vertex, zero on the boundary. A relative residual above ``_SOLVE_RTOL``
-    (or NaN) fails."""
-    u_int = spla.spsolve(system.K.tocsc(), b)
-    res = np.linalg.norm(system.K @ u_int - b)
+    """Solve K u = b and return u on every vertex, zero on the boundary.
+
+    A mesh without a parent is solved by sparse direct factorization. A
+    refined mesh is solved by conjugate gradients, preconditioned by one
+    V-cycle over its red-refinement ancestors, from a zero start until the
+    relative residual reaches ``_CG_RTOL`` or ``_CG_MAXITER`` steps. CG
+    needs a symmetric K, which a symmetric coefficient (or any constant
+    one) gives; a large variable skew part can keep it from converging.
+    Either way a relative residual above ``_SOLVE_RTOL`` (or NaN) fails.
+    """
+    levels = _hierarchy(system)
+    K = system.K
+    if len(levels) == 1:  # the coarsest level alone: its direct solve
+        u_int = _vcycle(levels, b)
+    else:
+        u_int, p, rz = np.zeros(len(b)), np.zeros(len(b)), 1.0
+        r = np.array(b, dtype=float)
+        stop = _CG_RTOL * _CG_RTOL * _dot(r, r)
+        for _ in range(_CG_MAXITER):
+            if not _dot(r, r) > stop:  # converged, a zero load, or NaN
+                break
+            z = _vcycle(levels, r)
+            rz, rz_old = _dot(r, z), rz
+            p = z + (rz / rz_old) * p  # the first step's p is z
+            q = K @ p
+            alpha = rz / _dot(p, q)
+            u_int += alpha * p
+            r -= alpha * q
+    res = np.linalg.norm(K @ u_int - b)
     scale = np.linalg.norm(b)
     rel = float(res / scale) if scale > 0 else float(res)
     if not rel <= _SOLVE_RTOL:

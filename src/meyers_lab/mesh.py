@@ -116,10 +116,14 @@ class Triangulation:
     Triangles are stored counterclockwise. Boundary vertices are derived
     combinatorially: endpoints of edges incident to exactly one triangle.
     A mesh of a given ``polygon`` must cover it conformingly (checked).
-    Instances are immutable after construction.
+    ``parent`` is the mesh that ``refine_red`` split into this one (None for
+    a mesh built from points), so a red-refinement family is a chain of
+    parents down to its coarsest mesh. Instances are immutable after
+    construction.
     """
 
-    def __init__(self, points, triangles, polygon: Polygon | None = None):
+    def __init__(self, points, triangles, polygon: Polygon | None = None,
+                 parent: Triangulation | None = None):
         pts = np.asarray(points, dtype=float)
         tris = np.asarray(triangles, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != 2:
@@ -147,6 +151,7 @@ class Triangulation:
         self.points = pts
         self.triangles = tris
         self.polygon = polygon
+        self.parent = parent
         self.h_t = h_t
         self.rho_t = rho_t
         self.areas = 0.5 * area2
@@ -308,7 +313,7 @@ def refine_red(tri: Triangulation) -> Triangulation:
     mab, mbc, mca = (tri.n_vertices + tri.triangle_edges).T
     children = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
                         axis=1).reshape(-1, 3)
-    return Triangulation(new_pts, children, polygon=tri.polygon)
+    return Triangulation(new_pts, children, polygon=tri.polygon, parent=tri)
 
 
 def red_prolong(tri: Triangulation, values) -> np.ndarray:

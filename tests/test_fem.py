@@ -7,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from meyers_lab import (FemError, apply_Lh, assemble,
+from meyers_lab import (FemError, Polygon, apply_Lh, assemble,
                         checkerboard_field, coefficient_field, constant_field,
                         f_h, from_triangulation, identity_field,
                         load, lp_norm, meyers_field, meyers_problem,
                         reconstruct, refine_red, solve, triangulate)
-from meyers_lab import reference
+from meyers_lab import fem, reference
 
 
 def dense_stiffness_oracle(tri, field, n_sub=12):
@@ -281,6 +282,113 @@ class TestSolve:
             # Q_h(u, v) + <f, R_h v> = v' K u - v' b = 0
             resid = v @ (sys.K @ u_int) - v @ b
             assert abs(resid) <= 1e-9 * max(abs(v @ b), 1.0)
+
+
+# a convex pentagon: triangulate fans it around its centroid, so its
+# red-refinement family runs down to a fan mesh with one interior vertex
+PENTAGON = Polygon([(0.0, 0.0), (1.0, 0.0), (1.3, 0.8), (0.5, 1.2), (-0.2, 0.7)])
+
+
+def _counting_spsolve(monkeypatch):
+    """Patch the solver's spsolve with one that counts its calls."""
+    calls = []
+    direct = spla.spsolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "spsolve", counting)
+    return calls
+
+
+def _family_system(poly, field, f, coarse_h, refinements):
+    tri = triangulate(poly, coarse_h)
+    for _ in range(refinements):
+        tri = refine_red(tri)
+    system = assemble(tri, field)
+    return system, load(system, f)
+
+
+class TestMultigridSolve:
+    def test_refined_mesh_records_its_parent(self, unit_square):
+        tri = triangulate(unit_square, 2.0**-2)
+        assert tri.parent is None
+        assert refine_red(tri).parent is tri
+        fan = triangulate(PENTAGON, 0.2)
+        assert fan.parent is not None and fan.parent.parent is not None
+        while fan.parent is not None:
+            fan = fan.parent
+        assert len(fan.interior_vertices()) == 1
+
+    def test_parentless_mesh_is_one_direct_solve(self, unit_square, monkeypatch):
+        system = assemble(triangulate(unit_square, 2.0**-4), checkerboard_field(1.0, 64.0))
+        b = load(system, lambda pts: 1.0)
+        want = spla.spsolve(system.K.tocsc(), b)
+        calls = _counting_spsolve(monkeypatch)
+        u = solve(system, b)
+        assert len(calls) == 1
+        assert u[system.interior].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["checkerboard", "meyers", "pentagon", "one_cell"])
+    @pytest.mark.parametrize("refinements", [0, 1, 2, 3])
+    def test_agrees_with_the_direct_solve(self, case, refinements, unit_square):
+        if case == "checkerboard":
+            args = (unit_square, coefficient_field("checkerboard:1:64"), lambda pts: 1.0, 2.0**-3)
+        elif case == "meyers":
+            problem = meyers_problem(0.5)
+            args = (Polygon.symmetric_square(1.0), problem.field, problem.f, 2.0**-3)
+        elif case == "pentagon":
+            args = (PENTAGON, checkerboard_field(1.0, 4.0), lambda pts: 1.0, 0.4)
+        else:  # the one-cell square: its coarsest mesh has no interior vertex
+            args = (unit_square, identity_field(), lambda pts: 1.0, 1.0)
+            refinements += 1
+        system, b = _family_system(*args, refinements)
+        want = spla.spsolve(system.K.tocsc(), b)
+        got = solve(system, b)[system.interior]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("skew", [
+        1.0,
+        pytest.param(20.0, marks=pytest.mark.xfail(
+            strict=True, raises=FemError,
+            reason="conjugate gradients need a symmetric K; a large variable skew "
+                   "part fails the residual check (ROADMAP item 11)")),
+    ])
+    def test_variable_skew_coefficient(self, skew, unit_square):
+        # A = I + skew * x * [[0, 1], [-1, 0]] makes K nonsymmetric
+        def matrix(pts):
+            out = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
+            out[:, 0, 1] += skew * pts[:, 0]
+            out[:, 1, 0] -= skew * pts[:, 0]
+            return out
+
+        field = fem.CoefficientField(matrix, ellipticity=1.0, bound=1.0 + skew,
+                                     kind="constant")
+        system, b = _family_system(unit_square, field, lambda pts: 1.0, 2.0**-3, 2)
+        want = spla.spsolve(system.K.tocsc(), b)
+        got = solve(system, b)[system.interior]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_iterations_do_not_grow_with_the_level(self, unit_square, monkeypatch):
+        # spsolve runs once per V-cycle, one per CG step: levels 5 and 7
+        field = coefficient_field("checkerboard:1:64")
+        counts = []
+        for refinements in (2, 4):
+            system, b = _family_system(unit_square, field, lambda pts: 1.0, 2.0**-3,
+                                       refinements)
+            calls = _counting_spsolve(monkeypatch)
+            solve(system, b)
+            counts.append(len(calls))
+        assert 1 < counts[1] <= counts[0] + 3
+
+    def test_unconverged_iteration_fails_the_residual_check(self, unit_square,
+                                                             monkeypatch):
+        system, b = _family_system(unit_square, coefficient_field("checkerboard:1:64"),
+                                   lambda pts: 1.0, 2.0**-3, 2)
+        monkeypatch.setattr(fem, "_CG_MAXITER", 1)
+        with pytest.raises(FemError, match="residual"):
+            solve(system, b)
 
 
 class TestApplyLh:

@@ -6,6 +6,11 @@ ROADMAP item that makes the verdicts able to fail, so the fix flips it loudly.
 No f = 1 control for meyers_sweep or holder_convergence: with f = 1 the
 singular mode is absent, so their passes are not shown to be wrong; those
 controls need the Kellogg load (ROADMAP item 4).
+
+The graph experiments embeddings and geometry take their graphs from
+``graph.from_triangulation``; their controls replace it with a graph family
+that is not the mesh family's: edge measures tilted across the domain at a
+rate beyond the mesh size, or a path with as many vertices as the mesh.
 """
 import csv
 
@@ -105,3 +110,74 @@ def test_rate_theta_rows_pass_as_written(rate_theta_rows):
 def test_wrong_theta_fails_theta_order(rate_theta_rows, tmp_path, theta):
     failed = _failed(_rejudged(rate_theta_rows, tmp_path, theta))
     assert any(check.startswith("theta_order[") for check in failed)
+
+
+# ---------------------------------------------------------------------------
+# embeddings and geometry: graph families that are not mesh graphs
+
+def _tilted(power):
+    """The mesh graph with mu_e scaled by exp((x - 1/2) / h^power), x the
+    edge midpoint's abscissa and h the mesh size: the measure changes by a
+    factor of about e per edge at power 1, and without bound as h shrinks
+    at power 1.5."""
+    def build(tri):
+        u, v, h, mu = graph.mesh_edges(tri)
+        x = 0.5 * (tri.points[u, 0] + tri.points[v, 0])
+        return graph.WeightedGraph(tri.n_vertices, u, v, h,
+                                   mu * np.exp((x - 0.5) / tri.h**power),
+                                   boundary=tri.boundary_vertices, coords=tri.points)
+    return build
+
+
+def _path(tri):
+    """A path with the mesh's vertex count, edge length h and mu_e = h^2,
+    its two ends the boundary: one-dimensional volume growth."""
+    n = tri.n_vertices
+    return graph.WeightedGraph(n, np.arange(n - 1), np.arange(1, n), np.full(n - 1, tri.h),
+                               np.full(n - 1, tri.h**2), boundary=[0, n - 1])
+
+
+GRAPH_FAMILIES = {"mesh": graph.from_triangulation, "tilted_h1.5": _tilted(1.5),
+                  "tilted_h": _tilted(1.0), "path": _path}
+
+
+def _graph_verdicts(exp, family, monkeypatch, tmp_path) -> dict:
+    """{check: verdict} of ``exp`` at its defaults on the graph family."""
+    monkeypatch.setattr(experiments.graph, "from_triangulation", GRAPH_FAMILIES[family])
+    verdicts = run(parse_config(f"experiment = {exp}\nout = {tmp_path}\n")).verdicts
+    return {v["check"]: v["verdict"] for v in verdicts}
+
+
+@pytest.mark.parametrize("exp", ["embeddings", "geometry"])
+def test_mesh_graphs_pass(exp, monkeypatch, tmp_path):
+    assert set(_graph_verdicts(exp, "mesh", monkeypatch, tmp_path).values()) == {"pass"}
+
+
+@pytest.mark.parametrize("family", ["tilted_h1.5", "tilted_h"])
+def test_tilted_measures_fail_both_embedding_verdicts(family, monkeypatch, tmp_path):
+    verdicts = _graph_verdicts("embeddings", family, monkeypatch, tmp_path)
+    assert verdicts == {"sobolev_ratio_max_stability": "fail",
+                        "holder_ratio_max_stability": "fail"}
+
+
+def test_path_fails_the_sobolev_embedding(monkeypatch, tmp_path):
+    verdicts = _graph_verdicts("embeddings", "path", monkeypatch, tmp_path)
+    assert verdicts["sobolev_ratio_max_stability"] == "fail"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a path satisfies the one-dimensional Morrey embedding: "
+                          "holder_ratio_max's max/min over levels 2-5 is 1.56, below 2; "
+                          "no Holder control for embeddings is known yet (ROADMAP item 7)")
+def test_path_fails_the_holder_embedding(monkeypatch, tmp_path):
+    verdicts = _graph_verdicts("embeddings", "path", monkeypatch, tmp_path)
+    assert verdicts["holder_ratio_max_stability"] == "fail"
+
+
+@pytest.mark.parametrize("family, caught", [
+    ("tilted_h1.5", {"C_D_stability", "c_L_stability"}),
+    ("tilted_h", {"c_L_stability"}),
+])
+def test_tilted_measures_fail_geometry(family, caught, monkeypatch, tmp_path):
+    verdicts = _graph_verdicts("geometry", family, monkeypatch, tmp_path)
+    assert {check for check, v in verdicts.items() if v == "fail"} >= caught
