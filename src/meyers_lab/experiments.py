@@ -337,11 +337,11 @@ def run_holder_convergence(cfg: ExperimentConfig):
         for lvl, tri, fld, lhuh in cells:
             hn = fld.holder_norm(eta)
             diff = "" if prev is None else fem.reconstruct(
-                tri, mesh.red_prolong(*prev) - fld.values).holder_norm(eta)
+                tri, mesh.red_prolong(tri.parent, prev) - fld.values).holder_norm(eta)
             rows.append({"experiment": "holder_convergence", "p": p, "eta": eta,
                          "level": lvl, "h": tri.h, "holder_norm": hn,
                          "cauchy_diff": diff, "lhuh_rel": lhuh})
-            prev = (tri, fld.values)
+            prev = fld.values
     return (rows,)
 
 
@@ -720,8 +720,8 @@ def _parse_csv(path: str) -> tuple[list[str], list[dict]]:
 def recompute_verdicts(paths: list[str]) -> list[dict]:
     """Derive summary verdicts from emitted row CSVs alone, judging each
     experiment's verdict file, the first of its ``files``; two are refused,
-    and so is an input without one. Every file is parsed, so a malformed one
-    is refused, and recognized by its header."""
+    and so is an input without one. Every file is parsed and recognized by
+    its header; a malformed one, or rows the verdicts cannot judge, is refused."""
     by_header = {header: (exp, i) for exp in REGISTRY.values()
                  for i, (_, header) in enumerate(exp.files)}
     judged: dict[str, tuple[str, list[dict]]] = {}
@@ -745,5 +745,10 @@ def recompute_verdicts(paths: list[str]) -> list[dict]:
             judged[exp.name] = (path, rows)
     if not judged:
         raise ConfigError("no verdict file among the inputs: " + ("; ".join(others) or "none"))
-    return [v for name, (_, rows) in sorted(judged.items())
-            for v in REGISTRY[name].verdicts(rows, REGISTRY[name].limits)]
+    out = []
+    for name, (path, rows) in sorted(judged.items()):
+        try:  # rows that parse but that the verdicts cannot judge
+            out += REGISTRY[name].verdicts(rows, REGISTRY[name].limits)
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {name} verdicts cannot judge its rows: {exc}") from exc
+    return out

@@ -17,11 +17,11 @@ study).
 Solves use the mesh's red-refinement family (``Triangulation.parent``): a
 refined level is solved by conjugate gradients preconditioned with one
 multigrid V-cycle down its ancestors, whose operators are the Galerkin
-products P^T K P of the exact P1 prolongations; the coarsest ancestor, and a
-mesh without a parent, is solved by sparse direct factorization. Every inner
-product of the iteration is an ``np.einsum``, summed in an order fixed by its
-operands, so the iterates and the stopping step do not depend on the BLAS
-thread count.
+products P^T K P, P the interior block of ``mesh.red_prolongation`` of the
+coarser mesh; the coarsest ancestor, and a mesh without a parent, is solved
+by sparse direct factorization. Every inner product of the iteration is an
+``np.einsum``, summed in an order fixed by its operands, so the iterates and
+the stopping step do not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from . import reference
 from .graph import mesh_edges, vertex_measure
-from .mesh import Triangulation, locate
+from .mesh import Triangulation, locate, red_prolongation
 from .spaces import _check_eta, _check_p, _holder_sup
 
 
@@ -82,9 +82,8 @@ class CoefficientField:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.matrix(np.atleast_2d(np.asarray(points, dtype=float)))
 
-    def validate(self, points) -> None:
-        """Spot-check A xi . xi >= c |xi|^2 and the entry bound on a sample."""
-        a = self(points)
+    def validate(self, a: np.ndarray) -> None:
+        """Spot-check A xi . xi >= c |xi|^2 and the entry bound on (k, 2, 2) samples a."""
         xi = np.random.default_rng(0).standard_normal((len(a), 2))
         quad = np.einsum("kij,ki,kj->k", a, xi, xi)
         norms = np.einsum("ki,ki->k", xi, xi)
@@ -189,7 +188,7 @@ def assemble(tri: Triangulation, field: CoefficientField) -> P1System:
     """
     bary = tri.points[tri.triangles].mean(axis=1)
     a_vals = field(bary)
-    field.validate(bary)
+    field.validate(a_vals)
     # local matrices: K_loc[t, i, j] = area_t * (A grad_j) . grad_i
     agrad = np.einsum("tab,tjb->tja", a_vals, tri.gradients)
     k_loc = np.einsum("tia,tja->tij", tri.gradients, agrad) * tri.areas[:, None, None]
@@ -221,19 +220,6 @@ def f_h(system: P1System, b: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _prolongation(parent: Triangulation, fine_interior: np.ndarray,
-                  coarse_interior: np.ndarray) -> sp.csr_matrix:
-    """``red_prolong`` of ``parent`` as a sparse matrix, restricted to the
-    refined mesh's interior rows and the parent's interior columns: the
-    identity on the parent's vertices, 1/2 and 1/2 on each edge midpoint."""
-    n, e = parent.n_vertices, parent.edge_array
-    rows = np.concatenate([np.arange(n), np.repeat(n + np.arange(len(e)), 2)])
-    cols = np.concatenate([np.arange(n), e.ravel()])
-    vals = np.concatenate([np.ones(n), np.full(2 * len(e), 0.5)])
-    full = sp.csr_matrix((vals, (rows, cols)), shape=(n + len(e), n))
-    return full[fine_interior][:, coarse_interior]
-
-
 def _hierarchy(system: P1System) -> list[tuple]:
     """(operator, inverse diagonal, prolongation from the next coarser level)
     per level, finest first, down the mesh's parents; the coarsest level,
@@ -242,7 +228,7 @@ def _hierarchy(system: P1System) -> list[tuple]:
     levels = []
     while tri.parent is not None:
         coarse = tri.parent.interior_vertices()
-        P = _prolongation(tri.parent, interior, coarse)
+        P = red_prolongation(tri.parent)[interior][:, coarse]
         levels.append((A, 1.0 / A.diagonal(), P))
         A, tri, interior = (P.T @ A @ P).tocsr(), tri.parent, coarse
     return levels + [(A, None, None)]

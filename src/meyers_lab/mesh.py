@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numpy as np
+import scipy.sparse as sp
 
 
 class MeshError(ValueError):
@@ -308,7 +309,7 @@ def triangulate(polygon: Polygon, h_target: float) -> Triangulation:
 
 def refine_red(tri: Triangulation) -> Triangulation:
     """Red refinement: split every triangle into 4 children via edge midpoints."""
-    new_pts = np.column_stack([red_prolong(tri, x) for x in tri.points.T])
+    new_pts = red_prolongation(tri) @ tri.points
     a, b, c = tri.triangles.T
     mab, mbc, mca = (tri.n_vertices + tri.triangle_edges).T
     children = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca],
@@ -316,18 +317,25 @@ def refine_red(tri: Triangulation) -> Triangulation:
     return Triangulation(new_pts, children, polygon=tri.polygon, parent=tri)
 
 
-def red_prolong(tri: Triangulation, values) -> np.ndarray:
-    """Values on refine_red(tri): vertex values kept, midpoints averaged.
+def red_prolongation(tri: Triangulation) -> sp.csr_matrix:
+    """(n + e) x n matrix from vertex values on ``tri`` (n vertices, e edges)
+    to those on refine_red(tri), whose vertices are ``tri``'s, then one
+    midpoint per row of ``tri.edge_array``: identity rows, then 1/2, 1/2 on
+    each edge's ends. Exact for P1 fields; products with it are bitwise the
+    kept values and midpoint means (halving is exact), up to a zero's sign."""
+    n, e = tri.n_vertices, tri.edge_array
+    rows = np.concatenate([np.arange(n), np.repeat(n + np.arange(len(e)), 2)])
+    cols = np.concatenate([np.arange(n), e.ravel()])
+    vals = np.concatenate([np.ones(n), np.full(2 * len(e), 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n + len(e), n))
 
-    Exact for piecewise-linear fields, since midpoint values of a linear
-    function are edge averages; the refined vertex order is parents followed
-    by midpoints in edge order, matching refine_red.
-    """
+
+def red_prolong(tri: Triangulation, values) -> np.ndarray:
+    """Values on refine_red(tri): ``red_prolongation(tri) @ values``."""
     vals = np.asarray(values, dtype=float)
     if vals.shape != (tri.n_vertices,):
         raise MeshError("one value per vertex required")
-    e = tri.edge_array
-    return np.concatenate([vals, 0.5 * (vals[e[:, 0]] + vals[e[:, 1]])])
+    return red_prolongation(tri) @ vals
 
 
 # a point whose barycentric coordinates are all >= -_INSIDE_TOL is inside

@@ -537,6 +537,16 @@ def test_kernel_table_regimes_and_bounds_match_meta(small_run):
         assert sub and np.mean(k <= bound * (1 + 1e-12)) == meta[0][f"pass_rate_{regime}"]
 
 
+def _rewrite(column, cell, rows=slice(None)):
+    """A doctor that sets the ``column`` cell of the data ``rows`` to ``cell``."""
+    def doctor(lines):
+        header, *body = (line.split(",") for line in lines)
+        for cells in body[rows]:
+            cells[header.index(column)] = cell
+        return [",".join(cells) for cells in (header, *body)]
+    return doctor
+
+
 @pytest.mark.parametrize("small_run, name, doctor, message", [
     ("rate_theta", "rate_theta_rows.csv",
      lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]], "line 2: 11 cells"),
@@ -547,9 +557,15 @@ def test_kernel_table_regimes_and_bounds_match_meta(small_run):
     ("kernel_bounds", "kernel_table.csv",
      lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0], *lines[3:]],
      "line 3: 8 cells under a header of 9"),
+    # rows that parse but that the verdicts cannot judge
+    ("rate_theta", "rate_theta_rows.csv", _rewrite("center_level", "9"),
+     "cannot judge its rows: list index out of range"),
+    ("rate_theta", "rate_theta_rows.csv", _rewrite("p", "two", slice(0, 1)),
+     "cannot judge its rows: '<' not supported"),
 ], indirect=["small_run"], ids=["cell_cut_off-rate_theta", "extra_cell-rate_theta",
                                 "empty-rate_theta", "header_only-rate_theta",
-                                "table_cell_cut_off-kernel_bounds"])
+                                "table_cell_cut_off-kernel_bounds",
+                                "center_level_absent-rate_theta", "text_p-rate_theta"])
 def test_report_refuses_malformed_rows_files(small_run, tmp_path, capsys, name, doctor,
                                              message):
     # a row one cell short or long used to be judged, every verdict PASS, and

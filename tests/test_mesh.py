@@ -161,6 +161,19 @@ class TestRefineRed:
         sides = np.stack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1)
         assert np.array_equal(tri.edge_array[tri.triangle_edges], np.sort(sides, axis=2))
 
+    @pytest.mark.parametrize("tri", [
+        triangulate(Polygon.rectangle(0.0, 0.0, 2.0, 1.0), 0.5),
+        triangulate(PENTAGON, 3.0),
+    ], ids=["rectangle", "fan-pentagon"])
+    def test_prolongation_is_the_midpoint_formula_bitwise(self, tri):
+        # mesh.red_prolongation's rows sum 1.0 * v[i] or 0.5 * v[a] + 0.5 * v[b]:
+        # bitwise the formula, since halving is exact (refine_red's points read
+        # the same matrix; test_matches_per_triangle_reference checks them)
+        e0, e1 = tri.edge_array.T
+        vals = np.random.default_rng(7).standard_normal(tri.n_vertices)
+        expect = np.concatenate([vals, 0.5 * (vals[e0] + vals[e1])])
+        assert red_prolong(tri, vals).tobytes() == expect.tobytes()
+
     def test_prolongation_exact_for_linear(self, coarse_square_mesh):
         tri = coarse_square_mesh
         vals = 2.0 * tri.points[:, 0] - 0.7 * tri.points[:, 1] + 0.3

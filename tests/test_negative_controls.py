@@ -11,11 +11,14 @@ The graph experiments embeddings and geometry take their graphs from
 ``graph.from_triangulation``; their controls replace it with a graph family
 that is not the mesh family's: edge measures tilted across the domain at a
 rate beyond the mesh size, or a path with as many vertices as the mesh.
+resolvent_sweep's controls replace its lattice by a path, or its operator
+by the identity.
 """
 import csv
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import ive
 
 from meyers_lab import experiments, graph, operators
@@ -181,3 +184,60 @@ def test_path_fails_the_holder_embedding(monkeypatch, tmp_path):
 def test_tilted_measures_fail_geometry(family, caught, monkeypatch, tmp_path):
     verdicts = _graph_verdicts("geometry", family, monkeypatch, tmp_path)
     assert {check for check, v in verdicts.items() if v == "fail"} >= caught
+
+
+# ---------------------------------------------------------------------------
+# resolvent_sweep: a graph that is not the lattice, and an operator that is
+# not the lattice's, through the runner at its defaults (box 64)
+
+def _path_of(n):
+    """A path of n unit edges with unit measures along the x axis."""
+    return graph.WeightedGraph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1),
+                               np.ones(n - 1),
+                               coords=np.column_stack([np.arange(n), np.zeros(n)]))
+
+
+class _IdentityOperator(operators.GraphOperator):
+    """S replaced by diag(m), so L = I and (L + lam)^-1 = 1 / (1 + lam)."""
+
+    def __init__(self, g, coefficients):
+        super().__init__(g, coefficients)
+        self.S = sp.diags(g.m, format="csr")
+        self._diag = np.arange(g.n)
+
+
+def _resolvent_verdicts(monkeypatch, tmp_path, lattice=None, operator=None) -> dict:
+    """{check: verdict} of resolvent_sweep at its defaults, with the runner's
+    ``graph.lattice_box`` or ``operators.build_operator`` replaced."""
+    if lattice is not None:
+        monkeypatch.setattr(experiments.graph, "lattice_box", lattice)
+    if operator is not None:
+        monkeypatch.setattr(experiments.operators, "build_operator", operator)
+    verdicts = run(parse_config(f"experiment = resolvent_sweep\nout = {tmp_path}\n")).verdicts
+    return {v["check"]: v["verdict"] for v in verdicts}
+
+
+def test_lattice_passes_every_resolvent_verdict(monkeypatch, tmp_path):
+    verdicts = _resolvent_verdicts(monkeypatch, tmp_path)
+    assert len(verdicts) == 12
+    assert set(verdicts.values()) == {"pass"}
+
+
+@pytest.mark.parametrize("control", [
+    {"lattice": lambda nx, ny: _path_of(nx * ny)},
+    {"operator": _IdentityOperator},
+], ids=["path_of_box_squared", "identity_operator"])
+def test_wrong_graph_or_operator_fails_every_resolvent_verdict(control, monkeypatch,
+                                                               tmp_path):
+    verdicts = _resolvent_verdicts(monkeypatch, tmp_path, **control)
+    assert len(verdicts) == 12
+    assert set(verdicts.values()) == {"fail"}
+
+
+def test_path_of_box_fails_every_holder_ratio(monkeypatch, tmp_path):
+    # its sup slopes (-0.49 to -0.52) pass: ROADMAP item 10's exact reference
+    # is the verdict that can tell them from the lattice's
+    verdicts = _resolvent_verdicts(monkeypatch, tmp_path, lattice=lambda nx, ny: _path_of(nx))
+    failed = {check for check, v in verdicts.items() if v == "fail"}
+    assert failed == {f"R_eta_maxmin[{variant},{ray}]" for variant in ("symmetric", "perturbed")
+                      for ray in ("real", "sector")} | {"R_inf_maxmin[perturbed,sector]"}
