@@ -184,24 +184,15 @@ def _sample_count(text: str) -> int | None:
 
 def _check_family(name: str, poly: mesh.Polygon, level: int, need: int = 1) -> None:
     """The coarsest mesh, at ``level``, of ``poly`` has ``need`` interior vertices."""
-    if _interior_vertices(poly, level) < need:
+    try:  # ldexp overflows only on a spacing 2^-level above the float range
+        count = mesh.interior_vertex_count(poly, math.ldexp(1.0, -level))
+    except OverflowError:
+        count = 0
+    except mesh.MeshError as exc:
+        raise ConfigError(f"level {level} cannot mesh the domain: {exc}") from None
+    if count < need:
         raise ConfigError(f"level {level} is too coarse for the domain: {name} needs "
                           f"{need} or more interior vertices in its mesh")
-
-
-def _interior_vertices(poly: mesh.Polygon, level: int) -> float:
-    """Interior vertices of the level's mesh of ``poly`` (an axis rectangle,
-    as every experiment's domain is), counted without meshing: triangulate needs a
-    spacing 2^-level below the diameter, and the criss-cross grid of n_x by
-    n_y cells has (n_x - 1)(n_y - 1) interior vertices. A spacing that
-    underflows to 0 is left to triangulate (inf)."""
-    if not level > -math.log2(poly.diameter):
-        return 0
-    h = 2.0 ** -level
-    if h == 0:
-        return math.inf
-    lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
-    return math.prod(mesh._grid_divisions(a, b, h) - 1 for a, b in zip(lo, hi))
 
 
 def _check_domain_family(name: str, values: dict) -> None:
@@ -370,16 +361,12 @@ def run_rate_theta(cfg: ExperimentConfig):
     cells = _solved_family(_domain("unit_square"), levels, fem.identity_field(),
                            lambda pts: -1.0)
     for lvl, tri, fld, lhuh in cells:
-        # cache the series oracle at the quadrature points of this mesh
-        qpts = fld._quad_points().reshape(-1, 2)
-        vals = reference.torsion_value(qpts)
-        grads = reference.torsion_gradient(qpts)
-        u_fn = lambda _, v=vals: v
-        g_fn = lambda _, g=grads: g
+        qpts = fld.quad_points()  # the series oracle once per mesh, for every p
+        vals, grads = reference.torsion_value(qpts), reference.torsion_gradient(qpts)
         center = float(fld([(0.5, 0.5)])[0])
         for p in (2.0, p_probe, p_hi):
             rows.append({"experiment": "rate_theta", "level": lvl, "h": tri.h,
-                         "p": p, "w1p_error": fld.w1p_error(u_fn, g_fn, p),
+                         "p": p, "w1p_error": fld.w1p_error(vals, grads, p),
                          "center_value": center, "center_ref": center_ref,
                          "center_level": center_level, "theta": theta,
                          "p_probe": p_probe, "p_hi": p_hi, "lhuh_rel": lhuh})

@@ -10,9 +10,9 @@ data are plain arrays with one value per mesh vertex: ``solve``, ``f_h`` and
 
 Quadrature: one-point (barycenter) rule for the coefficient matrix, exact for
 per-triangle-constant A; three-point vertex rule for loads; six-point
-degree-4 rule for L^p norms of reconstructions (exact only for even integer
-p, the small quadrature error elsewhere is dominated by the effects under
-study).
+degree-4 rule for L^p norms and errors of reconstructions, the exact values
+taken at ``P1Field.quad_points`` (exact only for even integer p, the small
+quadrature error elsewhere is dominated by the effects under study).
 
 Solves use the mesh's red-refinement family (``Triangulation.parent``): a
 refined level is solved by conjugate gradients preconditioned with one
@@ -35,7 +35,7 @@ import scipy.sparse.linalg as spla
 from . import reference
 from .graph import mesh_edges, vertex_measure
 from .mesh import Triangulation, locate, red_prolongation
-from .spaces import _check_eta, _check_p, _holder_sup
+from .spaces import _check_eta, _check_p, _check_residual, _holder_sup
 
 
 class FemError(ValueError):
@@ -57,9 +57,7 @@ _Q4_BARY = np.array(
 )
 _Q4_W = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
 
-# the relative residual a solve must meet, and the round-off allowance of the
-# coefficient spot check
-_SOLVE_RTOL = 1e-10
+# the round-off allowance of the coefficient spot check
 _VALIDATE_SLACK = 1e-9
 # conjugate gradients stop at this relative residual or after _CG_MAXITER
 # steps; each V-cycle level smooths with _SMOOTH_SWEEPS damped-Jacobi sweeps
@@ -262,7 +260,7 @@ def solve(system: P1System, b: np.ndarray) -> np.ndarray:
     relative residual reaches ``_CG_RTOL`` or ``_CG_MAXITER`` steps. CG
     needs a symmetric K, which a symmetric coefficient (or any constant
     one) gives; a large variable skew part can keep it from converging.
-    Either way a relative residual above ``_SOLVE_RTOL`` (or NaN) fails.
+    Either way ``spaces._check_residual`` refuses a residual above 1e-10.
     """
     levels = _hierarchy(system)
     K = system.K
@@ -282,11 +280,7 @@ def solve(system: P1System, b: np.ndarray) -> np.ndarray:
             alpha = rz / _dot(p, q)
             u_int += alpha * p
             r -= alpha * q
-    res = np.linalg.norm(K @ u_int - b)
-    scale = np.linalg.norm(b)
-    rel = float(res / scale) if scale > 0 else float(res)
-    if not rel <= _SOLVE_RTOL:
-        raise FemError(f"solve residual {rel:.3e} exceeds {_SOLVE_RTOL:.1e}")
+    _check_residual(K, u_int, b, FemError)
     vals = np.zeros(system.tri.n_vertices)
     vals[system.interior] = u_int
     return vals
@@ -324,8 +318,18 @@ class P1Field:
     def _quad_values(self):
         return np.einsum("qk,tk->tq", _Q4_BARY, self.values[self.tri.triangles])
 
-    def _quad_points(self):
-        return np.einsum("qk,tkd->tqd", _Q4_BARY, self.tri.points[self.tri.triangles])
+    def quad_points(self) -> np.ndarray:
+        """(k, 2) points, six per triangle in order, where the errors take exact values."""
+        return np.einsum("qk,tkd->tqd", _Q4_BARY,
+                         self.tri.points[self.tri.triangles]).reshape(-1, 2)
+
+    def _at_quad(self, exact, tail: tuple) -> np.ndarray:
+        """Exact values at quad_points(), shape (k,) + tail, per triangle;
+        another shape raises FemError."""
+        t, q = self.tri.n_triangles, len(_Q4_W)
+        if np.shape(exact) != (t * q,) + tail:
+            raise FemError(f"exact values must have shape {(t * q,) + tail}")
+        return np.reshape(exact, (t, q) + tail)
 
     def _quad_lp(self, vals, p: float) -> float:
         """L^p norm of nonnegative values at the quadrature points of each
@@ -355,14 +359,12 @@ class P1Field:
         return self.lp_norm(p) + self.grad_lp_norm(p)
 
     def lp_error(self, exact, p: float) -> float:
-        pts = self._quad_points()
-        diff = np.abs(self._quad_values() - exact(pts.reshape(-1, 2)).reshape(pts.shape[:2]))
-        return self._quad_lp(diff, p)
+        """L^p error against the exact values at quad_points()."""
+        return self._quad_lp(np.abs(self._quad_values() - self._at_quad(exact, ())), p)
 
     def grad_lp_error(self, grad_exact, p: float) -> float:
-        pts = self._quad_points()
-        ge = grad_exact(pts.reshape(-1, 2)).reshape(pts.shape[0], pts.shape[1], 2)
-        diff = ge - self.tri_gradients[:, None, :]
+        """L^p error against the exact (k, 2) gradients at quad_points()."""
+        diff = self._at_quad(grad_exact, (2,)) - self.tri_gradients[:, None, :]
         return self._quad_lp(np.hypot(diff[..., 0], diff[..., 1]), p)
 
     def w1p_error(self, exact, grad_exact, p: float) -> float:

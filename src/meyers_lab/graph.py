@@ -401,20 +401,15 @@ def h_star(g: WeightedGraph, y: int, xs) -> np.ndarray:
     """h*_{xy} = min(h*_{x->y}, h*_{y->x}) for every x in ``xs``; zero at x == y.
 
     h*_{x->y} is the sup of the lengths of the edges touching the strict ball
-    B(x, d(x, y)): those whose nearer endpoint lies closer to x than d(x, y).
+    B(x, d(x, y)), those with an end inside: the max of h_x over the ball.
     """
     xs = np.asarray(xs, dtype=np.int64)
     d_y = distances_from(g, y)
-
-    def nearer_end(d):
-        return np.minimum(d[g.edge_u], d[g.edge_v])
-
-    near_y = nearer_end(d_y)
     out = np.zeros(len(xs))
     for i, (x, d_x) in enumerate(zip(xs, distances_from(g, xs))):
         if x == y:
             continue
         r = d_y[x]
-        # r > 0, so both balls hold an endpoint of some edge
-        out[i] = min(g.edge_h[nearer_end(d_x) < r].max(), g.edge_h[near_y < r].max())
+        # r > 0, so each ball holds its center
+        out[i] = min(g.h_x[d_x < r].max(), g.h_x[d_y < r].max())
     return out

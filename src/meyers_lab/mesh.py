@@ -240,25 +240,41 @@ def _bbox_diameter(pts: np.ndarray) -> float:
 
 
 def _axis_rectangle(polygon: Polygon):
+    # four distinct vertices (strictly convex) on two x and two y values are the corners
     v = polygon.vertices
-    if len(v) != 4:
-        return None
     xs, ys = np.unique(v[:, 0]), np.unique(v[:, 1])
-    if len(xs) != 2 or len(ys) != 2:
-        return None
-    expected = {(x, y) for x in xs for y in ys}
-    if {tuple(p) for p in v} != expected:
+    if len(v) != 4 or len(xs) != 2 or len(ys) != 2:
         return None
     return xs[0], ys[0], xs[1], ys[1]
 
 
 def _grid_divisions(lo: float, hi: float, h_target: float) -> int:
-    n = int(math.ceil((hi - lo) / h_target - 1e-12))
-    n = max(n, 1)
+    cells = float(hi - lo) / float(h_target)
+    if cells == math.inf:
+        raise MeshError("h_target is too small to grid the polygon")
+    n = max(int(math.ceil(cells - 1e-12)), 1)
     # symmetric intervals keep the origin as a grid vertex
     if lo == -hi and n % 2 == 1:
         n += 1
     return n
+
+
+def _check_h_target(polygon: Polygon, h_target: float) -> None:
+    if not h_target > 0:
+        raise MeshError("h_target must be positive")
+    if h_target >= polygon.diameter:
+        raise MeshError("h_target must be smaller than the polygon diameter")
+
+
+def interior_vertex_count(polygon: Polygon, h_target: float) -> int:
+    """Interior vertices of ``triangulate(polygon, h_target)`` on an axis
+    rectangle, counted without meshing: (n_x - 1)(n_y - 1) for n_x by n_y cells."""
+    _check_h_target(polygon, h_target)
+    rect = _axis_rectangle(polygon)
+    if rect is None:
+        raise MeshError("interior vertices are counted on axis rectangles only")
+    x0, y0, x1, y1 = rect
+    return (_grid_divisions(x0, x1, h_target) - 1) * (_grid_divisions(y0, y1, h_target) - 1)
 
 
 def triangulate(polygon: Polygon, h_target: float) -> Triangulation:
@@ -269,11 +285,7 @@ def triangulate(polygon: Polygon, h_target: float) -> Triangulation:
     ``sqrt(2) * h_target``, the cell diagonals). Other convex polygons are
     fanned around the centroid and red-refined until ``h <= h_target``.
     """
-    if not h_target > 0:
-        raise MeshError("h_target must be positive")
-    if h_target >= polygon.diameter:
-        raise MeshError("h_target must be smaller than the polygon diameter")
-
+    _check_h_target(polygon, h_target)
     rect = _axis_rectangle(polygon)
     if rect is not None:
         x0, y0, x1, y1 = rect

@@ -22,16 +22,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graph import WeightedGraph, box_window, distances_from, edge_gram, h_star
-from .spaces import _holder_sup
+from .spaces import _check_residual, _holder_sup
 
 TWO_PI_I = 2j * math.pi
 # kernel values at or below this are round-off, left out of the decay fits
 _KERNEL_NOISE_FLOOR = 1e-12
 # probe vertices of the resolvent sweep, spread over the window
 _SWEEP_PROBES = 5
-# failure thresholds: the relative residual of a resolvent solve, and the
-# deviation of a kernel column from the matrix-exponential oracle
-_RESOLVENT_RTOL = 1e-10
+# the failure threshold of a kernel column's deviation from its oracle
 _ORACLE_TOL = 1e-6
 # contour: ray angle theta, decades of decay at which the rays end, Gauss
 # nodes on the arc, Gauss panels per ray and nodes per panel
@@ -131,8 +129,7 @@ def build_operator(g: WeightedGraph, c: EdgeCoefficients) -> GraphOperator:
 
 def resolvent_solve(op: GraphOperator, lam, f) -> np.ndarray:
     """Solve L u + lambda u = f, i.e. (S + lambda diag(m)) u = m f; u is
-    real when its imaginary part is exactly 0. A relative residual above
-    _RESOLVENT_RTOL or NaN fails."""
+    real when its imaginary part is exactly 0."""
     a = op.matrix(complex(lam))
     u, _ = _checked_solve(a, _resolvent_lu(a), op.m * np.asarray(f))
     return u.real if np.all(np.abs(u.imag) == 0) else u
@@ -148,17 +145,10 @@ def _resolvent_lu(a):
 
 
 def _checked_solve(a, lu, rhs) -> tuple[np.ndarray, list[float]]:
-    """``lu.solve`` of one right-hand side or a block of columns, with each
-    column's residual in ``a``, relative to the column's norm (absolute for a
-    zero column); a residual above _RESOLVENT_RTOL or NaN fails."""
+    """``lu.solve`` of one right-hand side or a block of columns, and each
+    column's relative residual in ``a`` (``spaces._check_residual``)."""
     u = lu.solve(np.asarray(rhs, dtype=complex))
-    n = len(rhs)
-    rel = [float(np.linalg.norm(r) / (np.linalg.norm(b) or 1.0))
-           for r, b in zip((a @ u - rhs).reshape(n, -1).T, rhs.reshape(n, -1).T)]
-    for r in rel:
-        if not r <= _RESOLVENT_RTOL:
-            raise OperatorError(f"resolvent residual {r:.2e} above {_RESOLVENT_RTOL:.0e}")
-    return u, rel
+    return u, _check_residual(a, u, rhs, OperatorError)
 
 
 def resolvent_bound_sweep(ops, lams, eta: float = 0.5) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,8 @@ from .graph import WeightedGraph, distances_from
 
 # rows per block of the pairwise Holder sup; see _holder_sup for the size
 _HOLDER_BLOCK = 32
+# the relative residual every linear solve, Galerkin or resolvent, must meet
+_SOLVE_RTOL = 1e-10
 
 
 class SpaceError(ValueError):
@@ -46,6 +48,18 @@ def _check_eta(eta: float, error=SpaceError) -> None:
     """The exponent rule of every Holder seminorm: eta lies in (0, 1]."""
     if not 0 < eta <= 1:
         raise error("holder exponent must be in (0, 1]")
+
+
+def _check_residual(a, u, b, error) -> list[float]:
+    """Each column's residual in ``a u = b``, relative to its 2-norm in b (absolute
+    for a zero column); one above _SOLVE_RTOL, or NaN, raises ``error``."""
+    n = len(b)
+    rel = [float(np.linalg.norm(r) / (np.linalg.norm(c) or 1.0))
+           for r, c in zip((a @ u - b).reshape(n, -1).T, np.reshape(b, (n, -1)).T)]
+    for r in rel:
+        if not r <= _SOLVE_RTOL:
+            raise error(f"solve residual {r:.2e} above {_SOLVE_RTOL:.0e}")
+    return rel
 
 
 def differential(g: WeightedGraph, v) -> np.ndarray:

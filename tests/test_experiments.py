@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import math
@@ -181,6 +182,9 @@ class TestConfig:
         # one interior vertex: the P1 solution is 0 and the slope fit refuses it
         "experiment = counterexample\nlevels = -1,0,1",
         "experiment = counterexample\nlevels = 0,1,2",
+        # a spacing 2^-level whose grid, or whose value, overflows a float
+        "experiment = meyers_sweep\nlevels = 1074,1075,1076",
+        "experiment = meyers_sweep\nlevels = -2000,-1999,-1998",
         # a repeated p would repeat its row block
         "experiment = meyers_sweep\np_list = 2.2,2.2",
         "experiment = holder_convergence\np_list = 2.2,2.2",
@@ -206,6 +210,13 @@ class TestConfig:
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize("level", [1074, 1075, -2000, -1, 10**400])
+    def test_level_beyond_any_mesh_is_named(self, level):
+        # the mesh's grid rule refuses the spacing 2^-level, or the spacing
+        # is beyond a float; either way the error names the level
+        with pytest.raises(ConfigError, match=f"level {level} "):
+            parse_config(f"experiment = meyers_sweep\nlevels = {level},{level + 1},{level + 2}")
 
     @pytest.mark.parametrize("text", [
         "experiment = meyers_sweep\nlevels = 1,2,3",
@@ -594,6 +605,17 @@ def test_report_refuses_inputs_without_a_verdict_file(small_run, capsys):
                               f"with kernel_bounds_rows.csv; {done} is a summary")
     assert cli.main(["report", done]) == 1
     assert "no verdict file among the inputs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", [experiments, cli], ids=["experiments", "cli"])
+def test_reads_no_private_attribute_of_another_module(module):
+    # the runners and the CLI go through each module's public API, so a
+    # rule (grid sizing, quadrature points, ...) has one owner that they call
+    tree = ast.parse(Path(module.__file__).read_text())
+    private = [(node.lineno, node.attr) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and not node.attr.startswith("__")]
+    assert private == []
 
 
 class TestCli:

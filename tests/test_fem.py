@@ -527,10 +527,11 @@ class TestReconstruct:
         "lp_norm": lambda f, p: f.lp_norm(p),
         "grad_lp_norm": lambda f, p: f.grad_lp_norm(p),
         "w1p_norm": lambda f, p: f.w1p_norm(p),
-        "lp_error": lambda f, p: f.lp_error(lambda pts: np.zeros(len(pts)), p),
-        "grad_lp_error": lambda f, p: f.grad_lp_error(lambda pts: np.zeros((len(pts), 2)), p),
-        "w1p_error": lambda f, p: f.w1p_error(lambda pts: np.zeros(len(pts)),
-                                              lambda pts: np.zeros((len(pts), 2)), p),
+        # the errors against the zero function: zeros at every quad_points() point
+        "lp_error": lambda f, p: f.lp_error(np.zeros(len(f.quad_points())), p),
+        "grad_lp_error": lambda f, p: f.grad_lp_error(np.zeros((len(f.quad_points()), 2)), p),
+        "w1p_error": lambda f, p: f.w1p_error(np.zeros(len(f.quad_points())),
+                                              np.zeros((len(f.quad_points()), 2)), p),
     }
 
     @pytest.mark.parametrize("p", [0.5, -np.inf, np.nan])
@@ -555,6 +556,33 @@ class TestReconstruct:
                 "lp_error": quad, "grad_lp_error": grad, "w1p_error": quad + grad}[norm]
         assert got == want
         assert quad < 1.0
+
+    def test_errors_read_the_exact_values_at_quad_points(self, unit_square):
+        # a field's own values and gradients at quad_points() are exact values
+        # for it, so each error reads 0 up to the round-off of the barycentric
+        # evaluation; the same values in a shuffled order read a large error
+        tri = triangulate(unit_square, 0.125)
+        fld = reconstruct(tri, np.sin(3 * tri.points[:, 0]) * tri.points[:, 1])
+        pts = fld.quad_points()
+        assert pts.shape == (6 * tri.n_triangles, 2)
+        vals = fld(pts)
+        grads = np.repeat(fld.tri_gradients, 6, axis=0)
+        for p in (2.0, 3.5, np.inf):
+            assert fld.lp_error(vals, p) < 1e-14
+            assert fld.grad_lp_error(grads, p) == 0.0
+            assert fld.w1p_error(vals, grads, p) < 1e-14
+        shuffled = np.random.default_rng(0).permutation(len(pts))
+        assert fld.lp_error(vals[shuffled], 2.0) > 0.1
+        assert fld.grad_lp_error(grads[shuffled], 2.0) > 0.1
+
+    @pytest.mark.parametrize("method, shape", [
+        ("lp_error", lambda k: (k - 1,)), ("lp_error", lambda k: (k, 1)),
+        ("grad_lp_error", lambda k: (k,)), ("grad_lp_error", lambda k: (k, 3)),
+    ])
+    def test_errors_refuse_values_of_a_wrong_shape(self, coarse_square_mesh, method, shape):
+        fld = reconstruct(coarse_square_mesh, coarse_square_mesh.points[:, 0])
+        with pytest.raises(FemError, match="exact values must have shape"):
+            getattr(fld, method)(np.zeros(shape(len(fld.quad_points()))), 2.0)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0, 1.5, np.nan])
     def test_holder_refuses_eta_outside_unit_interval(self, coarse_square_mesh, eta):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from meyers_lab import MeshError, Polygon, Triangulation, refine_red, triangulate
-from meyers_lab.mesh import red_prolong
+from meyers_lab.mesh import interior_vertex_count, red_prolong
 
 SQRT2 = math.sqrt(2.0)
 PENTAGON = Polygon([(0, 0), (2, 0), (3, 2), (1, 3), (-1, 1)])
@@ -96,6 +96,32 @@ class TestTriangulate:
         d = unit_square.boundary_distance(tri.points)
         on_boundary = d < 1e-12
         assert set(np.nonzero(on_boundary)[0]) == set(tri.boundary_vertices)
+
+
+class TestInteriorVertexCount:
+    @pytest.mark.parametrize("poly", [
+        Polygon.unit_square(), Polygon.symmetric_square(1.0),
+        Polygon.rectangle(0.0, 0.0, 3.0, 1.0), Polygon.rectangle(-1.0, 0.0, 1.0, 0.7),
+    ], ids=["unit_square", "square2", "rect_3x1", "rect_sym_x"])
+    @pytest.mark.parametrize("h", [1.2, 0.7, 0.5, 0.3, 0.125, 0.1])
+    def test_counts_the_interior_vertices_of_triangulate(self, poly, h):
+        want = len(triangulate(poly, h).interior_vertices())
+        assert interior_vertex_count(poly, h) == want
+
+    # at h = 2^-1074 the cell count 1 / h overflows to inf
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, 10.0, 2.0 ** -1074])
+    def test_refuses_what_triangulate_refuses(self, unit_square, h):
+        with pytest.raises(MeshError):
+            triangulate(unit_square, h)
+        with pytest.raises(MeshError):
+            interior_vertex_count(unit_square, h)
+
+    def test_refuses_a_polygon_that_is_not_an_axis_rectangle(self):
+        diamond = Polygon([(1.0, 0.0), (2.0, 1.0), (1.0, 2.0), (0.0, 1.0)])
+        with pytest.raises(MeshError, match="axis rectangles"):
+            interior_vertex_count(diamond, 0.25)
+        with pytest.raises(MeshError, match="axis rectangles"):
+            interior_vertex_count(PENTAGON, 0.25)
 
 
 class TestRefineRed:

@@ -11,8 +11,8 @@ The graph experiments embeddings and geometry take their graphs from
 ``graph.from_triangulation``; their controls replace it with a graph family
 that is not the mesh family's: edge measures tilted across the domain at a
 rate beyond the mesh size, or a path with as many vertices as the mesh.
-resolvent_sweep's controls replace its lattice by a path, or its operator
-by the identity.
+resolvent_sweep's controls replace its lattice by a path or a cube, or its
+operator by the identity.
 """
 import csv
 
@@ -197,6 +197,16 @@ def _path_of(n):
                                coords=np.column_stack([np.arange(n), np.zeros(n)]))
 
 
+def _cube_of(k):
+    """The k^3 box of the cubic lattice: unit edges and measures, 3-D coordinates."""
+    idx = np.arange(k**3).reshape(k, k, k)
+    u = np.concatenate([idx[:-1].ravel(), idx[:, :-1].ravel(), idx[:, :, :-1].ravel()])
+    v = np.concatenate([idx[1:].ravel(), idx[:, 1:].ravel(), idx[:, :, 1:].ravel()])
+    coords = np.stack(np.meshgrid(*[np.arange(k)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    return graph.WeightedGraph(k**3, u, v, np.ones(len(u)), np.ones(len(u)),
+                               coords=coords.astype(float))
+
+
 class _IdentityOperator(operators.GraphOperator):
     """S replaced by diag(m), so L = I and (L + lam)^-1 = 1 / (1 + lam)."""
 
@@ -232,6 +242,16 @@ def test_wrong_graph_or_operator_fails_every_resolvent_verdict(control, monkeypa
     verdicts = _resolvent_verdicts(monkeypatch, tmp_path, **control)
     assert len(verdicts) == 12
     assert set(verdicts.values()) == {"fail"}
+
+
+def test_cube_of_box_squared_vertices_fails_every_sup_verdict(monkeypatch, tmp_path):
+    # 16^3 = 64^2 vertices: its sup slopes (-0.137 to -0.184) and R_inf
+    # max/min (9.1 to 12.3) fail; its R_eta max/min (2.6 to 3.6) pass, so the
+    # Holder verdicts alone do not tell a cube from the square lattice
+    verdicts = _resolvent_verdicts(monkeypatch, tmp_path, lattice=lambda nx, ny: _cube_of(16))
+    failed = {check for check, v in verdicts.items() if v == "fail"}
+    assert failed == {f"{name}[{variant},{ray}]" for name in ("sup_slope", "R_inf_maxmin")
+                      for variant in ("symmetric", "perturbed") for ray in ("real", "sector")}
 
 
 def test_path_of_box_fails_every_holder_ratio(monkeypatch, tmp_path):

@@ -11,7 +11,8 @@ from meyers_lab import (Polygon, SpaceError, WeightedGraph, box_window,
                         gradient_length, holder_norm, holder_seminorm,
                         lattice_box, lp_norm, triangulate, w1p_norm)
 from meyers_lab import spaces
-from meyers_lab.spaces import _HOLDER_BLOCK, _candidate_functions, _holder_sup
+from meyers_lab.spaces import (_HOLDER_BLOCK, _candidate_functions, _check_residual,
+                               _holder_sup)
 
 from conftest import path_graph, random_graph
 
@@ -282,6 +283,31 @@ class TestRefusals:
     def test_bad_edge_data(self, small_path, kind, p):
         with pytest.raises(SpaceError):
             edge_lp_norm(small_path, _bad_data(small_path.n_edges, kind), p)
+
+
+class TestCheckResidual:
+    """The one residual rule of the Galerkin and the resolvent solves."""
+
+    A = np.diag([1.0, 2.0, 4.0])
+
+    def test_one_relative_residual_per_column(self):
+        b = np.array([[1.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
+        u = np.linalg.solve(self.A, b)
+        # residual 3e-11 against |b| = 3 in the first column, 2e-11 in the zero one
+        u[0] += [3e-11, 2e-11]
+        rel = _check_residual(self.A, u, b, SpaceError)
+        assert rel == pytest.approx([1e-11, 2e-11], rel=1e-6)
+        assert _check_residual(self.A, u[:, 0], b[:, 0], SpaceError) == rel[:1]
+
+    @pytest.mark.parametrize("shift", [np.nan, 1e-9])
+    def test_nan_or_a_residual_above_the_tolerance_raises_the_given_error(self, shift):
+        class Refused(ValueError):
+            pass
+        b = np.array([1.0, 2.0, 2.0])
+        # relative residual 2 * shift / 3: NaN, or above the tolerance 1e-10
+        u = np.linalg.solve(self.A, b) + [0.0, shift, 0.0]
+        with pytest.raises(Refused, match="residual"):
+            _check_residual(self.A, u, b, Refused)
 
 
 class TestEmbeddings:
