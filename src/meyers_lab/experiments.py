@@ -182,31 +182,40 @@ def _sample_count(text: str) -> int | None:
 # ---------------------------------------------------------------------------
 # checks of the rules that span keys
 
-def _check_family(name: str, poly: mesh.Polygon, level: int, need: int = 1) -> None:
-    """The coarsest mesh, at ``level``, of ``poly`` has ``need`` interior vertices."""
+def _interior_count(poly: mesh.Polygon, level: int) -> int:
+    """Interior vertices of the family's mesh of ``poly`` at ``level``; a
+    level whose spacing 2^-level has no grid raises a ConfigError naming it."""
     try:  # ldexp overflows only on a spacing 2^-level above the float range
-        count = mesh.interior_vertex_count(poly, math.ldexp(1.0, -level))
+        return mesh.interior_vertex_count(poly, math.ldexp(1.0, -level))
     except OverflowError:
-        count = 0
+        return 0
     except mesh.MeshError as exc:
         raise ConfigError(f"level {level} cannot mesh the domain: {exc}") from None
-    if count < need:
-        raise ConfigError(f"level {level} is too coarse for the domain: {name} needs "
+
+
+def _check_family(name: str, poly: mesh.Polygon, levels: list[int], need: int = 1) -> None:
+    """The coarsest mesh of ``poly``, at levels[0], has ``need`` interior
+    vertices, and the finest, at levels[-1], no more than an array can index."""
+    if _interior_count(poly, levels[0]) < need:
+        raise ConfigError(f"level {levels[0]} is too coarse for the domain: {name} needs "
                           f"{need} or more interior vertices in its mesh")
+    if _interior_count(poly, levels[-1]) > np.iinfo(np.intp).max:
+        raise ConfigError(f"level {levels[-1]} is too fine for the domain: its mesh has "
+                          "more interior vertices than an array can index")
 
 
 def _check_domain_family(name: str, values: dict) -> None:
-    _check_family(name, values["domain"], values["levels"][0])
+    _check_family(name, values["domain"], values["levels"])
 
 
 def _check_counterexample(name: str, values: dict) -> None:
     # one interior vertex carries one hat function; on square2 it is the
     # origin, where the P1 solution is 0 and the slope fit has no data
-    _check_family(name, _domain("square2"), values["levels"][0], need=2)
+    _check_family(name, _domain("square2"), values["levels"], need=2)
 
 
 def _check_rate_theta(name: str, values: dict) -> None:
-    _check_family(name, _domain("unit_square"), values["levels"][0])
+    _check_family(name, _domain("unit_square"), values["levels"])
     # theta in (0, 1): p_probe strictly between the endpoints 2 and 2 + eps
     if not 2 < values["p_probe"] < 2 + values["eps_probe"]:
         raise ConfigError("rate_theta needs 2 < p_probe < 2 + eps_probe")
@@ -326,12 +335,13 @@ def run_holder_convergence(cfg: ExperimentConfig):
         eta = 1.0 - 2.0 / p
         prev = None
         for lvl, tri, fld, lhuh in cells:
-            hn = fld.holder_norm(eta)
-            diff = "" if prev is None else fem.reconstruct(
-                tri, mesh.red_prolong(tri.parent, prev) - fld.values).holder_norm(eta)
+            # u_h and P u_2h - u_h share one pass over the vertex distances
+            fields = [fld.values] if prev is None else [
+                fld.values, mesh.red_prolong(tri.parent, prev) - fld.values]
+            hn, *diff = fem.holder_norms(tri, fields, eta).tolist()
             rows.append({"experiment": "holder_convergence", "p": p, "eta": eta,
                          "level": lvl, "h": tri.h, "holder_norm": hn,
-                         "cauchy_diff": diff, "lhuh_rel": lhuh})
+                         "cauchy_diff": diff[0] if diff else "", "lhuh_rel": lhuh})
             prev = fld.values
     return (rows,)
 

@@ -373,14 +373,32 @@ class P1Field:
     def holder_seminorm(self, eta: float) -> float:
         """Euclidean Holder seminorm over the vertices; for P1 fields the
         vertex sup stands in for the sup over the domain."""
-        _check_eta(eta, FemError)
-        pts = self.tri.points
-        return float(_holder_sup(self.values[None], lambda rows, cols: np.hypot(
-            pts[rows, None, 0] - pts[None, cols, 0], pts[rows, None, 1] - pts[None, cols, 1]),
-            eta)[0])
+        return float(holder_seminorms(self.tri, self.values[None], eta)[0])
 
     def holder_norm(self, eta: float) -> float:
-        return float(np.abs(self.values).max()) + self.holder_seminorm(eta)
+        return float(holder_norms(self.tri, self.values[None], eta)[0])
+
+
+def holder_seminorms(tri: Triangulation, values, eta: float) -> np.ndarray:
+    """Euclidean Holder seminorm over the vertices of ``tri`` of each row of
+    ``values`` (one value per vertex), from one pass over the vertex
+    distances: each row block's distances and d^eta serve every row, and
+    each row's sup is bitwise the one it gets alone."""
+    _check_eta(eta, FemError)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != tri.n_vertices:
+        raise FemError("one value per mesh vertex required in each row")
+    pts = tri.points
+    return _holder_sup(values, lambda rows, cols: np.hypot(
+        pts[rows, None, 0] - pts[None, cols, 0], pts[rows, None, 1] - pts[None, cols, 1]),
+        eta)
+
+
+def holder_norms(tri: Triangulation, values, eta: float) -> np.ndarray:
+    """Sup plus Euclidean Holder seminorm of each row of ``values``, as
+    ``holder_seminorms``."""
+    seminorms = holder_seminorms(tri, values, eta)  # refuses a wrong shape first
+    return np.abs(np.asarray(values, dtype=float)).max(axis=1) + seminorms
 
 
 def reconstruct(tri: Triangulation, u: np.ndarray) -> P1Field:

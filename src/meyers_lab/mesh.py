@@ -24,7 +24,9 @@ def _shoelace(vertices: np.ndarray) -> float:
 
 
 class Polygon:
-    """Convex planar polygon with strictly counterclockwise vertices."""
+    """Convex planar polygon with strictly counterclockwise vertices that
+    turn once around: every turn a strict left turn, their exterior angles
+    summing to 2 pi."""
 
     def __init__(self, vertices):
         v = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -42,6 +44,13 @@ class Polygon:
             raise MeshError("polygon vertices are clockwise; expected counterclockwise")
         if np.any(cross <= 1e-14 * scale * scale):
             raise MeshError("polygon is not strictly convex")
+        # strict left turns alone admit a star: its exterior turning angles
+        # sum to 2 pi times its winding number, 4 pi for a pentagram
+        dot = edges[:, 0] * np.roll(edges[:, 0], -1) + edges[:, 1] * np.roll(edges[:, 1], -1)
+        turns = round(float(np.arctan2(cross, dot).sum()) / (2.0 * math.pi))
+        if turns != 1:
+            raise MeshError(f"polygon turns {turns} times around: it crosses itself, "
+                            "so it is not convex")
         self.vertices = v
 
     @classmethod

@@ -25,6 +25,13 @@ def _torsion_bands(y: np.ndarray):
     series factors decay like exp(-k pi dist), so far points need few terms.
     Callers form the factors, so no chunk's arrays outlive it.
 
+    A mesh's quadrature points repeat their coordinates (level 6: 49,152
+    points, 632 distinct x and 642 distinct y), so callers tabulate the x and
+    y factors on a chunk's distinct coordinates (``np.unique``) and gather
+    their rows per point: sin, cos and exp run once per distinct value and
+    term, and each gathered entry is bitwise the one the point's own
+    coordinate gives.
+
     A chunk holds about _TORSION_CELLS = 2^16 points x terms, 512 KiB per
     factor array, so a caller's few factor arrays stay a few MiB at any
     point count; whole bands of a level-6 mesh's quadrature points held tens
@@ -52,33 +59,46 @@ def torsion_value(points) -> np.ndarray:
 
     Solves div(grad u) = -1 with zero boundary values: u = x(1-x)/2 minus the
     odd-k sine series that corrects the boundary layers in y.
+
+    Per chunk of ``_torsion_bands`` the sine and the y ratio are tables on
+    the chunk's distinct x and y, gathered per point into the product
+    ``sin[ix] * ratio[iy]``: the same factors multiplied in the same order
+    as per point, so every value is bitwise the per-point series.
     """
     p = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = p[:, 0], p[:, 1]
     out = x * (1.0 - x) / 2.0
     for pts, k, kpi in _torsion_bands(y):
+        xs, ix = np.unique(x[pts], return_inverse=True)
+        ys, iy = np.unique(y[pts], return_inverse=True)
         # cosh(k pi (y - 1/2)) / cosh(k pi / 2), overflow-free
-        ratio = (np.exp(-np.outer(1.0 - y[pts], kpi)) + np.exp(-np.outer(y[pts], kpi))) \
+        ratio = (np.exp(-np.outer(1.0 - ys, kpi)) + np.exp(-np.outer(ys, kpi))) \
             / (1.0 + np.exp(-kpi))
-        out[pts] -= np.einsum("ij,j->i", np.sin(np.outer(x[pts], kpi)) * ratio,
+        out[pts] -= np.einsum("ij,j->i", np.sin(np.outer(xs, kpi))[ix] * ratio[iy],
                               4.0 / (np.pi**3 * k**3))
     return out
 
 
 def torsion_gradient(points) -> np.ndarray:
+    """Gradient of ``torsion_value``, tabulated on distinct coordinates as
+    there; each product is formed as per point, the x factor times the y
+    sum before the division by the denominator (dividing the y sum first
+    moves the last bit)."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
     x, y = p[:, 0], p[:, 1]
     ux = (1.0 - 2.0 * x) / 2.0
     uy = np.zeros_like(x)
     for pts, k, kpi in _torsion_bands(y):
-        e_top = np.exp(-np.outer(1.0 - y[pts], kpi))
-        e_bot = np.exp(-np.outer(y[pts], kpi))
+        xs, ix = np.unique(x[pts], return_inverse=True)
+        ys, iy = np.unique(y[pts], return_inverse=True)
+        e_top = np.exp(-np.outer(1.0 - ys, kpi))
+        e_bot = np.exp(-np.outer(ys, kpi))
         denom = 1.0 + np.exp(-kpi)
         coef = 4.0 / (np.pi**2 * k**2)
-        ux[pts] -= np.einsum("ij,j->i", np.cos(np.outer(x[pts], kpi)) * (e_top + e_bot) / denom,
-                             coef)
-        uy[pts] -= np.einsum("ij,j->i", np.sin(np.outer(x[pts], kpi)) * (e_top - e_bot) / denom,
-                             coef)
+        ux[pts] -= np.einsum("ij,j->i", np.cos(np.outer(xs, kpi))[ix] * (e_top + e_bot)[iy]
+                             / denom, coef)
+        uy[pts] -= np.einsum("ij,j->i", np.sin(np.outer(xs, kpi))[ix] * (e_top - e_bot)[iy]
+                             / denom, coef)
     return np.column_stack([ux, uy])
 
 

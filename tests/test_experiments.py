@@ -185,6 +185,12 @@ class TestConfig:
         # a spacing 2^-level whose grid, or whose value, overflows a float
         "experiment = meyers_sweep\nlevels = 1074,1075,1076",
         "experiment = meyers_sweep\nlevels = -2000,-1999,-1998",
+        # a finest level with no grid, or more interior vertices than an
+        # array can index, while the coarsest level meshes
+        "experiment = meyers_sweep\nlevels = 1023,1024,1025",
+        "experiment = holder_convergence\nlevels = 40,41,42",
+        "experiment = geometry\nlevels = 31,32",
+        "experiment = counterexample\nlevels = 30,31,32",
         # a repeated p would repeat its row block
         "experiment = meyers_sweep\np_list = 2.2,2.2",
         "experiment = holder_convergence\np_list = 2.2,2.2",
@@ -218,8 +224,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"level {level} "):
             parse_config(f"experiment = meyers_sweep\nlevels = {level},{level + 1},{level + 2}")
 
+    @pytest.mark.parametrize("levels, named", [
+        ("1023,1024,1025", 1025), ("40,41,42", 42), ("30,31,32", 32),
+    ])
+    def test_finest_level_beyond_any_array_is_named(self, levels, named):
+        # the coarsest level meshes; the finest has no grid, or more interior
+        # vertices than np.intp counts, and the error names it
+        with pytest.raises(ConfigError, match=f"level {named} "):
+            parse_config(f"experiment = meyers_sweep\nlevels = {levels}")
+
     @pytest.mark.parametrize("text", [
         "experiment = meyers_sweep\nlevels = 1,2,3",
+        # level 31's grid has (2^31 - 1)^2 interior vertices, within np.intp
+        "experiment = meyers_sweep\nlevels = 29,30,31",
         "experiment = geometry\nlevels = 1,2,3",
         "experiment = embeddings\nlevels = 1,2",
         "experiment = counterexample\nlevels = 1,2,3",  # square2: level 1 has 9

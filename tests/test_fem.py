@@ -15,6 +15,7 @@ from meyers_lab import (FemError, Polygon, apply_Lh, assemble,
                         load, lp_norm, meyers_field, meyers_problem,
                         reconstruct, refine_red, solve, triangulate)
 from meyers_lab import fem, reference
+from meyers_lab.mesh import red_prolong
 
 
 def dense_stiffness_oracle(tri, field, n_sub=12):
@@ -227,6 +228,41 @@ class TestTorsionSeries:
             assert proc.returncode == 0, proc.stderr
             out.append(proc.stdout)
         assert out[0] == out[1]
+
+    @staticmethod
+    def per_point_series(points):
+        """The series value and gradient with every factor formed per point,
+        not tabulated on distinct coordinates: the formulas as written
+        before the tables."""
+        x, y = points[:, 0], points[:, 1]
+        val, ux, uy = x * (1.0 - x) / 2.0, (1.0 - 2.0 * x) / 2.0, np.zeros_like(x)
+        for pts, k, kpi in reference._torsion_bands(y):
+            e_top = np.exp(-np.outer(1.0 - y[pts], kpi))
+            e_bot = np.exp(-np.outer(y[pts], kpi))
+            denom = 1.0 + np.exp(-kpi)
+            ratio = (e_top + e_bot) / denom
+            val[pts] -= np.einsum("ij,j->i", np.sin(np.outer(x[pts], kpi)) * ratio,
+                                  4.0 / (np.pi**3 * k**3))
+            coef = 4.0 / (np.pi**2 * k**2)
+            ux[pts] -= np.einsum("ij,j->i", np.cos(np.outer(x[pts], kpi)) * (e_top + e_bot)
+                                 / denom, coef)
+            uy[pts] -= np.einsum("ij,j->i", np.sin(np.outer(x[pts], kpi)) * (e_top - e_bot)
+                                 / denom, coef)
+        return val, np.column_stack([ux, uy])
+
+    @pytest.mark.parametrize("where", ["level_6_quad_points", "band_points"])
+    def test_tables_on_distinct_coordinates_are_bitwise_per_point(self, unit_square, where):
+        # a level-6 mesh's 49,152 quadrature points repeat their coordinates
+        # (632 distinct x); the band points repeat none
+        if where == "band_points":
+            pts = self.band_points()
+        else:
+            tri = triangulate(unit_square, 2.0**-6)
+            pts = reconstruct(tri, np.zeros(tri.n_vertices)).quad_points()
+            assert len(np.unique(pts[:, 0])) < len(pts) // 50
+        val, grad = self.per_point_series(pts)
+        assert reference.torsion_value(pts).tobytes() == val.tobytes()
+        assert reference.torsion_gradient(pts).tobytes() == grad.tobytes()
 
     def test_gradient_matches_central_differences(self):
         pts = np.array([(x, y) for x in (0.13, 0.5, 0.81) for y in self.YS])
@@ -504,6 +540,27 @@ class TestReconstruct:
             ratio = np.abs(vals[:, None] - vals[None, :]) / d**0.4
         got = reconstruct(tri, vals).holder_seminorm(0.4)
         assert got == ratio[np.isfinite(ratio)].max()
+
+    def test_holder_norms_of_stacked_fields_are_bitwise_separate_calls(self, unit_square):
+        # holder_convergence's two fields, u_h and P u_2h - u_h, share one
+        # pass over the vertex distances (289 vertices: ten row blocks)
+        coarse = triangulate(unit_square, 2.0**-3)
+        tri = refine_red(coarse)
+        rng = np.random.default_rng(23)
+        u_2h, u_h = rng.standard_normal(coarse.n_vertices), rng.standard_normal(tri.n_vertices)
+        fields = [u_h, red_prolong(coarse, u_2h) - u_h]
+        for eta in (0.1, 0.5, 2.0 / 3.0, 1.0):
+            merged = fem.holder_norms(tri, fields, eta)
+            alone = [reconstruct(tri, v).holder_norm(eta) for v in fields]
+            assert merged.tolist() == alone
+            assert fem.holder_seminorms(tri, fields, eta).tolist() == [
+                reconstruct(tri, v).holder_seminorm(eta) for v in fields]
+
+    @pytest.mark.parametrize("shape", [(289,), (2, 288), (1, 290)])
+    def test_holder_norms_refuse_rows_of_a_wrong_length(self, unit_square, shape):
+        tri = triangulate(unit_square, 2.0**-4)
+        with pytest.raises(FemError, match="one value per mesh vertex"):
+            fem.holder_norms(tri, np.zeros(shape), 0.5)
 
     @pytest.mark.parametrize("p", [2.2, 3.0, 4.0])
     def test_holder_seminorm_close_to_sampled_pairs(self, coarse_square_mesh, p):

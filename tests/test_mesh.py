@@ -36,6 +36,24 @@ class TestPolygon:
         with pytest.raises(MeshError, match="convex"):
             Polygon([(0, 0), (2, 0), (1, 0.2), (1, 2)])
 
+    # the pentagram: every turn a strict left turn, winding number 2
+    STAR = [(1, 0), (-0.809017, 0.587785), (0.309017, -0.951057),
+            (0.309017, 0.951057), (-0.809017, -0.587785)]
+
+    @pytest.mark.parametrize("star", [STAR, STAR[2:] + STAR[:2], STAR + STAR])
+    def test_rejects_self_intersecting_star(self, star):
+        with pytest.raises(MeshError, match="crosses itself"):
+            Polygon(star)
+
+    @pytest.mark.parametrize("vertices", [
+        [(0, 0), (1, 0), (1, 1), (0, 1)],
+        [(-3, -1), (2, -1), (2, 0.5), (-3, 0.5)],
+        *[[(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
+          for n in (3, 4, 5, 7, 64)],
+    ])
+    def test_accepts_rectangles_and_regular_polygons(self, vertices):
+        assert Polygon(vertices).area > 0
+
     def test_rejects_repeated_vertex(self):
         with pytest.raises(MeshError, match="degenerate"):
             Polygon([(0, 0), (0, 0), (1, 0), (1, 1)])

@@ -140,8 +140,18 @@ def _path(tri):
                                np.full(n - 1, tri.h**2), boundary=[0, n - 1])
 
 
+def _unit_path(tri):
+    """A path with the mesh's vertex count spanning unit length, edges of
+    length 1/(n - 1) and mu_e = h^2, its two ends the boundary: a ball of
+    radius r holds about r (n - 1) vertices, many more than a mesh ball as h
+    shrinks."""
+    n = tri.n_vertices
+    return graph.WeightedGraph(n, np.arange(n - 1), np.arange(1, n), np.full(n - 1, 1.0 / (n - 1)),
+                               np.full(n - 1, tri.h**2), boundary=[0, n - 1])
+
+
 GRAPH_FAMILIES = {"mesh": graph.from_triangulation, "tilted_h1.5": _tilted(1.5),
-                  "tilted_h": _tilted(1.0), "path": _path}
+                  "tilted_h": _tilted(1.0), "path": _path, "unit_path": _unit_path}
 
 
 def _graph_verdicts(exp, family, monkeypatch, tmp_path) -> dict:
@@ -184,6 +194,23 @@ def test_path_fails_the_holder_embedding(monkeypatch, tmp_path):
 def test_tilted_measures_fail_geometry(family, caught, monkeypatch, tmp_path):
     verdicts = _graph_verdicts("geometry", family, monkeypatch, tmp_path)
     assert {check for check, v in verdicts.items() if v == "fail"} >= caught
+
+
+def test_unit_path_fails_geometry_lower_volume(monkeypatch, tmp_path):
+    # c_L over levels 3-6 reads 11.3, 20.3, 38.4 and 74.6: its max/min is
+    # 6.62; doubling (3.0 at every level) and Poincare (1.03) pass
+    verdicts = _graph_verdicts("geometry", "unit_path", monkeypatch, tmp_path)
+    assert verdicts == {"C_D_stability": "pass", "c_L_stability": "fail",
+                        "C_P_stability": "pass"}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a path with edges h and mu_e = h^2 looks the same at every "
+                          "level within r0 = 2.5 h: C_D, c_L and C_P are equal over levels "
+                          "3-6, so no stability verdict can fail (ROADMAP item 7)")
+def test_path_fails_a_geometry_verdict(monkeypatch, tmp_path):
+    verdicts = _graph_verdicts("geometry", "path", monkeypatch, tmp_path)
+    assert "fail" in verdicts.values()
 
 
 # ---------------------------------------------------------------------------
