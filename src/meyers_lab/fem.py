@@ -382,16 +382,17 @@ class P1Field:
 def holder_seminorms(tri: Triangulation, values, eta: float) -> np.ndarray:
     """Euclidean Holder seminorm over the vertices of ``tri`` of each row of
     ``values`` (one value per vertex), from one pass over the vertex
-    distances: each row block's distances and d^eta serve every row, and
-    each row's sup is bitwise the one it gets alone."""
+    distances: each cell's distances and d^eta serve every row, and each
+    row's sup is bitwise the one it gets alone. The mesh edges seed the
+    pruning bound of ``spaces._holder_sup``."""
     _check_eta(eta, FemError)
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != tri.n_vertices:
         raise FemError("one value per mesh vertex required in each row")
     pts = tri.points
-    return _holder_sup(values, lambda rows, cols: np.hypot(
+    return _holder_sup(values, eta, lambda rows, cols, limit: np.hypot(
         pts[rows, None, 0] - pts[None, cols, 0], pts[rows, None, 1] - pts[None, cols, 1]),
-        eta)
+        pts, mesh_edges(tri)[:3])
 
 
 def holder_norms(tri: Triangulation, values, eta: float) -> np.ndarray:

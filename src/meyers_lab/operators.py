@@ -22,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .graph import WeightedGraph, box_window, distances_from, edge_gram, h_star
-from .spaces import _check_residual, _holder_sup
+from .spaces import _check_residual, _holder_sup, _path_metric
 
 TWO_PI_I = 2j * math.pi
 # kernel values at or below this are round-off, left out of the decay fits
@@ -167,7 +167,8 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5) -> tuple[np.ndarray, np.n
     sums, whose order does not depend on the BLAS thread count. The data
     depend on the operator alone, so each operator's row equals a call on
     that operator alone. The Holder sups of all operators and lambdas are
-    one pass over the window distances, which reads each window row once.
+    one pass over the window distances, which reads each window row at most
+    once, up to the range its formed pairs need.
     """
     if not ops or any(op.graph is not ops[0].graph for op in ops):
         raise OperatorError("the sweep needs operators on one graph")
@@ -203,8 +204,8 @@ def resolvent_bound_sweep(ops, lams, eta: float = 0.5) -> tuple[np.ndarray, np.n
             uw[i, j] = u[window].T
             del a, lu, u, fs
 
-    semi = _holder_sup(uw.reshape(-1, len(window)), lambda rows, cols: distances_from(
-        g, window[rows])[:, window[cols]], eta).reshape(fl2.shape)
+    semi = _holder_sup(uw.reshape(-1, len(window)), eta,
+                       *_path_metric(g, window)).reshape(fl2.shape)
     sup_ratio = (np.abs(uw).max(axis=3) / fl2).max(axis=2)
     holder_ratio = (semi / fl2).max(axis=2)
     return sup_ratio, holder_ratio

@@ -10,14 +10,20 @@ is the sum ||f||_p + ||grad f||_p.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import WeightedGraph, distances_from
 
-# rows per block of the pairwise Holder sup; see _holder_sup for the size
+# most points per cell of the pairwise Holder sup, and the grid's target (see
+# _holder_cells): smaller cells bound tighter but cost a pass each; on the
+# three experiments that call the sup, 16 and 64 were no faster and 128 slower
 _HOLDER_BLOCK = 32
+# relative margin of the Holder sup's pruning bounds and distance limits; see
+# _holder_sup
+_HOLDER_MARGIN = 1e-9
 # the relative residual every linear solve, Galerkin or resolvent, must meet
 _SOLVE_RTOL = 1e-10
 
@@ -112,54 +118,139 @@ def df_grad_bracket(g: WeightedGraph, p: float) -> float:
     return max(upper, lower_inv)
 
 
-def _holder_sup(values: np.ndarray, distance_rows, eta: float) -> np.ndarray:
+def _holder_cells(n: int, points):
+    """(order, starts, lo, hi): a permutation of ``n`` points into cells of at
+    most _HOLDER_BLOCK points, cell c being ``order[starts[c]:starts[c + 1]]``,
+    and each cell's coordinate box (None without ``points``).
+
+    The cells are those of a square grid over the points' bounding box, sized
+    for about _HOLDER_BLOCK points each and taken in grid order, a fuller one
+    cut in index order; without ``points`` they are blocks of consecutive
+    indices."""
+    if points is None:
+        return np.arange(n), np.append(np.arange(0, n, _HOLDER_BLOCK), n), None, None
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    w, h = hi - lo
+    side = max(math.sqrt(w * h * _HOLDER_BLOCK / n), max(w, h) * _HOLDER_BLOCK / n) or 1.0
+    grid = np.floor((points - lo) / side).astype(np.int64)
+    key = grid[:, 0] * (grid[:, 1].max() + 1) + grid[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    run = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    rank = np.arange(n) - np.repeat(run, np.diff(np.append(run, n)))
+    starts = np.append(np.flatnonzero(rank % _HOLDER_BLOCK == 0), n)
+    at = points[order]
+    return (order, starts, np.minimum.reduceat(at, starts[:-1]),
+            np.maximum.reduceat(at, starts[:-1]))
+
+
+def _holder_sup(values: np.ndarray, eta: float, distance_rows, points=None,
+                edges=None) -> np.ndarray:
     """sup over unordered pairs {x, y} of |v(x) - v(y)| / d(x, y)^eta for
-    each row v of ``values``.
+    each row v of ``values``, skipping the pairs a bound rules out.
 
-    Points are taken in row blocks, and each block is paired with the
-    points from its own first row on: a pair across blocks is formed once,
-    with the distance row of its point in the earlier block, and a pair
-    within a block both ways. ``distance_rows(rows, cols)`` returns the
-    distances from the points of the slice ``rows`` to those of the slice
-    ``cols``; it is not written to. Each row block's d^eta serves every row
-    of ``values``, and pairs at distance zero count as ratio 0. A
-    non-finite value fails closed: its row's sup is NaN.
+    ``distance_rows(rows, cols, limit)`` returns the distances from the
+    points ``rows`` to the points ``cols`` (index arrays), an array that is
+    not written to; a distance above ``limit`` may read inf. ``points`` are coordinates whose Euclidean
+    distance the metric dominates, d(x, y) >= |x - y| up to round-off, or
+    None; ``edges`` = (u, v, h) are pairs with d(u, v) <= h, or None. Pairs
+    at distance zero count as ratio 0. A non-finite value fails closed: its
+    row's sup is NaN, and the other rows are computed without it.
 
-    Blocks are _HOLDER_BLOCK = 32 rows so that a block's d^eta, ratio and
-    diff arrays stay cache-sized: over 1024 columns a 32-row block holds
-    about 1 MiB of them, inside a 2 MiB L2, where a 256-row block streamed
-    about 8 MiB through memory for every row of ``values``. On bitwise
-    symmetric distances the sup does not depend on the block size; on
-    Dijkstra rows, which differ from their transposes at round-off, it moves
-    with the block size at round-off only.
+    The points are sorted into cells (``_holder_cells``), and each cell is
+    paired with itself both ways and with every later cell once, from its
+    own distance rows. Over cells P and Q a row's differences are at most
+    M = max(max_P v - min_Q v, max_Q v - min_P v), per part and combined by
+    hypot for complex rows, and the distances at least the gap g between the
+    cells' boxes, so no pair of P x Q has a ratio above M / g^eta. A cell pair
+    is formed only where that bound, with a relative margin _HOLDER_MARGIN
+    on each side, beats the row's running lower bound B of its sup, and the
+    distance rows of a cell are asked only up to the largest (M / B)^(1/eta)
+    of its formed pairs: a pair beyond it cannot beat B either. B starts at
+    the edges' ratios |v(u) - v(v)| / h^eta, each at most a real pair's ratio.
+
+    Why the sup is exact: a skipped pair, or one beyond the limit, lies
+    below B, and B is at most the sup (the edge pair behind the seed is
+    formed, at a distance at most h), so the pair that attains the sup is
+    formed, with the subtraction, abs and division of the dense all-pairs
+    sup on the same d^eta. On symmetric distances each sup is thus bitwise
+    the dense one; Dijkstra rows differ from their transposes at round-off,
+    and a pair across cells is read from the row of its point in the earlier
+    cell. The margin covers the round-off of the bound and of the limit, and
+    the gap is shrunk by it as well, for a path metric that dominates the
+    coordinates only up to the round-off of its sums. Without ``points`` the
+    gap is 0, and only the distance limits prune.
     """
-    best = np.zeros(len(values))
-    for start in range(0, values.shape[1], _HOLDER_BLOCK):
-        rows = slice(start, start + _HOLDER_BLOCK)
-        cols = slice(start, None)
-        d_eta = distance_rows(rows, cols) ** eta
+    values = np.asarray(values)
+    n = values.shape[1]
+    best = np.where(np.isfinite(values).all(axis=1), 0.0, np.nan)
+    fields = np.flatnonzero(best == 0)
+    order, starts, lo, hi = _holder_cells(n, points)
+    cell_of = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    perm = values[fields[:, None], order]
+    parts = (perm.real, perm.imag) if np.iscomplexobj(perm) else (perm,)
+    vmin = [np.minimum.reduceat(part, starts[:-1], axis=1) for part in parts]
+    vmax = [np.maximum.reduceat(part, starts[:-1], axis=1) for part in parts]
+    bound = np.zeros(len(fields))
+    if edges is not None and len(edges[0]):
+        pos = np.argsort(order)
+        u, v, h_eta = pos[edges[0]], pos[edges[1]], np.asarray(edges[2]) ** eta
+        bound[:] = [(np.abs(row[u] - row[v]) / h_eta).max() for row in perm]
+    grow, shrink = 1.0 + _HOLDER_MARGIN, 1.0 - _HOLDER_MARGIN
+    for c in range(len(starts) - 1):
+        later = slice(c, None)
+        spread = [np.maximum(top[:, c, None] - bot[:, later], top[:, later] - bot[:, c, None])
+                  for bot, top in zip(vmin, vmax)]
+        spread = np.hypot(*spread) if len(spread) == 2 else spread[0]
+        gap = 0.0
+        if lo is not None:
+            sep = np.maximum(0.0, np.maximum(lo[later] - hi[c], lo[c] - hi[later]))
+            gap = np.hypot(sep[:, 0], sep[:, 1]) * shrink
+        live = spread * grow > bound[:, None] * gap**eta
+        cells = live.any(axis=0)
+        if not cells.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = float((spread * grow / bound[:, None])[live].max())
+        rows = slice(starts[c], starts[c + 1])
+        cols = starts[c] + np.flatnonzero(cells[cell_of[starts[c]:] - c])
+        col_cell = cell_of[cols] - c
+        d_eta = distance_rows(order[rows], order[cols], reach ** (1.0 / eta) * grow) ** eta
         d_eta[d_eta == 0] = np.inf
-        ratio = np.empty(d_eta.shape)
-        diff = np.empty(d_eta.shape, values.dtype) if np.iscomplexobj(values) else ratio
-        for i, v in enumerate(values):
-            np.subtract(v[rows, None], v[None, cols], out=diff)
-            np.abs(diff, out=ratio)
-            np.divide(ratio, d_eta, out=ratio)
-            best[i] = np.maximum(best[i], ratio.max())
-        del d_eta, ratio, diff  # freed before the next block's distances are formed
+        for i in np.flatnonzero(live.any(axis=1)):
+            own = live[i, col_cell]
+            sub, at = (d_eta, cols) if own.all() else (d_eta[:, own], cols[own])
+            ratio = np.abs(perm[i, rows, None] - perm[i][None, at]) / sub
+            best[fields[i]] = max(best[fields[i]], ratio.max())
+            bound[i] = max(bound[i], best[fields[i]])
+        del d_eta, sub, ratio  # freed before the next cell's distances are formed
     return best
 
 
-def _path_rows(g: WeightedGraph):
-    """``_holder_sup``'s distance rows in the path metric of ``g``."""
-    return lambda rows, cols: distances_from(g, np.arange(g.n)[rows])[:, cols]
+def _path_metric(g: WeightedGraph, vertices=None):
+    """``_holder_sup``'s (distance_rows, points, edges) for the path metric of
+    ``g`` on ``vertices`` (all by default): Dijkstra rows, the coordinates
+    where every edge is at least as long as its ends are apart (to 1e-12
+    relative), and the edges with both ends among the vertices."""
+    idx = np.arange(g.n) if vertices is None else np.asarray(vertices)
+    at = np.full(g.n, -1)
+    at[idx] = np.arange(len(idx))
+    u, v = at[g.edge_u], at[g.edge_v]
+    inner = (u >= 0) & (v >= 0)
+    points = None
+    if g.coords is not None and g.coords.shape == (g.n, 2):
+        step = g.coords[g.edge_v] - g.coords[g.edge_u]
+        if np.all(g.edge_h >= (1.0 - 1e-12) * np.hypot(step[:, 0], step[:, 1])):
+            points = g.coords[idx]
+    return (lambda rows, cols, limit: distances_from(g, idx[rows], limit=limit)[:, idx[cols]],
+            points, (u[inner], v[inner], g.edge_h[inner]))
 
 
 def holder_seminorm(g: WeightedGraph, v, eta: float) -> float:
     """Holder seminorm in the path metric of the graph."""
     v = _checked(v, g.n)
     _check_eta(eta)
-    return float(_holder_sup(v[None], _path_rows(g), eta)[0])
+    return float(_holder_sup(v[None], eta, *_path_metric(g))[0])
 
 
 def holder_norm(g: WeightedGraph, v, eta: float) -> float:
@@ -226,6 +317,6 @@ def embedding_report(g: WeightedGraph, p_sobolev: float, p_holder: float,
     w = np.array([w1p_norm(g, v, p_holder) for v in cands])
     keep = w > 0
     sup = np.array([lp_norm(g, v, np.inf) for v in cands])[keep]
-    semi = _holder_sup(np.array(cands)[keep], _path_rows(g), eta)
+    semi = _holder_sup(np.array(cands)[keep], eta, *_path_metric(g))
     holder = float(((sup + semi) / w[keep]).max(initial=0.0))
     return EmbeddingReport(p_sobolev, p_star, sobolev, p_holder, eta, holder)

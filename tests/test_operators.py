@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from meyers_lab import operators
+from meyers_lab import operators, spaces
 from meyers_lab import (EdgeCoefficients, OperatorError, Polygon, box_window,
                         build_operator, contour_nodes, df_grad_bracket,
                         distances_from, expm_oracle, from_triangulation,
@@ -272,14 +272,17 @@ class TestResolventSweep:
 
     def test_one_lu_per_operator_and_lambda_and_one_window_row_per_source(
             self, ops, monkeypatch):
-        lus, rows = [], []
-        splu, dist = operators.spla.splu, operators.distances_from
+        # no Holder cell of this sweep is pruned whole, so every window
+        # vertex is a source exactly once
+        lus, sources = [], []
+        splu, dist = operators.spla.splu, spaces.distances_from
         monkeypatch.setattr(operators.spla, "splu", lambda *a, **k: lus.append(1) or splu(*a, **k))
-        monkeypatch.setattr(operators, "distances_from",
-                            lambda g, src, **k: rows.append(np.size(src)) or dist(g, src, **k))
+        monkeypatch.setattr(spaces, "distances_from",
+                            lambda g, src, **k: sources.extend(np.atleast_1d(src))
+                            or dist(g, src, **k))
         resolvent_bound_sweep(list(ops), self.LAMS)
         assert len(lus) == len(ops) * len(self.LAMS)
-        assert sum(rows) == len(box_window(ops[0].graph))
+        assert sorted(sources) == box_window(ops[0].graph).tolist()
 
     def test_data_are_the_probe_rows(self, ops, monkeypatch):
         # each (operator, lambda) solves one block: the resolvent rows at the
@@ -349,19 +352,20 @@ class TestResolventSweep:
             operators._checked_solve(a, lu, rhs)
 
     def test_window_rows_fetched_per_holder_block(self, monkeypatch):
-        # the Holder sup fetches the window rows one row block at a time:
-        # no call asks for more than _HOLDER_BLOCK sources, and every window
-        # vertex is a source once
+        # the Holder sup fetches the window rows one cell at a time: no call
+        # asks for more than _HOLDER_BLOCK sources, and every window vertex is
+        # a source once, as no cell of this sweep is pruned whole
         g = rescale(lattice_box(40, 40), 1.0 / 40)
         window = box_window(g)
         assert len(window) > _HOLDER_BLOCK
-        rows = []
-        dist = operators.distances_from
-        monkeypatch.setattr(operators, "distances_from",
-                            lambda g, src, **k: rows.append(np.size(src)) or dist(g, src, **k))
+        rows, sources = [], []
+        dist = spaces.distances_from
+        monkeypatch.setattr(spaces, "distances_from",
+                            lambda g, src, **k: rows.append(np.size(src))
+                            or sources.extend(np.atleast_1d(src)) or dist(g, src, **k))
         resolvent_bound_sweep([build_operator(g, uniform_coefficients(g))], self.LAMS)
         assert max(rows) <= _HOLDER_BLOCK
-        assert sum(rows) == len(window)
+        assert sorted(sources) == window.tolist()
 
     def test_operators_on_different_graphs_refused(self, ops):
         g = rescale(lattice_box(16, 16), 1.0 / 16)

@@ -12,7 +12,7 @@ from meyers_lab import (Polygon, SpaceError, WeightedGraph, box_window,
                         lattice_box, lp_norm, triangulate, w1p_norm)
 from meyers_lab import spaces
 from meyers_lab.spaces import (_HOLDER_BLOCK, _candidate_functions, _check_residual,
-                               _holder_sup)
+                               _holder_sup, _path_metric)
 
 from conftest import path_graph, random_graph
 
@@ -20,6 +20,14 @@ from conftest import path_graph, random_graph
 def star_graph(k, h=1.0, mu=1.0):
     return WeightedGraph(k + 1, np.zeros(k, dtype=int), np.arange(1, k + 1),
                          np.full(k, h), np.full(k, mu))
+
+
+def _dense_sup(values, dist, eta):
+    """The all-pairs Holder sup of each row of ``values`` over the full
+    distance matrix ``dist``, both orientations of every pair."""
+    d_eta = dist**eta
+    d_eta[d_eta == 0] = np.inf
+    return np.array([(np.abs(v[:, None] - v[None, :]) / d_eta).max() for v in values])
 
 
 class TestDifferential:
@@ -112,56 +120,60 @@ class TestNorms:
 
     @pytest.mark.parametrize("case", ["graph", "window"])
     def test_holder_sup_block_equals_single_rows(self, case):
-        # a (k, n) block shares each d^eta among its rows; every row's sup
-        # must be the one a call on that row alone gives, bit for bit
+        # a (k, n) block shares each cell's d^eta among its rows, and asks
+        # for the distances up to the range the longest-reaching row needs;
+        # every row's sup must be the one a call on that row alone gives,
+        # bit for bit
         rng = np.random.default_rng(7)
         if case == "graph":
             g = path_graph(rng.uniform(0.5, 2.0, 300))
             values = rng.standard_normal((5, g.n))
-            rows_of = lambda rows, cols: distances_from(g, np.arange(g.n)[rows])[:, cols]
+            metric = _path_metric(g)
         else:
             g = lattice_box(40, 40)
             window = box_window(g)
-            dwin = distances_from(g, window)[:, window]
             values = rng.standard_normal((4, len(window))) \
                 + 1j * rng.standard_normal((4, len(window)))
-            rows_of = lambda rows, cols: dwin[rows, cols]
+            metric = _path_metric(g, window)
         assert values.shape[1] % _HOLDER_BLOCK != 0
-        block = _holder_sup(values, rows_of, 0.3)
-        singles = [_holder_sup(v[None], rows_of, 0.3)[0] for v in values]
+        block = _holder_sup(values, 0.3, *metric)
+        singles = [_holder_sup(v[None], 0.3, *metric)[0] for v in values]
         assert block.tobytes() == np.array(singles).tobytes()
 
     @pytest.mark.parametrize("block", [1, 7, 32, 256, "n"])
     @pytest.mark.parametrize("case", ["window", "euclidean", "mesh"])
     def test_holder_sup_half_pairs_equal_full_square(self, case, block, monkeypatch):
-        # each unordered pair is formed once, with the distance row of its
-        # first point; on bitwise symmetric distances that is the dense
-        # full-square sup bit for bit at every block size, and on Dijkstra
-        # rows of a mesh, which differ from their transposes at round-off,
-        # it agrees to 1e-12
+        # each unordered pair is formed at most once, with the distance row of
+        # its point in the earlier cell; on bitwise symmetric distances that
+        # is the dense full-square sup bit for bit at every cell size, and on
+        # Dijkstra rows of a mesh, which differ from their transposes at
+        # round-off, it agrees to 1e-12
         rng = np.random.default_rng(11)
         if case == "window":
             g = lattice_box(40, 40)
             window = box_window(g)
             dist = distances_from(g, window)[:, window]
+            points, edges = _path_metric(g, window)[1:]
             values = rng.standard_normal((4, len(window))) \
                 + 1j * rng.standard_normal((4, len(window)))
         elif case == "euclidean":
             pts = rng.uniform(size=(700, 2))
             dist = np.hypot(pts[:, None, 0] - pts[None, :, 0],
                             pts[:, None, 1] - pts[None, :, 1])
+            points, edges = pts, None
             values = rng.standard_normal((3, len(pts)))
         else:
             g = from_triangulation(triangulate(Polygon.unit_square(), 1.0 / 20))
             dist = distances_from(g, np.arange(g.n))
+            points, edges = _path_metric(g)[1:]
             values = rng.standard_normal((3, g.n))
+        assert points is not None
         assert values.shape[1] > _HOLDER_BLOCK and values.shape[1] % _HOLDER_BLOCK != 0
         monkeypatch.setattr(spaces, "_HOLDER_BLOCK", values.shape[1] if block == "n" else block)
-        d_eta = dist**0.4
-        d_eta[d_eta == 0] = np.inf
-        full = np.array([(np.abs(v[:, None] - v[None, :]) / d_eta).max() for v in values])
+        full = _dense_sup(values, dist, 0.4)
         before = dist.copy()
-        half = _holder_sup(values, lambda rows, cols: dist[rows, cols], 0.4)
+        half = _holder_sup(values, 0.4, lambda rows, cols, limit: dist[np.ix_(rows, cols)],
+                           points, edges)
         assert dist.tobytes() == before.tobytes()  # the caller's matrix is not written
         if case == "mesh":
             assert not np.array_equal(dist, dist.T)
@@ -171,16 +183,73 @@ class TestNorms:
             assert half.tobytes() == full.tobytes()
 
     def test_holder_sup_fails_closed_on_nan(self):
-        # a NaN value makes its own field's sup NaN; the other fields of the
-        # block keep their sups bit for bit
-        g = path_graph(np.random.default_rng(3).uniform(0.5, 2.0, 300))
-        values = np.random.default_rng(4).standard_normal((3, g.n))
-        rows_of = lambda rows, cols: distances_from(g, np.arange(g.n)[rows])[:, cols]
-        clean = _holder_sup(values, rows_of, 0.5)
-        values[1, 270] = np.nan  # in the second row block
-        got = _holder_sup(values, rows_of, 0.5)
-        assert np.isnan(got[1])
-        assert got[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
+        # a NaN or infinite value makes its own field's sup NaN; the other
+        # fields keep their sups bit for bit, with and without coordinates
+        path = path_graph(np.random.default_rng(3).uniform(0.5, 2.0, 300))
+        box = lattice_box(30, 30)
+        for metric in (_path_metric(path), _path_metric(box, box_window(box))):
+            n = path.n if metric[1] is None else len(metric[1])
+            values = np.random.default_rng(4).standard_normal((3, n))
+            clean = _holder_sup(values, 0.5, *metric)
+            for bad in (np.nan, np.inf, -np.inf):
+                values[1, n - 30] = bad  # outside the first cell
+                got = _holder_sup(values, 0.5, *metric)
+                assert np.isnan(got[1])
+                assert got[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["euclidean", "window", "mesh", "short_edges"]),
+           st.integers(0, 10_000), st.sampled_from([0.1, 0.4, 0.5, 1.0]),
+           st.sampled_from([1, 7, 32]),
+           st.lists(st.sampled_from(["random", "complex", "ramp", "spike", "constant", "zero"]),
+                    min_size=1, max_size=4))
+    def test_pruned_holder_sup_equals_dense_pairs(self, case, seed, eta, cell, kinds):
+        # the pruned sup against the dense all-pairs sup: bitwise on
+        # Euclidean points and on the lattice window, to 1e-15 on the
+        # Dijkstra rows of a mesh. A graph whose edges are shorter than its
+        # coordinates are apart breaks the bound's contract, and its
+        # coordinates must go unused
+        rng = np.random.default_rng(seed)
+        if case == "euclidean":
+            pts = rng.uniform(size=(int(rng.integers(2, 300)), 2))
+            dist = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+            u = np.arange(len(pts) - 1)
+            metric = (lambda rows, cols, limit: dist[np.ix_(rows, cols)], pts,
+                      (u, u + 1, dist[u, u + 1]))
+        else:
+            if case == "window":
+                g = lattice_box(*rng.integers(8, 25, size=2))
+                vertices = box_window(g)
+            else:
+                g = from_triangulation(triangulate(Polygon.unit_square(),
+                                                   1.0 / int(rng.integers(3, 14))))
+                if case == "short_edges":
+                    g = WeightedGraph(g.n, g.edge_u, g.edge_v, g.edge_h, g.edge_mu,
+                                      coords=2.0 * g.coords)
+                vertices = np.arange(g.n)
+            dist = distances_from(g, vertices)[:, vertices]
+            metric = _path_metric(g, vertices)
+            pts = g.coords[vertices]
+            assert (metric[1] is None) == (case == "short_edges")
+        n = len(pts)
+        fields = []
+        for kind in kinds:
+            v = {"random": lambda: rng.standard_normal(n),
+                 "complex": lambda: rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                 "ramp": lambda: pts @ rng.standard_normal(2),
+                 "spike": lambda: np.eye(n)[rng.integers(n)],
+                 "constant": lambda: np.full(n, rng.standard_normal()),
+                 "zero": lambda: np.zeros(n)}[kind]()
+            fields.append(v)
+        values = np.array(fields)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces, "_HOLDER_BLOCK", cell)
+            got = _holder_sup(values, eta, *metric)
+        dense = _dense_sup(values, dist, eta)
+        if case in ("euclidean", "window"):
+            assert got.tobytes() == dense.tobytes()
+        else:
+            np.testing.assert_allclose(got, dense, rtol=1e-15, atol=0)
 
     def test_holder_queries_leave_graph_unchanged(self, coarse_square_graph):
         g = coarse_square_graph
