@@ -144,18 +144,18 @@ def _holder_cells(n: int, points):
             np.maximum.reduceat(at, starts[:-1]))
 
 
-def _holder_sup(values: np.ndarray, eta: float, distance_rows, points=None,
-                edges=None) -> np.ndarray:
+def _holder_sup(values: np.ndarray, eta: float, distance_rows, points, edges) -> np.ndarray:
     """sup over unordered pairs {x, y} of |v(x) - v(y)| / d(x, y)^eta for
     each row v of ``values``, skipping the pairs a bound rules out.
 
     ``distance_rows(rows, cols, limit)`` returns the distances from the
     points ``rows`` to the points ``cols`` (index arrays), an array that is
-    not written to; a distance above ``limit`` may read inf. ``points`` are coordinates whose Euclidean
-    distance the metric dominates, d(x, y) >= |x - y| up to round-off, or
-    None; ``edges`` = (u, v, h) are pairs with d(u, v) <= h, or None. Pairs
-    at distance zero count as ratio 0. A non-finite value fails closed: its
-    row's sup is NaN, and the other rows are computed without it.
+    not written to; a distance above ``limit`` (which may be inf) may read
+    inf. ``points`` are coordinates whose Euclidean distance the metric
+    dominates, d(x, y) >= |x - y| up to round-off, or None; ``edges`` =
+    (u, v, h) are pairs with d(u, v) <= h, possibly none. Pairs at distance
+    zero count as ratio 0. A non-finite value fails closed: its row's sup
+    is NaN, and the other rows are computed without it.
 
     The points are sorted into cells (``_holder_cells``), and each cell is
     paired with itself both ways and with every later cell once, from its
@@ -166,8 +166,9 @@ def _holder_sup(values: np.ndarray, eta: float, distance_rows, points=None,
     is formed only where that bound, with a relative margin _HOLDER_MARGIN
     on each side, beats the row's running lower bound B of its sup, and the
     distance rows of a cell are asked only up to the largest (M / B)^(1/eta)
-    of its formed pairs: a pair beyond it cannot beat B either. B starts at
-    the edges' ratios |v(u) - v(v)| / h^eta, each at most a real pair's ratio.
+    of its formed pairs, inf where that power overflows (small eta): a pair
+    beyond it cannot beat B either. B starts at the edges' ratios
+    |v(u) - v(v)| / h^eta, each at most a real pair's ratio.
 
     Why the sup is exact: a skipped pair, or one beyond the limit, lies
     below B, and B is at most the sup (the edge pair behind the seed is
@@ -192,7 +193,7 @@ def _holder_sup(values: np.ndarray, eta: float, distance_rows, points=None,
     vmin = [np.minimum.reduceat(part, starts[:-1], axis=1) for part in parts]
     vmax = [np.maximum.reduceat(part, starts[:-1], axis=1) for part in parts]
     bound = np.zeros(len(fields))
-    if edges is not None and len(edges[0]):
+    if len(edges[0]):
         pos = np.argsort(order)
         u, v, h_eta = pos[edges[0]], pos[edges[1]], np.asarray(edges[2]) ** eta
         bound[:] = [(np.abs(row[u] - row[v]) / h_eta).max() for row in perm]
@@ -210,12 +211,12 @@ def _holder_sup(values: np.ndarray, eta: float, distance_rows, points=None,
         cells = live.any(axis=0)
         if not cells.any():
             continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            reach = float((spread * grow / bound[:, None])[live].max())
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            reach = (spread * grow / bound[:, None])[live].max() ** (1.0 / eta) * grow
         rows = slice(starts[c], starts[c + 1])
         cols = starts[c] + np.flatnonzero(cells[cell_of[starts[c]:] - c])
         col_cell = cell_of[cols] - c
-        d_eta = distance_rows(order[rows], order[cols], reach ** (1.0 / eta) * grow) ** eta
+        d_eta = distance_rows(order[rows], order[cols], reach) ** eta
         d_eta[d_eta == 0] = np.inf
         for i in np.flatnonzero(live.any(axis=1)):
             own = live[i, col_cell]

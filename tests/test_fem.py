@@ -541,6 +541,18 @@ class TestReconstruct:
         got = reconstruct(tri, vals).holder_seminorm(0.4)
         assert got == ratio[np.isfinite(ratio)].max()
 
+    def test_holder_at_small_eta_matches_dense_pairs(self, unit_square):
+        # a ramp's sup at eta = 0.001 lies at its longest pair, and the
+        # pruning's distance limit (M / B)^(1/eta) overflows a double there
+        tri = triangulate(unit_square, 2.0**-4)
+        p = tri.points
+        vals = p @ np.array([1.0, 0.3])
+        d = np.hypot(p[:, None, 0] - p[None, :, 0], p[:, None, 1] - p[None, :, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(vals[:, None] - vals[None, :]) / d**0.001
+        got = reconstruct(tri, vals).holder_seminorm(0.001)
+        assert got == ratio[np.isfinite(ratio)].max()
+
     def test_holder_norms_of_stacked_fields_are_bitwise_separate_calls(self, unit_square):
         # holder_convergence's two fields, u_h and P u_2h - u_h, share one
         # pass over the vertex distances (289 vertices: ten row blocks)

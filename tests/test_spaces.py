@@ -160,7 +160,8 @@ class TestNorms:
             pts = rng.uniform(size=(700, 2))
             dist = np.hypot(pts[:, None, 0] - pts[None, :, 0],
                             pts[:, None, 1] - pts[None, :, 1])
-            points, edges = pts, None
+            u = np.arange(len(pts) - 1)
+            points, edges = pts, (u, u + 1, dist[u, u + 1])
             values = rng.standard_normal((3, len(pts)))
         else:
             g = from_triangulation(triangulate(Polygon.unit_square(), 1.0 / 20))
@@ -199,7 +200,7 @@ class TestNorms:
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["euclidean", "window", "mesh", "short_edges"]),
-           st.integers(0, 10_000), st.sampled_from([0.1, 0.4, 0.5, 1.0]),
+           st.integers(0, 10_000), st.sampled_from([0.01, 0.1, 0.4, 0.5, 1.0]),
            st.sampled_from([1, 7, 32]),
            st.lists(st.sampled_from(["random", "complex", "ramp", "spike", "constant", "zero"]),
                     min_size=1, max_size=4))
@@ -250,6 +251,18 @@ class TestNorms:
             assert got.tobytes() == dense.tobytes()
         else:
             np.testing.assert_allclose(got, dense, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("eta", [0.01, 0.005])
+    def test_small_eta_ramp_equals_dense_pairs(self, eta):
+        # at small eta the distance limit (M / B)^(1/eta) overflows a double;
+        # it must read as no limit, and the ramp's sup, at its longest pair,
+        # must be the dense one bit for bit
+        g = path_graph(np.ones(2000))
+        v = np.arange(2001.0)
+        dist = distances_from(g, np.arange(g.n))
+        got = _holder_sup(v[None], eta, *_path_metric(g))
+        assert got.tobytes() == _dense_sup(v[None], dist, eta).tobytes()
+        assert holder_seminorm(g, v, eta) == got[0]
 
     def test_holder_queries_leave_graph_unchanged(self, coarse_square_graph):
         g = coarse_square_graph
