@@ -152,10 +152,18 @@ _positive = _where(float, lambda v: 0 < v < math.inf, "a finite value > 0")
 _count = _where(int, lambda v: v >= 1, "an integer >= 1")
 _above_2 = _where(float, lambda v: v > 2, "a value > 2")
 
+# most interior vertices of a family's finest mesh: the unit square's level 10
+# (1023^2) builds its 4-level family in 3.0 s at a peak RSS of 1.2 GiB, and
+# level 11 (2047^2) needs about four times that
+_MAX_INTERIOR_VERTICES = 2**20
+
 # smallest lattice box whose interior window (graph.box_window: coordinates in
-# [(box-1)/4, 3(box-1)/4]) holds an edge; smaller boxes leave no increments
+# [(box-1)/4, 3(box-1)/4]) holds an edge; smaller boxes leave no increments.
+# The box's box^2 vertices are held to the one vertex cap of the mesh
+# families, _MAX_INTERIOR_VERTICES
 _MIN_BOX = 4
-_box = _where(int, lambda v: v >= _MIN_BOX, f"box >= {_MIN_BOX}")
+_MAX_BOX = math.isqrt(_MAX_INTERIOR_VERTICES)
+_box = _where(int, lambda v: _MIN_BOX <= v <= _MAX_BOX, f"{_MIN_BOX} <= box <= {_MAX_BOX}")
 
 # resolvent rays: the positive reals and the ray at angle 3 pi / 5
 _RAY_PHASES = {"real": 1.0, "sector": np.exp(1j * 3 * math.pi / 5)}
@@ -181,12 +189,6 @@ def _sample_count(text: str) -> int | None:
 
 # ---------------------------------------------------------------------------
 # checks of the rules that span keys
-
-# most interior vertices of a family's finest mesh: the unit square's level 10
-# (1023^2) builds its 4-level family in 3.0 s at a peak RSS of 1.2 GiB, and
-# level 11 (2047^2) needs about four times that
-_MAX_INTERIOR_VERTICES = 2**20
-
 
 def _interior_count(poly: mesh.Polygon, level: int) -> int:
     """Interior vertices of the family's mesh of ``poly`` at ``level``; a

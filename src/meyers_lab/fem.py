@@ -8,6 +8,12 @@ f_h(x) = <f, phi_x> / m(x), m the graph vertex measure of the mesh. Vertex
 data are plain arrays with one value per mesh vertex: ``solve``, ``f_h`` and
 ``apply_Lh`` return them zero on the boundary, and ``reconstruct`` takes one.
 
+Assembly treats K as an operator on the mesh graph: each mesh edge carries
+two directional weights, K[lo, hi] and K[hi, lo], summed from the local
+matrices of the one or two triangles on it, and each vertex its diagonal,
+summed from the local diagonals. One path serves any A, symmetric or not,
+and forms no per-triangle triplets.
+
 Quadrature: one-point (barycenter) rule for the coefficient matrix, exact for
 per-triangle-constant A; three-point vertex rule for loads; six-point
 degree-4 rule for L^p norms and errors of reconstructions, the exact values
@@ -182,22 +188,46 @@ class P1System:
 def assemble(tri: Triangulation, field: CoefficientField) -> P1System:
     """Stiffness K[x][y] = integral(A grad phi_y . grad phi_x), interior rows.
 
-    A is sampled at barycenters (exact for per-triangle-constant A).
+    A is sampled at barycenters (exact for per-triangle-constant A). K is
+    built per mesh edge: each row (lo, hi) of ``tri.edge_array`` carries the
+    directional weights K[lo, hi] and K[hi, lo], each the sum over the one or
+    two triangles on the edge, and the diagonal sums the local diagonals at
+    each vertex. The one path serves any A; a nonsymmetric A gives
+    K[lo, hi] != K[hi, lo]. Every edge between interior vertices is stored,
+    a zero weight included, so K's pattern is the mesh graph's.
     """
     bary = tri.points[tri.triangles].mean(axis=1)
     a_vals = field(bary)
     field.validate(a_vals)
-    # local matrices: K_loc[t, i, j] = area_t * (A grad_j) . grad_i
+    # local matrices: K_loc[t, i, j] = area_t * (A grad_j) . grad_i. Each
+    # temporary is freed once read: that holds the peak near five times K
     agrad = np.einsum("tab,tjb->tja", a_vals, tri.gradients)
-    k_loc = np.einsum("tia,tja->tij", tri.gradients, agrad) * tri.areas[:, None, None]
+    del bary, a_vals
+    k_loc = np.einsum("tia,tja->tij", tri.gradients, agrad)
+    del agrad
+    k_loc *= tri.areas[:, None, None]
 
-    tris = tri.triangles
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    full = sp.coo_matrix((k_loc.ravel(), (rows, cols)),
-                         shape=(tri.n_vertices, tri.n_vertices)).tocsr()
+    # side k of a triangle joins its vertices k and k + 1 (mod 3); ``up``
+    # marks the sides that run from the edge's lo to its hi
+    tris, first, second = tri.triangles, [0, 1, 2], [1, 2, 0]
+    fwd, bwd = k_loc[:, first, second], k_loc[:, second, first]
+    up = tris < np.roll(tris, -1, axis=1)
+    sides, n_edges = tri.triangle_edges.ravel(), len(tri.edge_array)
+    lohi = np.bincount(sides, np.where(up, fwd, bwd).ravel(), n_edges)
+    hilo = np.bincount(sides, np.where(up, bwd, fwd).ravel(), n_edges)
+    diag = np.bincount(tris.ravel(), np.einsum("tii->ti", k_loc).ravel(), tri.n_vertices)
+    del k_loc, fwd, bwd, up, sides
+
     interior = tri.interior_vertices()
-    K = full[interior][:, interior].tocsr()
+    m = len(interior)
+    index = np.full(tri.n_vertices, -1)
+    index[interior] = np.arange(m)
+    lo, hi = index[tri.edge_array.T]
+    inner = (lo >= 0) & (hi >= 0)
+    lo, hi = lo[inner], hi[inner]
+    K = sp.csr_matrix((np.concatenate([lohi[inner], hilo[inner], diag[interior]]),
+                       (np.concatenate([lo, hi, np.arange(m)]),
+                        np.concatenate([hi, lo, np.arange(m)]))), shape=(m, m))
     return P1System(tri, K, interior)
 
 

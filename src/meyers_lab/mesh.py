@@ -177,12 +177,15 @@ class Triangulation:
         grads /= 2.0 * self.areas[:, None, None]
         self.gradients = grads
 
-        edges = np.sort(
-            np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1
-        )
-        # one int64 key per edge, lo * n + hi: sorting it sorts the (lo, hi) rows
-        keys, inverse, counts = np.unique(edges[:, 0] * len(pts) + edges[:, 1],
-                                          return_inverse=True, return_counts=True)
+        # one int64 key per side, lo * n + hi: sorting it sorts the (lo, hi)
+        # rows. Side k of a triangle joins its vertices k and k + 1 (mod 3),
+        # and the keys are ravelled side-major: every triangle's side 0 first
+        rolled = np.roll(tris, -1, axis=1)
+        keys = np.minimum(tris, rolled)
+        keys *= len(pts)
+        keys += np.maximum(tris, rolled, out=rolled)
+        keys, inverse, counts = np.unique(keys.T.ravel(), return_inverse=True,
+                                          return_counts=True)
         uniq = np.column_stack(np.divmod(keys, len(pts)))
         self.edge_array = uniq
         self.edge_counts = counts

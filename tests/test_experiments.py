@@ -216,10 +216,21 @@ class TestConfig:
         "experiment = holder_convergence\ncoefficient = constant:nan",
         # an empty out names no directory to write the CSVs to
         "experiment = meyers_sweep\nout =",
+        # a lattice box of more than _MAX_INTERIOR_VERTICES = 1024^2 vertices
+        "experiment = resolvent_sweep\nbox = 1025",
+        "experiment = resolvent_sweep\nbox = 100000",
+        "experiment = kernel_bounds\nbox = 1025",
+        "experiment = kernel_bounds\nbox = 100000",
     ])
     def test_bad_values_raise_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize("exp", ["resolvent_sweep", "kernel_bounds"])
+    def test_box_up_to_the_vertex_cap(self, exp):
+        assert parse_config(f"experiment = {exp}\nbox = 1024").values["box"] == 1024
+        with pytest.raises(ConfigError, match="^box = '1025': needs 4 <= box <= 1024$"):
+            parse_config(f"experiment = {exp}\nbox = 1025")
 
     @pytest.mark.parametrize("level", [1074, 1075, -2000, -1, 10**400])
     def test_level_beyond_any_mesh_is_named(self, level):

@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from meyers_lab import (FemError, Polygon, apply_Lh, assemble,
@@ -136,6 +138,117 @@ class TestAssemble:
         sys = assemble(refine_red(coarse_square_mesh), identity_field())
         b = load(sys, lambda pts: np.ones(len(pts)))
         assert np.all(np.isfinite(apply_Lh(sys, solve(sys, b))))
+
+
+def triplet_stiffness(tri, field):
+    """Interior stiffness from per-triangle COO triplets: the nine entries of
+    every local matrix, summed by scipy into the full CSR, then sliced to the
+    interior rows and columns."""
+    bary = tri.points[tri.triangles].mean(axis=1)
+    agrad = np.einsum("tab,tjb->tja", field(bary), tri.gradients)
+    k_loc = np.einsum("tia,tja->tij", tri.gradients, agrad) * tri.areas[:, None, None]
+    rows = np.repeat(tri.triangles, 3, axis=1).ravel()
+    cols = np.tile(tri.triangles, (1, 3)).ravel()
+    full = sp.coo_matrix((k_loc.ravel(), (rows, cols)),
+                         shape=(tri.n_vertices, tri.n_vertices)).tocsr()
+    interior = tri.interior_vertices()
+    return full[interior][:, interior].tocsr()
+
+
+def skew_field(skew, reach):
+    """A = I + skew * x * [[0, 1], [-1, 0]] on points with |x| <= reach."""
+    def matrix(pts):
+        out = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
+        out[:, 0, 1] += skew * pts[:, 0]
+        out[:, 1, 0] -= skew * pts[:, 0]
+        return out
+
+    return fem.CoefficientField(matrix, ellipticity=1.0, bound=1.0 + skew * reach,
+                                kind="constant")
+
+
+def refined_mesh(poly, coarse_h, refinements):
+    """``refinements`` red refinements of triangulate(poly, coarse_h)."""
+    tri = triangulate(poly, coarse_h)
+    for _ in range(refinements):
+        tri = refine_red(tri)
+    return tri
+
+
+# a convex pentagon: triangulate fans it around its centroid, so its
+# red-refinement family runs down to a fan mesh with one interior vertex
+PENTAGON = Polygon([(0.0, 0.0), (1.0, 0.0), (1.3, 0.8), (0.5, 1.2), (-0.2, 0.7)])
+# a fan around the centroid (0, 0) whose vertices, areas and hat gradients,
+# and those of its refinements, are dyadic
+DYADIC_HEXAGON = Polygon([(-2, 0), (-1, -1), (1, -1), (2, 0), (1, 1), (-1, 1)])
+# (polygon, level): the mesh of spacing 2^-level in the polygon's family
+DYADIC_MESHES = {
+    **{f"unit_square-{lvl}": (Polygon.unit_square(), lvl) for lvl in range(3, 7)},
+    **{f"square2-{lvl}": (Polygon.symmetric_square(1.0), lvl) for lvl in range(3, 7)},
+    "hexagon_fan-2": (DYADIC_HEXAGON, 2),
+}
+ORACLE_MESHES = {**DYADIC_MESHES, "pentagon_fan-3": (PENTAGON, 3)}
+
+
+def oracle_mesh(name):
+    poly, level = ORACLE_MESHES[name]
+    return refined_mesh(poly, 2.0**-min(level, 3), max(level - 3, 0))
+
+
+class TestStiffnessOracle:
+    """``assemble`` against the per-triangle triplet assembly it replaced.
+
+    Off the diagonal each K entry sums at most two local entries, so the
+    order of the sum cannot change it; the diagonal sums up to eight, in
+    another order than scipy's, which is exact when the local entries are
+    dyadic: per-triangle constant fields on the dyadic meshes."""
+
+    @pytest.mark.parametrize("spec", ["constant", "constant:3", "checkerboard:1:4"])
+    @pytest.mark.parametrize("name", sorted(DYADIC_MESHES))
+    def test_bitwise_on_dyadic_meshes(self, name, spec):
+        tri, field = oracle_mesh(name), coefficient_field(spec)
+        got, want = assemble(tri, field).K, triplet_stiffness(tri, field)
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+    def test_stores_the_zero_weights(self, unit_square):
+        # a criss-cross diagonal joins the acute corners of right isoceles
+        # triangles: its weight is 0 under A = I, and K stores it
+        tri = triangulate(unit_square, 2.0**-3)
+        K = assemble(tri, identity_field()).K
+        assert np.count_nonzero(K.data == 0) > 0
+        assert K.nnz == triplet_stiffness(tri, identity_field()).nnz
+
+    @pytest.mark.parametrize("field", [
+        identity_field(), checkerboard_field(1.0, 4.0), meyers_field(0.5),
+        constant_field([[1.0, 1.0], [0.0, 1.0]]),  # test_constant_skew_part_annihilates
+        skew_field(5.0, 2.0),
+    ], ids=["constant", "checkerboard:1:4", "meyers:0.5", "k_full", "skew-5"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+    def test_round_off_on_any_mesh_and_field(self, name, field):
+        tri = oracle_mesh(name)
+        got, want = assemble(tri, field).K, triplet_stiffness(tri, field)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+
+    def test_peak_memory_of_level_6(self):
+        # square2 at level 6 (32,768 triangles) under meyers:0.5, the
+        # counterexample's finest default mesh: the per-edge assembly peaks
+        # near 7 MiB above its start, the nine triplets per triangle at 16.8
+        tri = oracle_mesh("square2-6")
+        field = coefficient_field("meyers:0.5")
+        assemble(tri, field)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            system = assemble(tri, field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert system.K.shape == (127**2, 127**2)
+        assert peak - start <= 10 * 2**20
 
 
 class TestLoad:
@@ -320,11 +433,6 @@ class TestSolve:
             assert abs(resid) <= 1e-9 * max(abs(v @ b), 1.0)
 
 
-# a convex pentagon: triangulate fans it around its centroid, so its
-# red-refinement family runs down to a fan mesh with one interior vertex
-PENTAGON = Polygon([(0.0, 0.0), (1.0, 0.0), (1.3, 0.8), (0.5, 1.2), (-0.2, 0.7)])
-
-
 def _counting_spsolve(monkeypatch):
     """Patch the solver's spsolve with one that counts its calls."""
     calls = []
@@ -339,10 +447,7 @@ def _counting_spsolve(monkeypatch):
 
 
 def _family_system(poly, field, f, coarse_h, refinements):
-    tri = triangulate(poly, coarse_h)
-    for _ in range(refinements):
-        tri = refine_red(tri)
-    system = assemble(tri, field)
+    system = assemble(refined_mesh(poly, coarse_h, refinements), field)
     return system, load(system, f)
 
 
@@ -393,15 +498,8 @@ class TestMultigridSolve:
     ])
     def test_variable_skew_coefficient(self, skew, unit_square):
         # A = I + skew * x * [[0, 1], [-1, 0]] makes K nonsymmetric
-        def matrix(pts):
-            out = np.broadcast_to(np.eye(2), (len(pts), 2, 2)).copy()
-            out[:, 0, 1] += skew * pts[:, 0]
-            out[:, 1, 0] -= skew * pts[:, 0]
-            return out
-
-        field = fem.CoefficientField(matrix, ellipticity=1.0, bound=1.0 + skew,
-                                     kind="constant")
-        system, b = _family_system(unit_square, field, lambda pts: 1.0, 2.0**-3, 2)
+        system, b = _family_system(unit_square, skew_field(skew, 1.0), lambda pts: 1.0,
+                                   2.0**-3, 2)
         want = spla.spsolve(system.K.tocsc(), b)
         got = solve(system, b)[system.interior]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -199,6 +199,35 @@ class TestRefineRed:
             assert np.array_equal(fine.triangles, children)
             tri = fine
 
+    @pytest.mark.parametrize("tri", [
+        triangulate(Polygon.unit_square(), 0.25),
+        triangulate(Polygon.rectangle(0.0, 0.0, 2.0, 1.0), 0.5),
+        triangulate(Polygon.symmetric_square(1.0), 1.0),
+        triangulate(PENTAGON, 3.0),
+        # three triangles on the side (0, 1): an edge count of 3
+        Triangulation([(0, 0), (1, 0), (0.5, 1), (0.5, -1), (2, 0.5)],
+                      [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+    ], ids=["unit-square", "rectangle", "symmetric-square", "fan-pentagon", "overused-edge"])
+    def test_edges_match_the_concatenate_sort_construction(self, tri):
+        # the mesh keys its edges from each triangle's sides and rolled sides;
+        # three red refinements on, the arrays are still bitwise those of a
+        # (3t, 2) concatenate, sort and np.unique over the sides
+        for _ in range(4):
+            edges = np.sort(np.concatenate(
+                [tri.triangles[:, [0, 1]], tri.triangles[:, [1, 2]], tri.triangles[:, [2, 0]]]),
+                axis=1)
+            keys, inverse, counts = np.unique(edges[:, 0] * tri.n_vertices + edges[:, 1],
+                                              return_inverse=True, return_counts=True)
+            uniq = np.column_stack(np.divmod(keys, tri.n_vertices))
+            for got, want in [(tri.edge_array, uniq), (tri.edge_counts, counts),
+                              (tri.triangle_edges, inverse.reshape(3, -1).T),
+                              (tri.boundary_vertices, np.unique(uniq[counts == 1]))]:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            if tri.edge_counts.max() > 2:  # its refinement repeats midpoints
+                break
+            tri = refine_red(tri)
+
     def test_triangle_edges_are_the_sides(self, coarse_square_mesh):
         tri = refine_red(coarse_square_mesh)
         t = tri.triangles
